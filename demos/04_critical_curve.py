@@ -20,12 +20,14 @@ print()
 print(f"{'tilt':>7} {'S_q':>10} {'cap':>10} {'C(opt)':>8} {'C_cr':>8} {'C_cr cap':>9}")
 for tau in np.linspace(1.0, 1.49, 8):
     t = float(tau)
-    optimum = bb.global_max_violation(t, cfg)
     cap = bb.max_value_cap(t)
     if t >= cutoff:
-        c_cr = f"{bb.critical_gamma(t, cfg).c_cr:8.5f}"
+        point = bb.critical_gamma(t, cfg)  # carries the optimum it started from
+        optimum = point.optimum
+        c_cr = f"{point.c_cr:8.5f}"
         c_cap = f"{bb.upper_bound_analytic(t):9.5f}"
     else:
+        optimum = bb.global_max_violation(t, cfg)
         c_cr, c_cap = f"{'(all)':>8}", f"{'-':>9}"
     print(f"{t:7.4f} {optimum.s_q:10.6f} {cap:10.6f} "
           f"{math.sin(2.0 * optimum.gamma_star):8.5f} {c_cr} {c_cap}")

@@ -130,13 +130,13 @@ def _cmd_curves(args) -> int:
     concurrence_rows = []
     for tau in taus:
         t = float(tau)
-        optimum = optimizer.global_max_violation(t, cfg)
-        cap = optimizer.max_value_cap(t)
-        violation_rows.append((t, optimum.s_q, cap))
         if t >= bell_model.TAU_MAXENT_CUTOFF:
-            critical = optimizer.critical_gamma(t, cfg).c_cr
+            point = optimizer.critical_gamma(t, cfg)
+            optimum, critical = point.optimum, point.c_cr
         else:
+            optimum = optimizer.global_max_violation(t, cfg)
             critical = 1.0  # below the cutoff even the maximally entangled state violates
+        violation_rows.append((t, optimum.s_q, optimizer.max_value_cap(t)))
         concurrence_rows.append((t, math.sin(2.0 * optimum.gamma_star), critical))
     violation_path = out_dir / CSV_VIOLATION
     concurrence_path = out_dir / CSV_CONCURRENCE

@@ -8,13 +8,18 @@ Three layers:
   of a 2x2 effective operator (obtained by contracting the state with the fixed
   party's operators and the tilted coefficients).  Ascent is monotone because
   each update maximizes over a family containing the current projector.
+  One kernel runs the ascent for a stack of states at once, every restart of
+  every state in one batch; a single state is a stack of one.
 * :func:`global_max_violation` -- outer scalar search over the Schmidt angle:
-  a 64-point coarse grid guards against multiple local maxima, then
-  golden-section refinement to 1e-8.
+  a 64-point coarse grid, evaluated as one stack of states, guards against
+  multiple local maxima, then golden-section refinement to 1e-8.
 * :func:`critical_gamma` -- for a tilt at which the maximally entangled state
-  no longer violates, bisection above the arg-max angle locates the largest
-  Schmidt angle that still violates; its concurrence is the numeric upper
-  bound on the concurrence of any violating state.
+  no longer violates, a dyadic 16-section above the arg-max angle locates the
+  largest Schmidt angle that still violates; its concurrence is the numeric
+  upper bound on the concurrence of any violating state.  Each round
+  evaluates, as one stack, the 15 angles the next four bisection steps could
+  visit, so the result is the one plain bisection would reach.  The optimum
+  the search started from is returned with it.
 
 :func:`in_plane_grid_max_violation` is an independent oracle for Schmidt-angle
 states that never touches the see-saw path, and
@@ -50,6 +55,7 @@ from .quantum_core import (
 VIOLATION_THRESHOLD = 1e-10
 GAMMA_BISECTION_TOL = 1e-8
 COARSE_GAMMA_POINTS = 64
+BISECTION_STEPS_PER_ROUND = 4
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -103,12 +109,20 @@ class OptimumPoint:
 
 @dataclass(frozen=True)
 class CriticalCurvePoint:
-    """Largest violating Schmidt angle at a tilt, and its concurrence sin(2 gamma_c)."""
+    """Largest violating Schmidt angle at a tilt, and its concurrence sin(2 gamma_c).
+
+    ``optimum`` is the maximal violation at the same tilt, from which the
+    search started.
+    """
 
     tau: float
     gamma_c: float
     c_cr: float
-    s_at_peak: float
+    optimum: OptimumPoint
+
+    @property
+    def s_at_peak(self) -> float:
+        return self.optimum.s_q
 
 
 _PAULIS = np.array(
@@ -137,54 +151,99 @@ def _renormalize_rows(candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
     # Best rank-1 update per restart: align with the effective operator's Bloch
     # part.  A vanishing part leaves the objective flat, so the previous
     # direction is kept (deterministic tie-breaking); a zero top eigenvalue
-    # still assigns its eigenvector to the outcome-0 projector.
-    norms = np.linalg.norm(candidate, axis=1)
+    # still assigns its eigenvector to the outcome-0 projector.  The norm is
+    # the plain sum of squares, as np.linalg.norm forms it, without that
+    # call's overhead (einsum may fuse multiply-adds and round differently).
+    norms = np.sqrt(np.add.reduce(candidate * candidate, axis=-1))
     degenerate = norms < 1e-14
-    safe = np.where(degenerate, 1.0, norms)
-    out = candidate / safe[:, None]
-    if np.any(degenerate):
-        out[degenerate] = current[degenerate]
+    if not degenerate.any():
+        return candidate / norms[..., None]
+    out = candidate / np.where(degenerate, 1.0, norms)[..., None]
+    out[degenerate] = current[degenerate]
     return out
 
 
 def _seesaw_batch(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_history):
-    a0, a1, b0, b1 = (np.array([s[k] for s in starts], dtype=float) for k in range(4))
-    restarts = a0.shape[0]
-    previous = np.full(restarts, -np.inf)
-    values = np.full(restarts, -np.inf)
-    converged = np.zeros(restarts, dtype=bool)
-    first_converged = np.zeros(restarts, dtype=int)
-    tilt_pull_a = 2.0 * (1.0 - tau) * r_alice
-    tilt_pull_b = 2.0 * (1.0 - tau) * r_bob
-    history: list[np.ndarray] = []
-    iterations = 0
+    # Alternating ascent for S states at one tilt: ``r_alice`` and ``r_bob``
+    # are (S, 3), ``corr`` is (S, 3, 3), and the four (restarts, 3) start
+    # arrays are shared by every state, so rows are laid out (S, restarts, 3).
+    # A restart is converged once its value improves by less than ``tol``;
+    # a state stops at the iteration where its last restart converges, or at
+    # ``max_iterations``, and is then compacted out of the batch.  Returns the
+    # final values (S, restarts), the four (S, restarts, 3) measurement
+    # arrays, the converged flags, the iteration at which each restart first
+    # converged (or stopped), and, with ``keep_history``, each state's list of
+    # per-iteration value rows.
+    states = corr.shape[0]
+    a0, a1, b0, b1 = (np.repeat(np.asarray(s, dtype=float)[None], states, axis=0) for s in starts)
+    restarts = a0.shape[1]
+    out_values = np.empty((states, restarts))
+    out_vectors = tuple(np.empty_like(v) for v in (a0, a1, b0, b1))
+    out_converged = np.empty((states, restarts), dtype=bool)
+    out_iterations = np.empty((states, restarts), dtype=int)
+    histories: list[list[np.ndarray]] = [[] for _ in range(states)]
+
+    active = np.arange(states)
+    previous = np.full((states, restarts), -np.inf)
+    converged = np.zeros((states, restarts), dtype=bool)
+    first_converged = np.zeros((states, restarts), dtype=int)
+    corr_t = np.swapaxes(corr, 1, 2)
+    alice_col = r_alice[:, :, None]
+    bob_col = r_bob[:, :, None]
+    tilt_pull_a = (2.0 * (1.0 - tau) * r_alice)[:, None, :]
+    tilt_pull_b = (2.0 * (1.0 - tau) * r_bob)[:, None, :]
+    # T b_+ and T b_- feed both the value line and the next update of Alice.
+    corr_bp = (b0 + b1) @ corr_t
+    corr_bm = (b0 - b1) @ corr_t
     for iterations in range(1, max_iterations + 1):
-        a0 = _renormalize_rows((b0 + b1) @ corr.T + tilt_pull_a, a0)
-        a1 = _renormalize_rows((b0 - b1) @ corr.T, a1)
+        a0 = _renormalize_rows(corr_bp + tilt_pull_a, a0)
+        a1 = _renormalize_rows(corr_bm, a1)
         b0 = _renormalize_rows((a0 + a1) @ corr + tilt_pull_b, b0)
         b1 = _renormalize_rows((a0 - a1) @ corr, b1)
         bp = b0 + b1
         bm = b0 - b1
-        a_dot = a0 @ r_alice
-        b_dot = b0 @ r_bob
+        corr_bp = bp @ corr_t
+        corr_bm = bm @ corr_t
+        a_dot = (a0 @ alice_col)[..., 0]
+        b_dot = (b0 @ bob_col)[..., 0]
+        # Term by term, in this order: the golden-section search compares
+        # values about 1e-11 apart, so regrouping the sum moves its optimum.
         values = 0.25 * (
             2.0
             + 2.0 * a_dot
-            + bp @ r_bob
-            + np.einsum("rk,rk->r", a0, bp @ corr.T)
-            + bm @ r_bob
-            + np.einsum("rk,rk->r", a1, bm @ corr.T)
+            + (bp @ bob_col)[..., 0]
+            + np.einsum("srk,srk->sr", a0, corr_bp)
+            + (bm @ bob_col)[..., 0]
+            + np.einsum("srk,srk->sr", a1, corr_bm)
         ) - tau * (1.0 + 0.5 * (a_dot + b_dot))
         if keep_history:
-            history.append(values.copy())
+            for state, row in zip(active, values):
+                histories[state].append(row)
         newly = ~converged & (values - previous < tol)
         first_converged[newly] = iterations
         converged |= newly
-        if np.all(converged):
-            break
-        previous = values.copy()
-    first_converged[~converged] = iterations
-    return values, (a0, a1, b0, b1), converged, first_converged, history
+        done = converged.all(axis=1)
+        if iterations == max_iterations:
+            done[:] = True
+            first_converged[~converged] = iterations
+        if done.any():
+            finished = active[done]
+            out_values[finished] = values[done]
+            for out, v in zip(out_vectors, (a0, a1, b0, b1)):
+                out[finished] = v[done]
+            out_converged[finished] = converged[done]
+            out_iterations[finished] = first_converged[done]
+            if done.all():
+                break
+            keep = ~done
+            (active, values, converged, first_converged, a0, a1, b0, b1, corr_bp, corr_bm,
+             corr, corr_t, alice_col, bob_col, tilt_pull_a, tilt_pull_b) = (
+                x[keep]
+                for x in (active, values, converged, first_converged, a0, a1, b0, b1, corr_bp, corr_bm,
+                          corr, corr_t, alice_col, bob_col, tilt_pull_a, tilt_pull_b)
+            )
+        previous = values
+    return out_values, out_vectors, out_converged, out_iterations, histories
 
 
 def _chsh_start() -> tuple[np.ndarray, ...]:
@@ -205,6 +264,16 @@ def _random_start(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
             v = rng.normal(size=3)
         vectors.append(v / np.linalg.norm(v))
     return tuple(vectors)
+
+
+def _restart_starts(cfg: SeesawConfig) -> tuple[np.ndarray, ...]:
+    # Restart 0 is the CHSH-optimal start; the others are drawn from streams
+    # derived from the seed.  Returned as four (restarts, 3) arrays.
+    starts = [_chsh_start()]
+    if cfg.restarts > 1:
+        for child in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.restarts - 1):
+            starts.append(_random_start(np.random.default_rng(child)))
+    return tuple(np.array([s[k] for s in starts]) for k in range(4))
 
 
 def _measurement_set_from(vectors) -> MeasurementSet:
@@ -230,32 +299,39 @@ def seesaw_max_violation(
     """
     coefficients(tau)  # validates the tilt range
     r_alice, r_bob, corr = _pauli_decomposition(rho.matrix)
-    starts = [_chsh_start()]
-    if cfg.restarts > 1:
-        for child in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.restarts - 1):
-            starts.append(_random_start(np.random.default_rng(child)))
     values, vectors, converged, iteration_counts, history = _seesaw_batch(
-        r_alice,
-        r_bob,
-        corr,
+        r_alice[None],
+        r_bob[None],
+        corr[None],
         float(tau),
-        starts,
+        _restart_starts(cfg),
         cfg.max_iterations,
         cfg.convergence_tol,
         keep_history,
     )
-    best = int(np.argmax(values))
+    best = int(np.argmax(values[0]))
     histories = None
     if keep_history:
-        stacked = np.array(history)
-        histories = tuple(tuple(stacked[:, r]) for r in range(len(starts)))
+        stacked = np.array(history[0])
+        histories = tuple(tuple(stacked[:, r]) for r in range(cfg.restarts))
     return SeesawResult(
-        value=BellValue(value=float(values[best]), tau=float(tau)),
-        measurements=_measurement_set_from([v[best] for v in vectors]),
-        converged=bool(converged[best]),
-        iterations=int(iteration_counts[best]),
+        value=BellValue(value=float(values[0, best]), tau=float(tau)),
+        measurements=_measurement_set_from([v[0, best] for v in vectors]),
+        converged=bool(converged[0, best]),
+        iterations=int(iteration_counts[0, best]),
         histories=histories,
     )
+
+
+def _schmidt_peak_values(gammas, tau: float, cfg: SeesawConfig) -> np.ndarray:
+    # Best see-saw value of each Schmidt-angle state, all states in one batch;
+    # each equals ``seesaw_max_violation(schmidt_state(gamma), tau, cfg)``.
+    parts = [_pauli_decomposition(schmidt_state(g).matrix) for g in gammas]
+    r_alice, r_bob, corr = (np.array(p) for p in zip(*parts))
+    values, *_ = _seesaw_batch(
+        r_alice, r_bob, corr, float(tau), _restart_starts(cfg), cfg.max_iterations, cfg.convergence_tol, False
+    )
+    return values.max(axis=1)
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
@@ -278,8 +354,9 @@ def global_max_violation(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> Opti
     """Maximal violation over all two-qubit states at a given tilt.
 
     By convexity the optimum is attained on pure states, parametrized in the
-    Schmidt basis by a single angle; the scan assumes no unimodality (coarse
-    64-point grid first) and golden-section refines to 1e-8 in the angle.
+    Schmidt basis by a single angle; the scan assumes no unimodality (a coarse
+    64-point grid first, all its states in one see-saw batch) and
+    golden-section refines to 1e-8 in the angle.
     """
     coefficients(tau)
 
@@ -287,8 +364,7 @@ def global_max_violation(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> Opti
         return seesaw_max_violation(schmidt_state(gamma), tau, cfg).value.value
 
     grid = np.linspace(0.0, math.pi / 4, COARSE_GAMMA_POINTS)
-    values = [value_at(g) for g in grid]
-    peak = int(np.argmax(values))
+    peak = int(np.argmax(_schmidt_peak_values(grid, tau, cfg)))
     lo = grid[max(peak - 1, 0)]
     hi = grid[min(peak + 1, COARSE_GAMMA_POINTS - 1)]
     gamma_star = _golden_section_max(value_at, float(lo), float(hi), 1e-8)
@@ -301,12 +377,42 @@ def global_max_violation(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> Opti
     )
 
 
+def _bisection_round(violates, lo: float, hi: float) -> tuple[float, float]:
+    # Up to BISECTION_STEPS_PER_ROUND steps of plain bisection from one batched
+    # evaluation.  The midpoints the steps could visit are listed as sequential
+    # bisection computes them, without the steps the tolerance would stop;
+    # ``violates`` judges them all at once, then the steps are walked.
+    midpoints: dict[tuple[bool, ...], float] = {}
+
+    def expand(lo: float, hi: float, path: tuple[bool, ...]) -> None:
+        if len(path) < BISECTION_STEPS_PER_ROUND and hi - lo > GAMMA_BISECTION_TOL:
+            mid = 0.5 * (lo + hi)
+            midpoints[path] = mid
+            expand(lo, mid, path + (False,))
+            expand(mid, hi, path + (True,))
+
+    expand(lo, hi, ())
+    verdicts = dict(zip(midpoints, violates(list(midpoints.values()))))
+    path: tuple[bool, ...] = ()
+    while path in midpoints:
+        if verdicts[path]:
+            lo = midpoints[path]
+        else:
+            hi = midpoints[path]
+        path += (bool(verdicts[path]),)
+    return lo, hi
+
+
 def critical_gamma(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> CriticalCurvePoint:
     """Largest Schmidt angle whose state still violates at tilt ``tau``.
 
     Defined for tilts from the maximally-entangled cutoff up to (not including)
-    3/2.  Bisects the violation/no-violation crossing above the arg-max angle,
-    with "violates" meaning a see-saw value above 1e-10, to 1e-8 in the angle.
+    3/2.  Locates the violation/no-violation crossing above the arg-max angle,
+    with "violates" meaning a see-saw value above 1e-10, to 1e-8 in the angle,
+    by a dyadic 16-section: each round judges, in one see-saw batch, the 15
+    angles the next four bisection steps could visit, so the result is the
+    angle plain bisection would return.  The optimum from
+    :func:`global_max_violation` that the search starts from is returned too.
     """
     t = float(tau)
     if not (TAU_MAXENT_CUTOFF - 1e-12 <= t < TAU_TRIVIAL):
@@ -320,24 +426,18 @@ def critical_gamma(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> CriticalCu
             f"at gamma {optimum.gamma_star:.6f}); the search is expected to violate below 3/2"
         )
 
-    def violates(gamma: float) -> bool:
-        return seesaw_max_violation(schmidt_state(gamma), t, cfg).value.value > VIOLATION_THRESHOLD
+    def violates(gammas) -> np.ndarray:
+        return _schmidt_peak_values(gammas, t, cfg) > VIOLATION_THRESHOLD
 
     hi = math.pi / 4
-    if violates(hi):
+    if violates([hi])[0]:
         gamma_c = hi
     else:
         lo = optimum.gamma_star
         while hi - lo > GAMMA_BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            if violates(mid):
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = _bisection_round(violates, lo, hi)
         gamma_c = lo
-    return CriticalCurvePoint(
-        tau=t, gamma_c=gamma_c, c_cr=math.sin(2.0 * gamma_c), s_at_peak=optimum.s_q
-    )
+    return CriticalCurvePoint(tau=t, gamma_c=gamma_c, c_cr=math.sin(2.0 * gamma_c), optimum=optimum)
 
 
 @dataclass(frozen=True)

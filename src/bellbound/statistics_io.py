@@ -141,13 +141,15 @@ def _verdict(residuals, tol: float) -> str:
 
 
 def _slice_consistency(slc: ChSlice) -> float:
+    # Frechet bounds of each joint against its marginals: j <= min(mA, mB),
+    # and p(1,1|x,y) = 1 - mA - mB + j >= 0.
     pairs = (
         (slc.j00, slc.mA0, slc.mB0),
         (slc.j01, slc.mA0, slc.mB1),
         (slc.j10, slc.mA1, slc.mB0),
         (slc.j11, slc.mA1, slc.mB1),
     )
-    return max(0.0, max(j - min(ma, mb) for j, ma, mb in pairs))
+    return max(0.0, max(max(j - min(ma, mb), ma + mb - 1.0 - j) for j, ma, mb in pairs))
 
 
 def validate(stats: ProbabilityTable | ChSlice, tol: float = HARD_VALIDATION_TOL) -> ValidationReport:

@@ -18,6 +18,11 @@ DEMO_SLICE = ChSlice(
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
+PAULIS = (
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    PAULI_Y,
+    np.array([[1.0, 0.0], [0.0, -1.0]]),
+)
 
 
 def concurrence_eigvals_oracle(matrix: np.ndarray) -> float:
@@ -30,6 +35,18 @@ def concurrence_eigvals_oracle(matrix: np.ndarray) -> float:
     lam = np.linalg.eigvals(matrix @ SIGMA_YY @ matrix.conj() @ SIGMA_YY)
     roots = np.sqrt(np.sort(np.abs(lam.real))[::-1])
     return float(max(0.0, 2.0 * roots[0] - roots.sum()))
+
+
+def horodecki_ch_max(matrix: np.ndarray) -> float:
+    """Exact maximal untilted CH value of a two-qubit state: (sqrt(M) - 1) / 2.
+
+    M is the sum of the two largest eigenvalues of T^T T, where
+    T_ij = tr(rho sigma_i (x) sigma_j) is built here by Kronecker products and
+    traces (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340 (1995)).
+    """
+    corr = np.array([[np.trace(matrix @ np.kron(si, sj)).real for sj in PAULIS] for si in PAULIS])
+    eig = np.linalg.eigvalsh(corr.T @ corr)
+    return float((np.sqrt(max(0.0, eig[-1] + eig[-2])) - 1.0) / 2.0)
 
 
 @pytest.fixture

@@ -77,6 +77,14 @@ class TestBoundCommand:
         assert code == EXIT_VALIDATION
         assert "validation failure" in err
 
+    def test_slice_below_lower_frechet_bound_exits_validation(self, capsys, tmp_path):
+        slc = ChSlice(j00=0.0, j01=0.0, j10=0.0, j11=0.0, mA0=1.0, mA1=1.0, mB0=1.0, mB1=1.0)
+        path = tmp_path / "impossible_slice.json"
+        save(slc, path)
+        code, _, err = run(capsys, "bound", "--input", str(path))
+        assert code == EXIT_VALIDATION
+        assert "validation failure" in err
+
 
 class TestSimulateCommand:
     def test_writes_table(self, capsys, tmp_path):

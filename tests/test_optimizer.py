@@ -20,6 +20,9 @@ from bellbound import (
     seesaw_max_violation,
     verify_maximally_entangled_cutoff,
 )
+from bellbound import optimizer as opt_module
+
+from conftest import horodecki_ch_max
 
 TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
 FAST = SeesawConfig(restarts=4, max_iterations=400)
@@ -60,6 +63,14 @@ class TestSeesaw:
             recomputed = quantum_value(rho, result.measurements, tau).value
             assert result.value.value == pytest.approx(recomputed, abs=1e-12)
 
+    def test_matches_horodecki_oracle_on_general_states(self):
+        # At tilt 1 the exact maximum is known for every state, pure or mixed.
+        rng = np.random.default_rng(1995)
+        for i in range(30):
+            rho = random_two_qubit_state(rng, pure=i % 2 == 0)
+            value = seesaw_max_violation(rho, 1.0).value.value
+            assert value == pytest.approx(horodecki_ch_max(rho.matrix), abs=1e-9)
+
     def test_tilt_domain_checked(self):
         with pytest.raises(ValueError):
             seesaw_max_violation(maximally_entangled_state(), 1.5)
@@ -79,6 +90,63 @@ class TestSeesaw:
             SeesawConfig(restarts=0)
         with pytest.raises(ValueError):
             SeesawConfig(convergence_tol=0.0)
+
+
+class TestBatchedKernel:
+    def test_stack_equals_single_state_calls(self, rng):
+        # States that stop at different iterations, two of them at the cap.
+        states = [maximally_entangled_state(), schmidt_state(0.3), schmidt_state(0.7)]
+        states += [random_two_qubit_state(rng, pure=bool(i % 2)) for i in range(5)]
+        parts = [opt_module._pauli_decomposition(rho.matrix) for rho in states]
+        r_alice, r_bob, corr = (np.array(p) for p in zip(*parts))
+        cfg = SeesawConfig(max_iterations=100)
+        shared = (1.3, opt_module._restart_starts(cfg), cfg.max_iterations, cfg.convergence_tol, True)
+        values, vectors, converged, iterations, histories = opt_module._seesaw_batch(
+            r_alice, r_bob, corr, *shared
+        )
+        stopped = iterations.max(axis=1)
+        assert len(set(stopped.tolist())) >= 5
+        assert not converged.all(axis=1).all()
+        assert (stopped[~converged.all(axis=1)] == cfg.max_iterations).all()
+        for s in range(len(states)):
+            one = slice(s, s + 1)
+            v1, vectors1, c1, it1, h1 = opt_module._seesaw_batch(r_alice[one], r_bob[one], corr[one], *shared)
+            np.testing.assert_allclose(values[s], v1[0], rtol=0.0, atol=1e-12)
+            for stacked, single in zip(vectors, vectors1):
+                np.testing.assert_allclose(stacked[s], single[0], rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(converged[s], c1[0])
+            np.testing.assert_array_equal(iterations[s], it1[0])
+            assert len(histories[s]) == stopped[s] == len(h1[0])
+            np.testing.assert_allclose(histories[s], h1[0], rtol=0.0, atol=1e-12)
+
+    def test_schmidt_batch_equals_public_calls(self):
+        gammas = [0.05, 0.4, 0.6, math.pi / 4]
+        batched = opt_module._schmidt_peak_values(gammas, 1.25, FAST)
+        for gamma, value in zip(gammas, batched):
+            single = seesaw_max_violation(schmidt_state(gamma), 1.25, FAST).value.value
+            assert value == pytest.approx(single, abs=1e-12)
+
+    def test_bisection_rounds_reproduce_plain_bisection(self):
+        for crossing in (0.3, 0.5123456789, 0.7853, 0.2 + 1e-9):
+            lo0, hi0 = 0.2, math.pi / 4
+            lo, hi = lo0, hi0
+            while hi - lo > opt_module.GAMMA_BISECTION_TOL:
+                mid = 0.5 * (lo + hi)
+                if mid < crossing:
+                    lo = mid
+                else:
+                    hi = mid
+            sizes = []
+
+            def violates(gammas):
+                sizes.append(len(gammas))
+                return np.array(gammas) < crossing
+
+            blo, bhi = lo0, hi0
+            while bhi - blo > opt_module.GAMMA_BISECTION_TOL:
+                blo, bhi = opt_module._bisection_round(violates, blo, bhi)
+            assert (blo, bhi) == (lo, hi)
+            assert max(sizes) == 2**opt_module.BISECTION_STEPS_PER_ROUND - 1
 
 
 class TestGlobalMaxViolation:
@@ -123,6 +191,15 @@ class TestCriticalGamma:
         point = critical_gamma(1.3, FAST)
         assert point.c_cr == pytest.approx(math.sin(2.0 * point.gamma_c), abs=1e-12)
         assert point.s_at_peak > 0.0
+
+    def test_returns_the_optimum_it_started_from(self):
+        point = critical_gamma(1.3, FAST)
+        optimum = global_max_violation(1.3, FAST)
+        assert point.optimum.tau == optimum.tau
+        assert point.optimum.gamma_star == optimum.gamma_star
+        assert point.optimum.s_q == optimum.s_q
+        assert point.optimum.measurements == optimum.measurements
+        assert point.s_at_peak == optimum.s_q
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,13 @@ class TestValidate:
         assert report.verdict == "fail"
         assert report.consistency_residual == pytest.approx(0.1, abs=1e-12)
 
+    def test_slice_below_lower_frechet_bound_fails(self):
+        # Zero joints with unit marginals imply p(1,1|x,y) = -1.
+        slc = ChSlice(j00=0.0, j01=0.0, j10=0.0, j11=0.0, mA0=1.0, mA1=1.0, mB0=1.0, mB1=1.0)
+        report = validate(slc, 1e-6)
+        assert report.verdict == "fail"
+        assert report.consistency_residual == pytest.approx(1.0, abs=1e-12)
+
     def test_demo_slice_passes(self):
         assert validate(DEMO_SLICE, 1e-6).verdict == "pass"
 
