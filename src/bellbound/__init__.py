@@ -7,7 +7,12 @@ violation) and from above (via the largest tilt at which the statistics still
 violate, and optionally via the marginals when the measurements are
 projective).  A quantum simulator and a see-saw optimizer generate, certify,
 and cross-check every quantity at desk scale.
+
+Search diagnostics go to the ``"bellbound"`` logger, which stays silent until
+the application configures logging.
 """
+
+import logging
 
 from .bell_model import (
     TAU_MAXENT_CUTOFF,
@@ -82,6 +87,8 @@ from .statistics_io import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "BellValue",

@@ -12,7 +12,8 @@ Given a validated table or slice, the report carries:
   upper bound.
 
 Every bound is clamped to the physical range [0, 1]; bounds that cannot be
-derived from the given data are reported as absent with a reason.
+derived from the given data are reported as absent with a reason.  A
+bracket whose lower bound exceeds an upper bound is refused, never reported.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bell_model import TAU_MAXENT_CUTOFF, TAU_TRIVIAL, ch_value
-from .errors import ValidationFailure
+from .errors import NumericFailure, ValidationFailure
 from .optimizer import DEFAULT_CONFIG, SeesawConfig, critical_gamma
 from .statistics_io import (
     HARD_VALIDATION_TOL,
@@ -156,6 +157,7 @@ class BoundReport:
                 "normalization_residual": self.diagnostics.normalization_residual,
                 "nosignaling_residual": self.diagnostics.nosignaling_residual,
                 "consistency_residual": self.diagnostics.consistency_residual,
+                "tsirelson_residual": self.diagnostics.tsirelson_residual,
                 "verdict": self.diagnostics.verdict,
             },
             "notes": list(self.notes),
@@ -180,7 +182,8 @@ class BoundReport:
             "  validation:              "
             f"{self.diagnostics.verdict} (normalization {self.diagnostics.normalization_residual:.3e}, "
             f"no-signaling {self.diagnostics.nosignaling_residual:.3e}, "
-            f"consistency {self.diagnostics.consistency_residual:.3e})",
+            f"consistency {self.diagnostics.consistency_residual:.3e}, "
+            f"tsirelson {self.diagnostics.tsirelson_residual:.3e})",
         ]
         for note in self.notes:
             lines.append(f"  note: {note}")
@@ -198,8 +201,12 @@ def assemble_report(
     """Validate statistics and derive every bound the data supports.
 
     Raises :class:`~bellbound.errors.ValidationFailure` when the validation
-    verdict is ``fail``.  The numeric upper bound runs the optimizer and is
-    gated behind ``numeric_ub``.
+    verdict is ``fail``, or when the lower bound exceeds the analytic or the
+    marginal upper bound by more than ``tol``: no state meeting the stated
+    assumptions fits such statistics.  The numeric upper bound runs the
+    optimizer and is gated behind ``numeric_ub``; a numeric bound below the
+    lower bound by more than ``tol`` raises
+    :class:`~bellbound.errors.NumericFailure`.
     """
     diagnostics = validate(stats, tol)
     if diagnostics.failed:
@@ -214,6 +221,14 @@ def assemble_report(
         notes.append(NOTE_NO_VIOLATION if s_ch <= 0.0 else NOTE_BELOW_CUTOFF)
     else:
         analytic = upper_bound_analytic(threshold)
+    marginal = upper_bound_marginal(slc, projective)
+    for name, upper in (("analytic", analytic), ("marginal", marginal)):
+        if upper is not None and lower > upper + tol:
+            raise ValidationFailure(
+                diagnostics,
+                f"empty bracket: lower bound {lower:.6f} exceeds the {name} upper bound "
+                f"{upper:.6f}; no state meeting the assumptions fits these statistics",
+            )
     numeric = None
     if numeric_ub:
         if threshold is None:
@@ -222,7 +237,11 @@ def assemble_report(
             notes.append(NOTE_NUMERIC_AT_TRIVIAL)
         else:
             numeric = upper_bound_numeric(threshold, cfg)
-    marginal = upper_bound_marginal(slc, projective)
+            if lower > numeric + tol:
+                raise NumericFailure(
+                    f"empty bracket: numeric upper bound {numeric:.6f} at tilt {threshold:.6f} "
+                    f"lies below the lower bound {lower:.6f}"
+                )
     if marginal is None:
         notes.append(NOTE_NOT_PROJECTIVE)
     return BoundReport(

@@ -12,7 +12,10 @@ Three layers:
   every state in one batch; a single state is a stack of one.
 * :func:`global_max_violation` -- outer scalar search over the Schmidt angle:
   a 64-point coarse grid, evaluated as one stack of states, guards against
-  multiple local maxima, then golden-section refinement to 1e-8.
+  multiple local maxima, then golden-section refinement to 1e-8.  The
+  refinement runs in lookahead rounds: each evaluates, as one stack, the up to
+  15 angles the next four golden-section steps could visit, so about nine
+  batched calls reach the angle the plain sequential search would.
 * :func:`critical_gamma` -- for a tilt at which the maximally entangled state
   no longer violates, a dyadic 16-section above the arg-max angle locates the
   largest Schmidt angle that still violates; its concurrence is the numeric
@@ -20,6 +23,10 @@ Three layers:
   evaluates, as one stack, the 15 angles the next four bisection steps could
   visit, so the result is the one plain bisection would reach.  The optimum
   the search started from is returned with it.
+
+Both searches share one lookahead helper.  Each batch logs its state count
+and its unconverged best restarts at DEBUG level on the ``"bellbound"``
+logger, which is silent unless the application configures logging.
 
 :func:`in_plane_grid_max_violation` is an independent oracle for Schmidt-angle
 states that never touches the see-saw path, and
@@ -29,6 +36,8 @@ analytic caps the search results are checked against.
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -58,6 +67,8 @@ COARSE_GAMMA_POINTS = 64
 BISECTION_STEPS_PER_ROUND = 4
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+logger = logging.getLogger("bellbound")
 
 
 @dataclass(frozen=True)
@@ -266,14 +277,19 @@ def _random_start(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
     return tuple(vectors)
 
 
+@functools.lru_cache(maxsize=16)
 def _restart_starts(cfg: SeesawConfig) -> tuple[np.ndarray, ...]:
     # Restart 0 is the CHSH-optimal start; the others are drawn from streams
-    # derived from the seed.  Returned as four (restarts, 3) arrays.
+    # derived from the seed.  Returned as four (restarts, 3) arrays, drawn
+    # once per config and read-only, since every caller shares them.
     starts = [_chsh_start()]
     if cfg.restarts > 1:
         for child in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.restarts - 1):
             starts.append(_random_start(np.random.default_rng(child)))
-    return tuple(np.array([s[k] for s in starts]) for k in range(4))
+    arrays = tuple(np.array([s[k] for s in starts]) for k in range(4))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _measurement_set_from(vectors) -> MeasurementSet:
@@ -323,31 +339,94 @@ def seesaw_max_violation(
     )
 
 
-def _schmidt_peak_values(gammas, tau: float, cfg: SeesawConfig) -> np.ndarray:
-    # Best see-saw value of each Schmidt-angle state, all states in one batch;
-    # each equals ``seesaw_max_violation(schmidt_state(gamma), tau, cfg)``.
+def _schmidt_peak_values(gammas, tau: float, cfg: SeesawConfig) -> tuple[np.ndarray, np.ndarray]:
+    # Best see-saw value of each Schmidt-angle state, all states in one batch,
+    # and whether that best restart converged; each pair equals the value and
+    # flag of ``seesaw_max_violation(schmidt_state(gamma), tau, cfg)``.
     parts = [_pauli_decomposition(schmidt_state(g).matrix) for g in gammas]
     r_alice, r_bob, corr = (np.array(p) for p in zip(*parts))
-    values, *_ = _seesaw_batch(
+    values, _, converged, _, _ = _seesaw_batch(
         r_alice, r_bob, corr, float(tau), _restart_starts(cfg), cfg.max_iterations, cfg.convergence_tol, False
     )
-    return values.max(axis=1)
+    best = np.argmax(values, axis=1)
+    rows = np.arange(len(best))
+    best_converged = converged[rows, best]
+    logger.debug(
+        "see-saw batch at tau %.10g: %d states, %d unconverged best restarts",
+        tau, len(best), int(np.count_nonzero(~best_converged)),
+    )
+    return values[rows, best], best_converged
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
+def _lookahead_round(step, judge, state):
+    # Up to BISECTION_STEPS_PER_ROUND steps of a sequential search from one
+    # batched judgment.  ``step(state)`` is None where the sequential search
+    # stops, else ``(point, decide, follow)``: the point the step judges,
+    # ``decide(judgment)`` for the branch it takes, and
+    # ``follow(branch, judgment)`` for the state after it.  The points depend
+    # on the branches alone, so following both branches with no judgment yet
+    # (None) lists every point the steps could visit, as the sequential search
+    # computes them; ``judge`` rates them all in one call, then the steps are
+    # walked.
+    points: dict[tuple[bool, ...], float] = {}
+
+    def expand(state, path: tuple[bool, ...]) -> None:
+        taken = step(state) if len(path) < BISECTION_STEPS_PER_ROUND else None
+        if taken is not None:
+            point, _, follow = taken
+            points[path] = point
+            for branch in (False, True):
+                expand(follow(branch, None), path + (branch,))
+
+    expand(state, ())
+    judged = dict(zip(points, judge(list(points.values()))))
+    path: tuple[bool, ...] = ()
+    while path in points:
+        _, decide, follow = step(state)
+        branch = bool(decide(judged[path]))
+        state = follow(branch, judged[path])
+        path += (branch,)
+    return state
+
+
+def _golden_section_max(values, lo: float, hi: float, tol: float) -> float:
+    # Golden-section search for a maximum, in lookahead rounds.  ``values``
+    # rates a list of points in one call.  A state is (lo, hi, c, d, known,
+    # c_is_new): the interval, its two interior points, the value of the one
+    # already rated, and which one the next step rates.  Each step compares
+    # fc >= fd and moves exactly as the sequential search does.
+    def step(state):
+        lo, hi, c, d, known, c_is_new = state
+        if hi - lo <= tol:
+            return None
+
+        def pair(value):
+            return (value, known) if c_is_new else (known, value)
+
+        def decide(value) -> bool:
+            fc, fd = pair(value)
+            return fc >= fd
+
+        def follow(keep_left: bool, value):
+            fc, fd = pair(value)
+            if keep_left:
+                return (lo, d, d - _INV_GOLDEN * (d - lo), c, fc, True)
+            return (c, hi, d, c + _INV_GOLDEN * (hi - c), fd, False)
+
+        return (c if c_is_new else d), decide, follow
+
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
+    fc, fd = values([c, d])
+    # d is rated already, so the first step is walked here, outside a round.
+    state = (lo, hi, c, d, fc, False)
+    taken = step(state)
+    if taken is not None:
+        _, decide, follow = taken
+        state = follow(bool(decide(fd)), fd)
+        while step(state) is not None:
+            state = _lookahead_round(step, values, state)
+    return 0.5 * (state[0] + state[1])
 
 
 def global_max_violation(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> OptimumPoint:
@@ -356,18 +435,21 @@ def global_max_violation(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> Opti
     By convexity the optimum is attained on pure states, parametrized in the
     Schmidt basis by a single angle; the scan assumes no unimodality (a coarse
     64-point grid first, all its states in one see-saw batch) and
-    golden-section refines to 1e-8 in the angle.
+    golden-section refines to 1e-8 in the angle.  The refinement judges, in
+    one see-saw batch per round, the up to 15 angles the next four
+    golden-section steps could visit, so it returns the angle the sequential
+    search would, from about nine batches instead of 33 single-state calls.
     """
     coefficients(tau)
 
-    def value_at(gamma: float) -> float:
-        return seesaw_max_violation(schmidt_state(gamma), tau, cfg).value.value
+    def values(gammas) -> np.ndarray:
+        return _schmidt_peak_values(gammas, tau, cfg)[0]
 
     grid = np.linspace(0.0, math.pi / 4, COARSE_GAMMA_POINTS)
-    peak = int(np.argmax(_schmidt_peak_values(grid, tau, cfg)))
+    peak = int(np.argmax(values(grid)))
     lo = grid[max(peak - 1, 0)]
     hi = grid[min(peak + 1, COARSE_GAMMA_POINTS - 1)]
-    gamma_star = _golden_section_max(value_at, float(lo), float(hi), 1e-8)
+    gamma_star = _golden_section_max(values, float(lo), float(hi), 1e-8)
     final = seesaw_max_violation(schmidt_state(gamma_star), tau, cfg)
     return OptimumPoint(
         tau=float(tau),
@@ -379,28 +461,15 @@ def global_max_violation(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> Opti
 
 def _bisection_round(violates, lo: float, hi: float) -> tuple[float, float]:
     # Up to BISECTION_STEPS_PER_ROUND steps of plain bisection from one batched
-    # evaluation.  The midpoints the steps could visit are listed as sequential
-    # bisection computes them, without the steps the tolerance would stop;
-    # ``violates`` judges them all at once, then the steps are walked.
-    midpoints: dict[tuple[bool, ...], float] = {}
+    # evaluation of ``violates``; the steps the tolerance would stop are cut.
+    def step(state):
+        lo, hi = state
+        if hi - lo <= GAMMA_BISECTION_TOL:
+            return None
+        mid = 0.5 * (lo + hi)
+        return mid, bool, lambda violated, _: (mid, hi) if violated else (lo, mid)
 
-    def expand(lo: float, hi: float, path: tuple[bool, ...]) -> None:
-        if len(path) < BISECTION_STEPS_PER_ROUND and hi - lo > GAMMA_BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            midpoints[path] = mid
-            expand(lo, mid, path + (False,))
-            expand(mid, hi, path + (True,))
-
-    expand(lo, hi, ())
-    verdicts = dict(zip(midpoints, violates(list(midpoints.values()))))
-    path: tuple[bool, ...] = ()
-    while path in midpoints:
-        if verdicts[path]:
-            lo = midpoints[path]
-        else:
-            hi = midpoints[path]
-        path += (bool(verdicts[path]),)
-    return lo, hi
+    return _lookahead_round(step, violates, (lo, hi))
 
 
 def critical_gamma(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> CriticalCurvePoint:
@@ -427,7 +496,7 @@ def critical_gamma(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> CriticalCu
         )
 
     def violates(gammas) -> np.ndarray:
-        return _schmidt_peak_values(gammas, t, cfg) > VIOLATION_THRESHOLD
+        return _schmidt_peak_values(gammas, t, cfg)[0] > VIOLATION_THRESHOLD
 
     hi = math.pi / 4
     if violates([hi])[0]:

@@ -34,6 +34,8 @@ from .quantum_core import MeasurementSet, TwoQubitState, joint_probability
 
 HARD_VALIDATION_TOL = 1e-6
 WARN_FACTOR = 10.0
+# Largest untilted CH value any quantum state reaches: (sqrt(2) - 1) / 2.
+TSIRELSON_CH = (math.sqrt(2.0) - 1.0) / 2.0
 
 _FULL_KEYS = {"format", "p", "description"}
 _SLICE_FIELDS = ("j00", "j01", "j10", "j11", "mA0", "mA1", "mB0", "mB1")
@@ -115,11 +117,16 @@ class ChSlice:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Maximum absolute violations of the structural constraints, plus a verdict."""
+    """Maximum absolute violations of the structural constraints, plus a verdict.
+
+    ``tsirelson_residual`` is the excess of the untilted CH value over its
+    quantum maximum: no quantum state produces statistics beyond it.
+    """
 
     normalization_residual: float
     nosignaling_residual: float
     consistency_residual: float
+    tsirelson_residual: float
     verdict: str
 
     @property
@@ -152,18 +159,26 @@ def _slice_consistency(slc: ChSlice) -> float:
     return max(0.0, max(max(j - min(ma, mb), ma + mb - 1.0 - j) for j, ma, mb in pairs))
 
 
+def _slice_tsirelson(slc: ChSlice) -> float:
+    from .bell_model import ch_value  # bell_model imports this module
+
+    return max(0.0, ch_value(slc) - TSIRELSON_CH)
+
+
 def validate(stats: ProbabilityTable | ChSlice, tol: float = HARD_VALIDATION_TOL) -> ValidationReport:
-    """Check normalization, no-signaling, and joint/marginal consistency.
+    """Check normalization, no-signaling, joint/marginal consistency and Tsirelson's bound.
 
     Verdict is ``pass`` if every residual is within ``tol``, ``warn`` within
     10x ``tol``, and ``fail`` beyond that.  For a :class:`ChSlice` only the
-    consistency residual is computable; the other two are reported as zero.
+    consistency and Tsirelson residuals are computable; the other two are
+    reported as zero.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     if isinstance(stats, ChSlice):
         consistency = _slice_consistency(stats)
-        return ValidationReport(0.0, 0.0, consistency, _verdict([consistency], tol))
+        tsirelson = _slice_tsirelson(stats)
+        return ValidationReport(0.0, 0.0, consistency, tsirelson, _verdict([consistency, tsirelson], tol))
     if not isinstance(stats, ProbabilityTable):
         raise TypeError(f"expected ProbabilityTable or ChSlice, got {type(stats).__name__}")
     p = stats.p
@@ -171,9 +186,11 @@ def validate(stats: ProbabilityTable | ChSlice, tol: float = HARD_VALIDATION_TOL
     alice = np.max(np.abs(p[:, 0, :, :].sum(axis=2) - p[:, 1, :, :].sum(axis=2)))
     bob = np.max(np.abs(p[0, :, :, :].sum(axis=1) - p[1, :, :, :].sum(axis=1)))
     nosignaling = float(max(alice, bob))
-    consistency = _slice_consistency(ch_slice(stats))
-    residuals = [normalization, nosignaling, consistency]
-    return ValidationReport(normalization, nosignaling, consistency, _verdict(residuals, tol))
+    slc = ch_slice(stats)
+    consistency = _slice_consistency(slc)
+    tsirelson = _slice_tsirelson(slc)
+    residuals = [normalization, nosignaling, consistency, tsirelson]
+    return ValidationReport(normalization, nosignaling, consistency, tsirelson, _verdict(residuals, tol))
 
 
 def ch_slice(table: ProbabilityTable) -> ChSlice:

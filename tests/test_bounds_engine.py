@@ -8,6 +8,7 @@ from bellbound import (
     TAU_MAXENT_CUTOFF,
     ChSlice,
     MeasurementSet,
+    NumericFailure,
     ValidationFailure,
     assemble_report,
     ch_slice,
@@ -25,7 +26,9 @@ from bellbound import (
     upper_bound_analytic,
     upper_bound_marginal,
     upper_bound_numeric,
+    validate,
 )
+from bellbound import bounds_engine
 from bellbound.bounds_engine import NOTE_BELOW_CUTOFF, NOTE_NO_VIOLATION
 from bellbound.optimizer import SeesawConfig
 from bellbound.statistics_io import ProbabilityTable
@@ -175,6 +178,35 @@ class TestAssembleReport:
         with pytest.raises(ValidationFailure) as excinfo:
             assemble_report(ProbabilityTable(p))
         assert excinfo.value.report.verdict == "fail"
+
+    def test_pr_box_slice_refused(self):
+        slc = ChSlice(j00=0.5, j01=0.5, j10=0.5, j11=0.0, mA0=0.5, mA1=0.5, mB0=0.5, mB1=0.5)
+        with pytest.raises(ValidationFailure) as excinfo:
+            assemble_report(slc, projective=True)
+        assert excinfo.value.report.verdict == "fail"
+
+    def test_lower_bound_above_marginal_bound_refused(self):
+        # Structurally valid and within Tsirelson's bound, but a CH value of
+        # 0.1 needs concurrence 0.663 while the marginal 0.1 allows at most 0.6.
+        slc = ChSlice(j00=0.1, j01=0.1, j10=0.5, j11=0.0, mA0=0.1, mA1=0.5, mB0=0.5, mB1=0.5)
+        report = assemble_report(slc)
+        assert report.diagnostics.verdict == "pass"
+        assert report.lower_bound == pytest.approx(math.sqrt(0.44), abs=1e-12)
+        with pytest.raises(ValidationFailure, match="marginal upper bound"):
+            assemble_report(slc, projective=True)
+
+    def test_lower_bound_above_analytic_bound_refused(self):
+        # CH value 0.15 (lower bound 0.83) persists to tilt 1.375, where the
+        # analytic cap is 0.733.
+        slc = ChSlice(j00=0.2, j01=0.2, j10=0.15, j11=0.0, mA0=0.2, mA1=0.5, mB0=0.2, mB1=0.5)
+        assert validate(slc).verdict == "pass"
+        with pytest.raises(ValidationFailure, match="analytic upper bound"):
+            assemble_report(slc)
+
+    def test_numeric_bound_below_lower_bound_refused(self, monkeypatch):
+        monkeypatch.setattr(bounds_engine, "upper_bound_numeric", lambda tau, cfg: 0.5)
+        with pytest.raises(NumericFailure, match="empty bracket"):
+            assemble_report(DEMO_SLICE, projective=True, numeric_ub=True)
 
     def test_end_to_end_bounds_bracket_true_concurrence(self):
         # Simulate the pi/8 state with its own tilt-1.3 optimal measurements.

@@ -85,6 +85,16 @@ class TestBoundCommand:
         assert code == EXIT_VALIDATION
         assert "validation failure" in err
 
+    def test_pr_box_slice_exits_validation(self, capsys, tmp_path):
+        # CH value 1/2, far above the quantum maximum (sqrt(2) - 1)/2.
+        slc = ChSlice(j00=0.5, j01=0.5, j10=0.5, j11=0.0, mA0=0.5, mA1=0.5, mB0=0.5, mB1=0.5)
+        path = tmp_path / "pr_box_slice.json"
+        save(slc, path)
+        code, out, err = run(capsys, "bound", "--input", str(path), "--projective")
+        assert code == EXIT_VALIDATION
+        assert "validation failure" in err and "tsirelson_residual" in err
+        assert "lower bound" not in out
+
 
 class TestSimulateCommand:
     def test_writes_table(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -26,6 +27,38 @@ from conftest import horodecki_ch_max
 
 TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
 FAST = SeesawConfig(restarts=4, max_iterations=400)
+INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def sequential_golden_section_max(f, lo, hi, tol):
+    """Plain golden-section search, one evaluation per step: the oracle."""
+    c = hi - INV_GOLDEN * (hi - lo)
+    d = lo + INV_GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - INV_GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + INV_GOLDEN * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
+
+
+def sequential_global_max_violation(tau, cfg):
+    """Coarse scan, then the sequential golden section on single see-saw calls."""
+    grid = np.linspace(0.0, math.pi / 4, opt_module.COARSE_GAMMA_POINTS)
+    peak = int(np.argmax(opt_module._schmidt_peak_values(grid, tau, cfg)[0]))
+    lo = float(grid[max(peak - 1, 0)])
+    hi = float(grid[min(peak + 1, grid.size - 1)])
+
+    def value_at(gamma):
+        return seesaw_max_violation(schmidt_state(gamma), tau, cfg).value.value
+
+    gamma_star = sequential_golden_section_max(value_at, lo, hi, 1e-8)
+    return gamma_star, value_at(gamma_star)
 
 
 class TestSeesaw:
@@ -121,10 +154,34 @@ class TestBatchedKernel:
 
     def test_schmidt_batch_equals_public_calls(self):
         gammas = [0.05, 0.4, 0.6, math.pi / 4]
-        batched = opt_module._schmidt_peak_values(gammas, 1.25, FAST)
-        for gamma, value in zip(gammas, batched):
-            single = seesaw_max_violation(schmidt_state(gamma), 1.25, FAST).value.value
-            assert value == pytest.approx(single, abs=1e-12)
+        batched, converged = opt_module._schmidt_peak_values(gammas, 1.25, FAST)
+        for gamma, value, flag in zip(gammas, batched, converged):
+            single = seesaw_max_violation(schmidt_state(gamma), 1.25, FAST)
+            assert value == pytest.approx(single.value.value, abs=1e-12)
+            assert flag == single.converged
+
+    def test_schmidt_batch_logs_unconverged_best_restarts(self, caplog):
+        cfg = SeesawConfig(max_iterations=2)
+        with caplog.at_level(logging.DEBUG, logger="bellbound"):
+            _, converged = opt_module._schmidt_peak_values([0.3, 0.5, 0.7], 1.2, cfg)
+        assert not converged.any()
+        messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
+        assert messages == ["see-saw batch at tau 1.2: 3 states, 3 unconverged best restarts"]
+
+    def test_search_is_silent_by_default(self, capsys):
+        global_max_violation(1.3, FAST)
+        assert capsys.readouterr() == ("", "")
+
+    def test_restart_starts_drawn_once_and_read_only(self):
+        cfg = SeesawConfig(restarts=5, rng_seed=11)
+        starts = opt_module._restart_starts(cfg)
+        assert opt_module._restart_starts(SeesawConfig(restarts=5, rng_seed=11)) is starts
+        fresh = opt_module._restart_starts.__wrapped__(cfg)
+        for cached, drawn in zip(starts, fresh):
+            assert cached.shape == (5, 3)
+            np.testing.assert_array_equal(cached, drawn)
+            with pytest.raises(ValueError):
+                cached[0, 0] = 0.0
 
     def test_bisection_rounds_reproduce_plain_bisection(self):
         for crossing in (0.3, 0.5123456789, 0.7853, 0.2 + 1e-9):
@@ -147,6 +204,59 @@ class TestBatchedKernel:
                 blo, bhi = opt_module._bisection_round(violates, blo, bhi)
             assert (blo, bhi) == (lo, hi)
             assert max(sizes) == 2**opt_module.BISECTION_STEPS_PER_ROUND - 1
+
+
+class TestGoldenSectionRounds:
+    @staticmethod
+    def batched(f, sizes):
+        def values(points):
+            sizes.append(len(points))
+            return np.array([f(x) for x in points])
+
+        return values
+
+    def check(self, f, lo, hi, tol=1e-8):
+        sizes = []
+        got = opt_module._golden_section_max(self.batched(f, sizes), lo, hi, tol)
+        assert got == sequential_golden_section_max(f, lo, hi, tol)
+        assert max(sizes) <= 2**opt_module.BISECTION_STEPS_PER_ROUND - 1
+        return got, sizes
+
+    def test_unimodal_functions(self):
+        for peak in (0.0, 0.1234567, 0.3, 0.5, 0.77, 1.0):
+            self.check(lambda x: -((x - peak) ** 2), 0.0, 1.0)
+            self.check(lambda x: -abs(x - peak), 0.0, 1.0)
+            self.check(lambda x: math.exp(-40.0 * (x - peak) ** 2), 0.0, 1.0)
+
+    def test_call_count_on_a_coarse_bracket(self):
+        # The width of two coarse-grid cells takes 31 golden-section steps to
+        # shrink below 1e-8: 33 sequential evaluations, 9 batched calls.
+        width = 2.0 * (math.pi / 4) / (opt_module.COARSE_GAMMA_POINTS - 1)
+        _, sizes = self.check(lambda x: -((x - 0.41) ** 2), 0.4, 0.4 + width)
+        assert len(sizes) == 9
+        assert sizes[0] == 2
+
+    def test_exact_ties(self):
+        # Values on a coarse lattice tie fc == fd on many steps.
+        def f(x):
+            return -float(round(abs(x - 0.4) * 20.0))
+
+        _, sizes = self.check(f, 0.0, 1.0)
+        assert len(sizes) > 1
+
+    def test_flat_plateau(self):
+        self.check(lambda x: 1.0, 0.0, 1.0)
+        self.check(lambda x: min(1.0, 5.0 - 20.0 * abs(x - 0.6)), 0.0, 1.0)
+
+    def test_interval_already_within_tolerance(self):
+        self.check(lambda x: x, 0.3, 0.3 + 5e-9)
+
+    @pytest.mark.parametrize("tau", [1.0, 1.1736, 1.3, 1.427])
+    def test_global_optimum_matches_sequential_search(self, tau):
+        gamma_star, s_q = sequential_global_max_violation(tau, opt_module.DEFAULT_CONFIG)
+        opt = global_max_violation(tau)
+        assert opt.gamma_star == gamma_star
+        assert opt.s_q == s_q
 
 
 class TestGlobalMaxViolation:

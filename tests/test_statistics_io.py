@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -93,6 +94,33 @@ class TestValidate:
         report = validate(slc, 1e-6)
         assert report.verdict == "fail"
         assert report.consistency_residual == pytest.approx(1.0, abs=1e-12)
+
+    def test_pr_box_slice_fails(self):
+        # The PR box reaches CH value 1/2; no quantum state exceeds (sqrt(2) - 1)/2.
+        slc = ChSlice(j00=0.5, j01=0.5, j10=0.5, j11=0.0, mA0=0.5, mA1=0.5, mB0=0.5, mB1=0.5)
+        report = validate(slc, 1e-6)
+        assert report.verdict == "fail"
+        assert report.consistency_residual == 0.0
+        assert report.tsirelson_residual == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), abs=1e-12)
+
+    def test_pr_box_table_fails(self):
+        # p(a,b|x,y) = 1/2 when a XOR b = x AND y.
+        p = np.zeros((2, 2, 2, 2))
+        for x, y, a in product(range(2), repeat=3):
+            p[x, y, a, a ^ (x & y)] = 0.5
+        report = validate(ProbabilityTable(p), 1e-6)
+        assert report.normalization_residual == report.nosignaling_residual == 0.0
+        assert report.verdict == "fail"
+
+    def test_tsirelson_excess_within_noise_warns(self):
+        # The CHSH-optimal maximally entangled experiment sits on Tsirelson's
+        # bound; an excess of 5e-6 reads as finite-statistics noise.
+        slc = ch_slice(simulate(maximally_entangled_state(), MeasurementSet.chsh_optimal()))
+        assert validate(slc, 1e-6).verdict == "pass"
+        noisy = ChSlice(**{**vars(slc), "j00": slc.j00 + 5e-6})
+        report = validate(noisy, 1e-6)
+        assert report.verdict == "warn"
+        assert report.tsirelson_residual == pytest.approx(5e-6, abs=1e-9)
 
     def test_demo_slice_passes(self):
         assert validate(DEMO_SLICE, 1e-6).verdict == "pass"
