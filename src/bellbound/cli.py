@@ -3,13 +3,17 @@
 Exit-code contract: 0 success, 2 parse/usage error (malformed files or
 out-of-range parameters), 3 validation failure, 4 numeric failure.  All
 commands are deterministic for a fixed seed; repeated runs produce
-byte-identical output files.
+byte-identical output files.  ``--log-level`` sends the ``"bellbound"``
+logger to stderr for one command, so search diagnostics never reach standard
+output or the files written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import math
 import sys
 from importlib import resources
@@ -26,6 +30,7 @@ EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
 DEFAULT_SEED = 2071
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 CSV_VIOLATION = "max_violation_curve.csv"
 CSV_CONCURRENCE = "concurrence_curve.csv"
 
@@ -388,7 +393,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _add_log_level(parser, default) -> None:
+    parser.add_argument("--log-level", dest="log_level", type=str.upper, choices=LOG_LEVELS,
+                        default=default, help="print bellbound log records from this level up to stderr")
+
+
 def _add_common(parser, *, seed=True, tol=True, output=False):
+    # The option is accepted after the command too; SUPPRESS keeps a command
+    # without it from resetting the value given before the command.
+    _add_log_level(parser, argparse.SUPPRESS)
     if seed:
         parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
     if tol:
@@ -403,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bellbound",
         description="Bound two-qubit entanglement from 2-setting/2-outcome statistics.",
     )
+    _add_log_level(parser, None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="derive concurrence bounds from a statistics file")
@@ -451,12 +465,33 @@ _HANDLERS = {
 }
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level):
+    # Attach a stderr handler to the "bellbound" logger for one command and
+    # restore the logger afterwards; without a level the logger is untouched.
+    if level is None:
+        yield
+        return
+    log = logging.getLogger("bellbound")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(name)s: %(message)s"))
+    previous = log.level
+    log.addHandler(handler)
+    log.setLevel(level)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(previous)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        with _log_to_stderr(args.log_level):
+            return handler(args)
     except ValidationFailure as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

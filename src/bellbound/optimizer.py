@@ -9,24 +9,34 @@ Three layers:
   party's operators and the tilted coefficients).  Ascent is monotone because
   each update maximizes over a family containing the current projector.
   One kernel runs the ascent for a stack of states at once, every restart of
-  every state in one batch; a single state is a stack of one.
+  every state in one batch; a single state is a stack of one.  A state
+  leaves the batch when its restarts have converged, or earlier when a
+  search's retire rule finds its outcome decided.
 * :func:`global_max_violation` -- outer scalar search over the Schmidt angle:
   a 64-point coarse grid, evaluated as one stack of states, guards against
-  multiple local maxima, then golden-section refinement to 1e-8.  The
-  refinement runs in lookahead rounds: each evaluates, as one stack, the up to
-  15 angles the next four golden-section steps could visit, so about nine
-  batched calls reach the angle the plain sequential search would.
+  multiple local maxima, then golden-section refinement to 1e-8.  A grid
+  state leaves the scan once its analytic cap lies below the best value
+  reached so far, since it can no longer be the arg-max.  The refinement runs
+  in lookahead rounds: each evaluates, as one stack, the up to 15 angles the
+  next four golden-section steps could visit, so about nine batched calls
+  reach the angle the plain sequential search would.
 * :func:`critical_gamma` -- for a tilt at which the maximally entangled state
   no longer violates, a dyadic 16-section above the arg-max angle locates the
   largest Schmidt angle that still violates; its concurrence is the numeric
   upper bound on the concurrence of any violating state.  Each round
   evaluates, as one stack, the 15 angles the next four bisection steps could
-  visit, so the result is the one plain bisection would reach.  The optimum
-  the search started from is returned with it.
+  visit, so the result is the one plain bisection would reach.  An angle
+  whose analytic cap rules out a violation is not evaluated, and a state
+  leaves the batch once one restart violates.  The optimum the search
+  started from is returned with it.
 
-Both searches share one lookahead helper.  Each batch logs its state count
-and its unconverged best restarts at DEBUG level on the ``"bellbound"``
-logger, which is silent unless the application configures logging.
+Both searches share one lookahead helper, and build their Schmidt states as
+one checked stack.  Retiring states changes no result bit: the ascent is
+monotone and every see-saw value lies below the cap, so a retired state's
+outcome is known.  Each batch logs its state count, its unconverged best
+restarts and the states retired as decided at DEBUG level on the
+``"bellbound"`` logger, which is silent unless the application configures
+logging (the CLI's ``--log-level``).
 
 :func:`in_plane_grid_max_violation` is an independent oracle for Schmidt-angle
 states that never touches the see-saw path, and
@@ -58,10 +68,17 @@ from .quantum_core import (
     TwoQubitState,
     maximally_entangled_state,
     random_measurement_set,
+    schmidt_density_stack,
     schmidt_state,
 )
 
 VIOLATION_THRESHOLD = 1e-10
+# How far past a bound a see-saw value must be before a state leaves a batch
+# as decided.  Each value is formed afresh from O(1) terms, so its rounding
+# does not build up over iterations: on 128 angles at 9 tilts the values stood
+# at most 4.4e-16 above pure_state_value_cap and 6.7e-16 below an earlier
+# value of their restart.
+_DECIDED_MARGIN = 1e-12
 GAMMA_BISECTION_TOL = 1e-8
 COARSE_GAMMA_POINTS = 64
 BISECTION_STEPS_PER_ROUND = 4
@@ -149,12 +166,14 @@ _PAULIS = np.array(
 def _pauli_decomposition(rho: np.ndarray):
     # Local Bloch vectors and the 3x3 correlation matrix; they carry everything
     # the functional sees of the state under product projective measurements.
-    r = rho.reshape(2, 2, 2, 2)
-    rho_a = np.einsum("ikjk->ij", r)
-    rho_b = np.einsum("ikil->kl", r)
-    r_alice = np.real(np.einsum("ij,aji->a", rho_a, _PAULIS))
-    r_bob = np.real(np.einsum("kl,blk->b", rho_b, _PAULIS))
-    corr = np.real(np.einsum("ikjl,aji,blk->ab", r, _PAULIS, _PAULIS))
+    # ``rho`` is one 4x4 matrix or a (S, 4, 4) stack; each matrix of a stack
+    # gets, bit for bit, what it would get alone.
+    r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
+    rho_a = np.einsum("...ikjk->...ij", r)
+    rho_b = np.einsum("...ikil->...kl", r)
+    r_alice = np.real(np.einsum("...ij,aji->...a", rho_a, _PAULIS))
+    r_bob = np.real(np.einsum("...kl,blk->...b", rho_b, _PAULIS))
+    corr = np.real(np.einsum("...ikjl,aji,blk->...ab", r, _PAULIS, _PAULIS))
     return r_alice, r_bob, corr
 
 
@@ -174,13 +193,18 @@ def _renormalize_rows(candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seesaw_batch(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_history):
+def _seesaw_batch(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_history, retire=None):
     # Alternating ascent for S states at one tilt: ``r_alice`` and ``r_bob``
     # are (S, 3), ``corr`` is (S, 3, 3), and the four (restarts, 3) start
     # arrays are shared by every state, so rows are laid out (S, restarts, 3).
     # A restart is converged once its value improves by less than ``tol``;
     # a state stops at the iteration where its last restart converges, or at
-    # ``max_iterations``, and is then compacted out of the batch.  Returns the
+    # ``max_iterations``, and is then compacted out of the batch.  The optional
+    # ``retire(active, values)`` sees, every iteration, the batch indices of
+    # the states still running and their (active, restarts) values; the states
+    # it flags have a decided outcome and stop there, reporting the values
+    # they reached.  Compaction leaves every other state's arithmetic, and so
+    # its results, bit for bit as they were.  Returns the
     # final values (S, restarts), the four (S, restarts, 3) measurement
     # arrays, the converged flags, the iteration at which each restart first
     # converged (or stopped), and, with ``keep_history``, each state's list of
@@ -234,10 +258,12 @@ def _seesaw_batch(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_h
         first_converged[newly] = iterations
         converged |= newly
         done = converged.all(axis=1)
+        if retire is not None:
+            done |= retire(active, values)
         if iterations == max_iterations:
             done[:] = True
-            first_converged[~converged] = iterations
         if done.any():
+            first_converged[done[:, None] & ~converged] = iterations
             finished = active[done]
             out_values[finished] = values[done]
             for out, v in zip(out_vectors, (a0, a1, b0, b1)):
@@ -339,23 +365,58 @@ def seesaw_max_violation(
     )
 
 
-def _schmidt_peak_values(gammas, tau: float, cfg: SeesawConfig) -> tuple[np.ndarray, np.ndarray]:
+def _schmidt_peak_values(gammas, tau: float, cfg: SeesawConfig, retire=None) -> tuple[np.ndarray, np.ndarray]:
     # Best see-saw value of each Schmidt-angle state, all states in one batch,
     # and whether that best restart converged; each pair equals the value and
-    # flag of ``seesaw_max_violation(schmidt_state(gamma), tau, cfg)``.
-    parts = [_pauli_decomposition(schmidt_state(g).matrix) for g in gammas]
-    r_alice, r_bob, corr = (np.array(p) for p in zip(*parts))
+    # flag of ``seesaw_max_violation(schmidt_state(gamma), tau, cfg)``.  A
+    # state stopped by the ``retire`` rule of ``_seesaw_batch`` reports the
+    # value it had reached, which settles only what that rule decided.
+    r_alice, r_bob, corr = _pauli_decomposition(schmidt_density_stack(gammas))
+    retired = np.zeros(len(corr), dtype=bool)
+
+    def record(active, values):
+        decided = retire(active, values)
+        retired[active[decided]] = True
+        return decided
+
     values, _, converged, _, _ = _seesaw_batch(
-        r_alice, r_bob, corr, float(tau), _restart_starts(cfg), cfg.max_iterations, cfg.convergence_tol, False
+        r_alice, r_bob, corr, float(tau), _restart_starts(cfg), cfg.max_iterations, cfg.convergence_tol, False,
+        None if retire is None else record,
     )
     best = np.argmax(values, axis=1)
     rows = np.arange(len(best))
     best_converged = converged[rows, best]
-    logger.debug(
-        "see-saw batch at tau %.10g: %d states, %d unconverged best restarts",
-        tau, len(best), int(np.count_nonzero(~best_converged)),
-    )
+    message = "see-saw batch at tau %.10g: %d states, %d unconverged best restarts"
+    counts = [len(best), int(np.count_nonzero(~best_converged & ~retired))]
+    if retire is not None:
+        message += ", %d retired as decided"
+        counts.append(int(np.count_nonzero(retired)))
+    logger.debug(message, tau, *counts)
     return values[rows, best], best_converged
+
+
+def _retire_below_lead(caps: np.ndarray):
+    # Retire rule for an arg-max over states with the given value caps
+    # (pure_state_value_cap).  A state's see-saw values never exceed its cap,
+    # and the ascent is monotone, so the best value any state has reached is
+    # a lower bound on the final value of the arg-max.  A state whose cap lies
+    # below that lead, by more than the rounding _DECIDED_MARGIN covers, can
+    # no longer be the arg-max.
+    lead = -math.inf
+
+    def retire(active, values):
+        nonlocal lead
+        lead = max(lead, float(values.max()))
+        return caps[active] + _DECIDED_MARGIN < lead
+
+    return retire
+
+
+def _retire_violating(active, values):
+    # Retire rule for the violation test: a restart above the threshold by
+    # _DECIDED_MARGIN ends above it too, since the ascent is monotone up to
+    # rounding below that margin, and the best restart ends at least as high.
+    return (values > VIOLATION_THRESHOLD + _DECIDED_MARGIN).any(axis=1)
 
 
 def _lookahead_round(step, judge, state):
@@ -435,10 +496,13 @@ def global_max_violation(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> Opti
     By convexity the optimum is attained on pure states, parametrized in the
     Schmidt basis by a single angle; the scan assumes no unimodality (a coarse
     64-point grid first, all its states in one see-saw batch) and
-    golden-section refines to 1e-8 in the angle.  The refinement judges, in
-    one see-saw batch per round, the up to 15 angles the next four
-    golden-section steps could visit, so it returns the angle the sequential
-    search would, from about nine batches instead of 33 single-state calls.
+    golden-section refines to 1e-8 in the angle.  A grid state leaves the
+    batch once :func:`pure_state_value_cap` at its angle lies below the best
+    value any state has reached: it can no longer be the arg-max, which is
+    all the scan keeps.  The refinement judges, in one see-saw batch per
+    round, the up to 15 angles the next four golden-section steps could
+    visit, so it returns the angle the sequential search would, from about
+    nine batches instead of 33 single-state calls.
     """
     coefficients(tau)
 
@@ -446,7 +510,9 @@ def global_max_violation(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> Opti
         return _schmidt_peak_values(gammas, tau, cfg)[0]
 
     grid = np.linspace(0.0, math.pi / 4, COARSE_GAMMA_POINTS)
-    peak = int(np.argmax(values(grid)))
+    caps = np.array([pure_state_value_cap(float(g), tau) for g in grid])
+    coarse, _ = _schmidt_peak_values(grid, tau, cfg, _retire_below_lead(caps))
+    peak = int(np.argmax(coarse))
     lo = grid[max(peak - 1, 0)]
     hi = grid[min(peak + 1, COARSE_GAMMA_POINTS - 1)]
     gamma_star = _golden_section_max(values, float(lo), float(hi), 1e-8)
@@ -480,8 +546,13 @@ def critical_gamma(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> CriticalCu
     with "violates" meaning a see-saw value above 1e-10, to 1e-8 in the angle,
     by a dyadic 16-section: each round judges, in one see-saw batch, the 15
     angles the next four bisection steps could visit, so the result is the
-    angle plain bisection would return.  The optimum from
-    :func:`global_max_violation` that the search starts from is returned too.
+    angle plain bisection would return.  An angle whose
+    :func:`pure_state_value_cap` is at most half the threshold is judged
+    non-violating without a see-saw, and a state counts as violating, and
+    leaves the batch, as soon as one restart passes the threshold by 1e-12;
+    monotone ascent makes both judgments the ones the full see-saw would
+    reach.  The optimum from :func:`global_max_violation` that the search
+    starts from is returned too.
     """
     t = float(tau)
     if not (TAU_MAXENT_CUTOFF - 1e-12 <= t < TAU_TRIVIAL):
@@ -496,17 +567,22 @@ def critical_gamma(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> CriticalCu
         )
 
     def violates(gammas) -> np.ndarray:
-        return _schmidt_peak_values(gammas, t, cfg)[0] > VIOLATION_THRESHOLD
+        # An angle whose cap is at most half the threshold cannot violate,
+        # since see-saw values exceed the cap by less than _DECIDED_MARGIN;
+        # its see-saw is not run.
+        judged = np.array([pure_state_value_cap(g, t) > VIOLATION_THRESHOLD / 2 for g in gammas])
+        if judged.any():
+            values, _ = _schmidt_peak_values(np.asarray(gammas)[judged], t, cfg, _retire_violating)
+            judged[judged] = values > VIOLATION_THRESHOLD
+        return judged
 
-    hi = math.pi / 4
-    if violates([hi])[0]:
-        gamma_c = hi
-    else:
-        lo = optimum.gamma_star
-        while hi - lo > GAMMA_BISECTION_TOL:
-            lo, hi = _bisection_round(violates, lo, hi)
-        gamma_c = lo
-    return CriticalCurvePoint(tau=t, gamma_c=gamma_c, c_cr=math.sin(2.0 * gamma_c), optimum=optimum)
+    # pi/4 never violates on this domain: its cap, (1 - t) + (sqrt 2 - 1)/2,
+    # is at most 1e-12 for t >= cutoff - 1e-12, far below the threshold.  So
+    # [gamma_star, pi/4] brackets the crossing.
+    lo, hi = optimum.gamma_star, math.pi / 4
+    while hi - lo > GAMMA_BISECTION_TOL:
+        lo, hi = _bisection_round(violates, lo, hi)
+    return CriticalCurvePoint(tau=t, gamma_c=lo, c_cr=math.sin(2.0 * lo), optimum=optimum)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,23 @@ def _frozen_array(values, dtype=complex) -> np.ndarray:
     return out
 
 
+def _check_density_stack(m: np.ndarray) -> None:
+    # The TwoQubitState invariants, checked at once on a (S, 4, 4) stack: each
+    # numpy call runs once for the whole stack.  An error names the first
+    # failing trace, or the smallest eigenvalue of the stack.
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix has non-finite entries")
+    adjoint = m.swapaxes(-1, -2).conj()
+    if np.abs(m - adjoint).max() > HERMITICITY_ATOL:
+        raise ValueError("density matrix is not Hermitian within 1e-12")
+    for trace in m.trace(axis1=-2, axis2=-1).tolist():
+        if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
+            raise ValueError(f"density matrix trace {trace} differs from 1 by more than 1e-12")
+    eigmin = float(np.linalg.eigvalsh((m + adjoint) / 2.0).min())
+    if eigmin < PSD_EIGENVALUE_FLOOR:
+        raise ValueError(f"density matrix has eigenvalue {eigmin:.3e} below -1e-10")
+
+
 @dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """Validated two-qubit density matrix.
@@ -47,16 +64,7 @@ class TwoQubitState:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got shape {m.shape}")
-        if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-            raise ValueError("density matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        trace = m.trace()
-        if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace {trace} differs from 1 by more than 1e-12")
-        eigmin = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
-        if eigmin < PSD_EIGENVALUE_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {eigmin:.3e} below -1e-10")
+        _check_density_stack(m[None])
         object.__setattr__(self, "matrix", _frozen_array(m))
 
     def purity(self) -> float:
@@ -74,29 +82,57 @@ class SchmidtState:
     gamma: float
 
     def __post_init__(self):
-        g = float(self.gamma)
-        if not math.isfinite(g) or g < 0.0 or g > math.pi / 4 + 1e-15:
-            raise ValueError(f"Schmidt angle must lie in [0, pi/4], got {self.gamma}")
-        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "gamma", _schmidt_angle(self.gamma))
 
     @property
     def concurrence(self) -> float:
         return math.sin(2.0 * self.gamma)
 
     def ket(self) -> np.ndarray:
-        vec = np.zeros(4, dtype=complex)
-        vec[0] = math.cos(self.gamma)
-        vec[3] = math.sin(self.gamma)
-        return vec
+        return _schmidt_kets([self.gamma])[0]
 
     def density(self) -> TwoQubitState:
-        vec = self.ket()
-        return TwoQubitState(np.outer(vec, vec.conj()))
+        return TwoQubitState(_schmidt_matrices([self.gamma])[0])
+
+
+def _schmidt_angle(gamma) -> float:
+    g = float(gamma)
+    if not math.isfinite(g) or g < 0.0 or g > math.pi / 4 + 1e-15:
+        raise ValueError(f"Schmidt angle must lie in [0, pi/4], got {gamma}")
+    return g
+
+
+def _schmidt_kets(angles) -> np.ndarray:
+    # (S, 4) kets cos(g)|00> + sin(g)|11>.  math.cos / math.sin per angle, not
+    # np.cos / np.sin, whose last bit may differ: the golden-section search
+    # compares values about 1e-11 apart, so an ulp in a state moves its result.
+    kets = np.zeros((len(angles), 4), dtype=complex)
+    kets[:, 0] = [math.cos(g) for g in angles]
+    kets[:, 3] = [math.sin(g) for g in angles]
+    return kets
+
+
+def _schmidt_matrices(angles) -> np.ndarray:
+    # (S, 4, 4) outer products |psi><psi|, the same products np.outer forms.
+    kets = _schmidt_kets(angles)
+    return kets[:, :, None] * kets.conj()[:, None, :]
 
 
 def schmidt_state(gamma: float) -> TwoQubitState:
     """Density matrix of the Schmidt-angle pure state cos(g)|00> + sin(g)|11>."""
     return SchmidtState(float(gamma)).density()
+
+
+def schmidt_density_stack(gammas) -> np.ndarray:
+    """(S, 4, 4) stack of the matrices ``schmidt_state(g).matrix`` for each angle.
+
+    Each angle is checked as :func:`schmidt_state` checks it, with the same
+    error, and the stack passes the :class:`TwoQubitState` checks, each run
+    once for the whole stack.
+    """
+    m = _schmidt_matrices([_schmidt_angle(float(g)) for g in gammas])
+    _check_density_stack(m)
+    return m
 
 
 def maximally_entangled_state() -> TwoQubitState:

@@ -1,11 +1,21 @@
 import json
+import logging
 import math
 import re
 
 import pytest
 
 from bellbound import ChSlice, load, save, uniform_table
-from bellbound.cli import EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from bellbound.cli import (
+    CSV_CONCURRENCE,
+    CSV_VIOLATION,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_VALIDATION,
+    build_parser,
+    main,
+)
 
 from conftest import DEMO_SLICE
 
@@ -201,6 +211,33 @@ class TestCurvesCommand:
             capsys, "curves", "--tau-min", "1.2", "--tau-max", "1.6", "--output", str(tmp_path)
         )
         assert code == EXIT_PARSE
+
+
+class TestLogLevel:
+    def test_debug_log_leaves_curves_outputs_unchanged(self, capsys, tmp_path):
+        log = logging.getLogger("bellbound")
+        handlers, level = list(log.handlers), log.level
+
+        def curves(*extra):
+            code, out, err = run(capsys, "curves", "--grid", "2", "--output", str(tmp_path), *extra)
+            assert code == EXIT_OK
+            return out, err, [(tmp_path / name).read_bytes() for name in (CSV_VIOLATION, CSV_CONCURRENCE)]
+
+        out, err, files = curves()
+        debug_out, debug_err, debug_files = curves("--log-level", "DEBUG")
+        assert (debug_out, debug_files) == (out, files)
+        assert err == ""
+        assert "DEBUG bellbound: see-saw batch at tau 1.49: 64 states" in debug_err
+        assert "retired as decided" in debug_err
+        assert (log.handlers, log.level) == (handlers, level)
+
+    def test_option_before_or_after_the_command(self):
+        parser = build_parser()
+        assert parser.parse_args(["verify"]).log_level is None
+        assert parser.parse_args(["--log-level", "info", "verify"]).log_level == "INFO"
+        assert parser.parse_args(["verify", "--log-level", "debug"]).log_level == "DEBUG"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "--log-level", "loud"])
 
 
 class TestVerifyCommand:

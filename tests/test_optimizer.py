@@ -22,12 +22,14 @@ from bellbound import (
     verify_maximally_entangled_cutoff,
 )
 from bellbound import optimizer as opt_module
+from bellbound.quantum_core import schmidt_density_stack
 
 from conftest import horodecki_ch_max
 
 TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
 FAST = SeesawConfig(restarts=4, max_iterations=400)
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+COARSE_GRID = np.linspace(0.0, math.pi / 4, opt_module.COARSE_GAMMA_POINTS)
 
 
 def sequential_golden_section_max(f, lo, hi, tol):
@@ -204,6 +206,111 @@ class TestBatchedKernel:
                 blo, bhi = opt_module._bisection_round(violates, blo, bhi)
             assert (blo, bhi) == (lo, hi)
             assert max(sizes) == 2**opt_module.BISECTION_STEPS_PER_ROUND - 1
+
+
+def plain_critical_gamma(tau, cfg):
+    """Plain bisection on single see-saw calls from the optimum: the oracle."""
+    lo, hi = global_max_violation(tau, cfg).gamma_star, math.pi / 4
+    while hi - lo > opt_module.GAMMA_BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if seesaw_max_violation(schmidt_state(mid), tau, cfg).value.value > opt_module.VIOLATION_THRESHOLD:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestDecidedStates:
+    """Retiring decided states from a batch keeps every result bit for bit."""
+
+    @staticmethod
+    def kernel_inputs(states):
+        return opt_module._pauli_decomposition(np.array([rho.matrix for rho in states]))
+
+    def test_stacked_decomposition_equals_single_states(self, rng):
+        states = [schmidt_state(float(g)) for g in COARSE_GRID]
+        states += [random_two_qubit_state(rng, pure=bool(i % 2)) for i in range(20)]
+        stacked = self.kernel_inputs(states)
+        for s, rho in enumerate(states):
+            for part, single in zip(stacked, opt_module._pauli_decomposition(rho.matrix)):
+                np.testing.assert_array_equal(part[s], single)
+
+    @pytest.mark.parametrize("gamma", [-0.1, math.pi / 4 + 0.01, math.pi, math.nan, math.inf])
+    def test_stacked_states_reject_angles_as_schmidt_state(self, gamma):
+        with pytest.raises(ValueError) as single:
+            schmidt_state(gamma)
+        with pytest.raises(ValueError) as stacked:
+            schmidt_density_stack([0.2, gamma])
+        assert str(stacked.value) == str(single.value)
+        with pytest.raises(ValueError) as searched:
+            opt_module._schmidt_peak_values([0.2, gamma], 1.3, FAST)
+        assert str(searched.value) == str(single.value)
+
+    def test_retired_state_leaves_the_others_bitwise_unchanged(self, rng):
+        states = [schmidt_state(g) for g in (0.1, 0.3, 0.5, 0.7)]
+        states += [random_two_qubit_state(rng, pure=bool(i % 2)) for i in range(4)]
+        r_alice, r_bob, corr = self.kernel_inputs(states)
+        cfg = SeesawConfig(max_iterations=200)
+        shared = (1.2, opt_module._restart_starts(cfg), cfg.max_iterations, cfg.convergence_tol, True)
+        values, vectors, converged, iterations, histories = opt_module._seesaw_batch(
+            r_alice, r_bob, corr, *shared
+        )
+        leave_at = {3: 2, 10: 5}  # iteration -> the state retired there
+        seen = []
+
+        def retire(active, values):
+            seen.append(active.copy())
+            return active == leave_at.get(len(seen), -1)
+
+        pruned = opt_module._seesaw_batch(r_alice, r_bob, corr, *shared, retire)
+        for iteration, state in leave_at.items():
+            assert state in seen[iteration - 1] and state not in seen[iteration]
+            np.testing.assert_array_equal(pruned[0][state], histories[state][iteration - 1])
+            assert len(pruned[4][state]) == iteration
+        for s in set(range(len(states))) - set(leave_at.values()):
+            np.testing.assert_array_equal(pruned[0][s], values[s])
+            for got, want in zip(pruned[1], vectors):
+                np.testing.assert_array_equal(got[s], want[s])
+            np.testing.assert_array_equal(pruned[2][s], converged[s])
+            np.testing.assert_array_equal(pruned[3][s], iterations[s])
+            np.testing.assert_array_equal(pruned[4][s], histories[s])
+
+    @pytest.mark.parametrize("tau", [1.0, 1.1736, 1.3, 1.427, 1.49])
+    def test_seesaw_stays_below_the_cap_on_the_coarse_grid(self, tau):
+        values, _ = opt_module._schmidt_peak_values(COARSE_GRID, tau, opt_module.DEFAULT_CONFIG)
+        caps = np.array([pure_state_value_cap(float(g), tau) for g in COARSE_GRID])
+        assert (values <= caps + 1e-12).all()
+
+    @pytest.mark.parametrize("tau", [1.0, 1.1736, 1.3, 1.427, 1.49])
+    def test_pruned_coarse_argmax_equals_unpruned(self, tau):
+        cfg = opt_module.DEFAULT_CONFIG
+        caps = np.array([pure_state_value_cap(float(g), tau) for g in COARSE_GRID])
+        full, _ = opt_module._schmidt_peak_values(COARSE_GRID, tau, cfg)
+        pruned, _ = opt_module._schmidt_peak_values(COARSE_GRID, tau, cfg, opt_module._retire_below_lead(caps))
+        assert int(np.argmax(pruned)) == int(np.argmax(full))
+        kept = pruned == full
+        assert kept[np.argmax(full)]
+        assert not kept.all()
+
+    def test_maximally_entangled_cap_rules_out_violation(self):
+        # Why critical_gamma never judges pi/4 itself.
+        taus = np.linspace(TAU_MAXENT_CUTOFF - 1e-12, 1.5, 4001)[:-1]
+        for tau in (*taus, math.nextafter(1.5, 0.0)):
+            assert pure_state_value_cap(math.pi / 4, float(tau)) <= opt_module.VIOLATION_THRESHOLD / 2
+
+    @pytest.mark.parametrize("tau", [1.2236, 1.427])
+    def test_critical_gamma_equals_plain_bisection(self, tau):
+        cfg = opt_module.DEFAULT_CONFIG
+        assert critical_gamma(tau, cfg).gamma_c == plain_critical_gamma(tau, cfg)
+
+    def test_batch_log_counts_retired_states(self, caplog):
+        cfg = SeesawConfig(max_iterations=2)
+        with caplog.at_level(logging.DEBUG, logger="bellbound"):
+            opt_module._schmidt_peak_values([0.3, 0.5, 0.7], 1.2, cfg, lambda active, values: active == 1)
+        messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
+        assert messages == [
+            "see-saw batch at tau 1.2: 3 states, 2 unconverged best restarts, 1 retired as decided"
+        ]
 
 
 class TestGoldenSectionRounds:
