@@ -13,7 +13,6 @@ import numpy as np
 
 import bellbound as bb
 
-cfg = bb.SeesawConfig(restarts=4)
 cutoff = bb.TAU_MAXENT_CUTOFF
 print(f"maximally-entangled cutoff tilt: {cutoff:.6f}")
 print()
@@ -22,12 +21,12 @@ for tau in np.linspace(1.0, 1.49, 8):
     t = float(tau)
     cap = bb.max_value_cap(t)
     if t >= cutoff:
-        point = bb.critical_gamma(t, cfg)  # carries the optimum it started from
+        point = bb.critical_gamma(t)  # carries the optimum it started from
         optimum = point.optimum
         c_cr = f"{point.c_cr:8.5f}"
         c_cap = f"{bb.upper_bound_analytic(t):9.5f}"
     else:
-        optimum = bb.global_max_violation(t, cfg)
+        optimum = bb.global_max_violation(t)
         c_cr, c_cap = f"{'(all)':>8}", f"{'-':>9}"
     print(f"{t:7.4f} {optimum.s_q:10.6f} {cap:10.6f} "
           f"{math.sin(2.0 * optimum.gamma_star):8.5f} {c_cr} {c_cap}")

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .bell_model import TAU_MAXENT_CUTOFF, TAU_TRIVIAL, ch_value
 from .errors import NumericFailure, ValidationFailure
-from .optimizer import DEFAULT_CONFIG, SeesawConfig, critical_gamma
+from .optimizer import critical_gamma
 from .statistics_io import (
     HARD_VALIDATION_TOL,
     ChSlice,
@@ -99,9 +99,9 @@ def upper_bound_analytic(tau: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def upper_bound_numeric(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> float:
+def upper_bound_numeric(tau: float) -> float:
     """Critical-curve concurrence at tilt ``tau`` (numeric, via bisection)."""
-    return critical_gamma(tau, cfg).c_cr
+    return critical_gamma(tau).c_cr
 
 
 def upper_bound_marginal(slc: ChSlice, projective: bool = True) -> float | None:
@@ -195,7 +195,6 @@ def assemble_report(
     *,
     projective: bool = False,
     numeric_ub: bool = False,
-    cfg: SeesawConfig = DEFAULT_CONFIG,
     tol: float = HARD_VALIDATION_TOL,
 ) -> BoundReport:
     """Validate statistics and derive every bound the data supports.
@@ -236,7 +235,7 @@ def assemble_report(
         elif threshold >= TAU_TRIVIAL - 1e-9:
             notes.append(NOTE_NUMERIC_AT_TRIVIAL)
         else:
-            numeric = upper_bound_numeric(threshold, cfg)
+            numeric = upper_bound_numeric(threshold)
             if lower > numeric + tol:
                 raise NumericFailure(
                     f"empty bracket: numeric upper bound {numeric:.6f} at tilt {threshold:.6f} "

@@ -2,10 +2,10 @@
 
 Exit-code contract: 0 success, 2 parse/usage error (malformed files or
 out-of-range parameters), 3 validation failure, 4 numeric failure.  All
-commands are deterministic for a fixed seed; repeated runs produce
-byte-identical output files.  ``--log-level`` sends the ``"bellbound"``
-logger to stderr for one command, so search diagnostics never reach standard
-output or the files written.
+commands are deterministic: only ``verify`` draws random numbers, from its
+``--seed``, and repeated runs produce byte-identical output files.
+``--log-level`` sends the ``"bellbound"`` logger to stderr for one command,
+so search diagnostics never reach standard output or the files written.
 """
 
 from __future__ import annotations
@@ -46,17 +46,12 @@ def _parse_angles(text: str) -> tuple[float, float, float, float]:
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
-def _seesaw_config(args) -> optimizer.SeesawConfig:
-    return optimizer.SeesawConfig(rng_seed=args.seed)
-
-
 def _cmd_bound(args) -> int:
     stats = statistics_io.load(args.input)
     report = bounds_engine.assemble_report(
         stats,
         projective=args.projective,
         numeric_ub=args.numeric_ub,
-        cfg=_seesaw_config(args),
         tol=args.tol,
     )
     print(report.summary_text())
@@ -73,7 +68,6 @@ def _cmd_demo(args) -> int:
         stats,
         projective=True,
         numeric_ub=args.numeric_ub,
-        cfg=_seesaw_config(args),
         tol=args.tol,
     )
     print(report.summary_text())
@@ -95,7 +89,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    optimum = optimizer.global_max_violation(args.tau, _seesaw_config(args))
+    optimum = optimizer.global_max_violation(args.tau)
     concurrence_star = math.sin(2.0 * optimum.gamma_star)
     print(f"optimum at tilt {_g9(optimum.tau)}")
     print(f"  gamma*:      {_g9(optimum.gamma_star)}")
@@ -127,7 +121,6 @@ def _cmd_curves(args) -> int:
         )
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
-    cfg = _seesaw_config(args)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     taus = np.linspace(args.tau_min, args.tau_max, args.grid)
@@ -136,10 +129,10 @@ def _cmd_curves(args) -> int:
     for tau in taus:
         t = float(tau)
         if t >= bell_model.TAU_MAXENT_CUTOFF:
-            point = optimizer.critical_gamma(t, cfg)
+            point = optimizer.critical_gamma(t)
             optimum, critical = point.optimum, point.c_cr
         else:
-            optimum = optimizer.global_max_violation(t, cfg)
+            optimum = optimizer.global_max_violation(t)
             critical = 1.0  # below the cutoff even the maximally entangled state violates
         violation_rows.append((t, optimum.s_q, optimizer.max_value_cap(t)))
         concurrence_rows.append((t, math.sin(2.0 * optimum.gamma_star), critical))
@@ -398,7 +391,7 @@ def _add_log_level(parser, default) -> None:
                         default=default, help="print bellbound log records from this level up to stderr")
 
 
-def _add_common(parser, *, seed=True, tol=True, output=False):
+def _add_common(parser, *, seed=False, tol=True, output=False):
     # The option is accepted after the command too; SUPPRESS keeps a command
     # without it from resetting the value given before the command.
     _add_log_level(parser, argparse.SUPPRESS)
@@ -436,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--angles", type=str, default="0,0,0,0",
                        help="four in-plane polar angles a0,a1,b0,b1 (radians)")
     p_sim.add_argument("--output", type=str, required=True, help="table file to write")
-    _add_common(p_sim, seed=False, tol=False)
+    _add_common(p_sim, tol=False)
 
     p_opt = sub.add_parser("optimize", help="maximal violation over states at a given tilt")
     p_opt.add_argument("--tau", type=float, required=True, help="tilt parameter in [1, 1.5)")
@@ -450,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_curves, tol=False)
 
     p_verify = sub.add_parser("verify", help="run the invariant verification suite")
-    _add_common(p_verify)
+    _add_common(p_verify, seed=True)
 
     return parser
 

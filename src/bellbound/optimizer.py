@@ -2,46 +2,45 @@
 
 Three layers:
 
-* :func:`seesaw_max_violation` -- alternating ascent.  With one party fixed,
-  the value is affine in each of the other party's outcome-0 projectors, so the
-  optimal rank-1 update for a setting is the projector onto the top eigenvector
-  of a 2x2 effective operator (obtained by contracting the state with the fixed
-  party's operators and the tilted coefficients).  Ascent is monotone because
-  each update maximizes over a family containing the current projector.
-  One kernel runs the ascent for a stack of states at once, every restart of
-  every state in one batch; a single state is a stack of one.  A state
-  leaves the batch when its restarts have converged, or earlier when a
-  search's retire rule finds its outcome decided.
+* :func:`seesaw_max_violation` -- alternating ascent for any state.  With one
+  party fixed, the value is affine in each of the other party's outcome-0
+  projectors, so the optimal rank-1 update for a setting is the projector
+  onto the top eigenvector of a 2x2 effective operator (obtained by
+  contracting the state with the fixed party's operators and the tilted
+  coefficients).  Ascent is monotone because each update maximizes over a
+  family containing the current projector.  Every restart runs in one batch.
 * :func:`global_max_violation` -- outer scalar search over the Schmidt angle:
-  a 64-point coarse grid, evaluated as one stack of states, guards against
-  multiple local maxima, then golden-section refinement to 1e-8.  A grid
-  state leaves the scan once its analytic cap lies below the best value
-  reached so far, since it can no longer be the arg-max.  The refinement runs
-  in lookahead rounds: each evaluates, as one stack, the up to 15 angles the
-  next four golden-section steps could visit, so about nine batched calls
-  reach the angle the plain sequential search would.
+  a 64-point coarse grid guards against multiple local maxima, then a
+  golden section refines to 1e-8.
 * :func:`critical_gamma` -- for a tilt at which the maximally entangled state
-  no longer violates, a dyadic 16-section above the arg-max angle locates the
+  no longer violates, a bisection above the arg-max angle locates the
   largest Schmidt angle that still violates; its concurrence is the numeric
-  upper bound on the concurrence of any violating state.  Each round
-  evaluates, as one stack, the 15 angles the next four bisection steps could
-  visit, so the result is the one plain bisection would reach.  An angle
-  whose analytic cap rules out a violation is not evaluated, and a state
-  leaves the batch once one restart violates.  The optimum the search
-  started from is returned with it.
+  upper bound on the concurrence of any violating state.  The optimum the
+  search started from is returned with it.
 
-Both searches share one lookahead helper, and build their Schmidt states as
-one checked stack.  Retiring states changes no result bit: the ascent is
-monotone and every see-saw value lies below the cap, so a retired state's
-outcome is known.  Each batch logs its state count, its unconverged best
-restarts and the states retired as decided at DEBUG level on the
-``"bellbound"`` logger, which is silent unless the application configures
-logging (the CLI's ``--log-level``).
+Neither Schmidt-angle search runs the see-saw.  For the state
+cos(g)|00> + sin(g)|11>, write c = cos 2g and s = sin 2g.  Alice's best
+response is the norm of her coefficient vector, and Bob's two Bloch vectors
+enter only through their polar angles t0, t1 and the difference of their
+azimuths, through X = 2 s^2 sin t0 sin t1 cos(dphi).  The value is concave in
+X, so the exact maximum over all rank-1 projective measurements is the
+maximum over (t0, t1) of
 
-:func:`in_plane_grid_max_violation` is an independent oracle for Schmidt-angle
-states that never touches the see-saw path, and
-:func:`pure_state_value_cap` / :func:`max_value_cap` give the closed-form
-analytic caps the search results are checked against.
+    F = 1/2 - tau + (1 - tau) c cos(t0) / 2 + sqrt(A + X*) / 4 + sqrt(B - X*) / 4
+
+with A = s^2 (sin^2 t0 + sin^2 t1) + (cos t0 + cos t1 + 2 (1 - tau) c)^2,
+B = s^2 (sin^2 t0 + sin^2 t1) + (cos t0 - cos t1)^2 and
+X* = clip((B - A)/2, +/- 2 s^2 sin t0 sin t1).  Both searches rate each
+angle by max F, found to rounding by damped Newton from a coarse grid of
+(t0, t1), not by the see-saw's lower bound.  Each search logs its tilt, the
+angles it rated and its Newton steps at DEBUG level on the ``"bellbound"``
+logger, which is silent unless the application configures logging (the
+CLI's ``--log-level``); the critical-angle search adds its final bracket.
+
+:func:`in_plane_grid_max_violation` is an independent grid oracle for
+Schmidt-angle states, and :func:`pure_state_value_cap` /
+:func:`max_value_cap` give the closed-form analytic caps the search results
+are checked against.
 """
 
 from __future__ import annotations
@@ -67,23 +66,35 @@ from .quantum_core import (
     SchmidtState,
     TwoQubitState,
     maximally_entangled_state,
+    random_bloch_vector,
     random_measurement_set,
-    schmidt_density_stack,
     schmidt_state,
 )
 
 VIOLATION_THRESHOLD = 1e-10
-# How far past a bound a see-saw value must be before a state leaves a batch
-# as decided.  Each value is formed afresh from O(1) terms, so its rounding
-# does not build up over iterations: on 128 angles at 9 tilts the values stood
-# at most 4.4e-16 above pure_state_value_cap and 6.7e-16 below an earlier
-# value of their restart.
-_DECIDED_MARGIN = 1e-12
 GAMMA_BISECTION_TOL = 1e-8
 COARSE_GAMMA_POINTS = 64
-BISECTION_STEPS_PER_ROUND = 4
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Starts of the maximizer of F: t0 at half steps in (0, pi), t1 at whole
+# steps round the circle, so that no start has t1 = +/- t0, where a norm of
+# the in-plane form vanishes.  Newton runs from the best _NEWTON_STARTS of
+# them at each angle; the grid is rated _ANGLE_CHUNK angles at a time to keep
+# its temporaries small.
+_GRID_STEPS = 12
+_GRID_T0, _GRID_T1 = (
+    g.ravel().tolist()
+    for g in np.meshgrid(
+        (np.arange(_GRID_STEPS) + 0.5) * (math.pi / _GRID_STEPS),
+        np.arange(2 * _GRID_STEPS) * (math.pi / _GRID_STEPS),
+        indexing="ij",
+    )
+)
+_GRID_TRIG = tuple(f(np.array(t)) for t in (_GRID_T0, _GRID_T1) for f in (np.sin, np.cos))
+_NEWTON_STARTS = 4
+_NEWTON_MAX_STEPS = 60
+_ANGLE_CHUNK = 8
 
 logger = logging.getLogger("bellbound")
 
@@ -166,14 +177,12 @@ _PAULIS = np.array(
 def _pauli_decomposition(rho: np.ndarray):
     # Local Bloch vectors and the 3x3 correlation matrix; they carry everything
     # the functional sees of the state under product projective measurements.
-    # ``rho`` is one 4x4 matrix or a (S, 4, 4) stack; each matrix of a stack
-    # gets, bit for bit, what it would get alone.
-    r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
-    rho_a = np.einsum("...ikjk->...ij", r)
-    rho_b = np.einsum("...ikil->...kl", r)
-    r_alice = np.real(np.einsum("...ij,aji->...a", rho_a, _PAULIS))
-    r_bob = np.real(np.einsum("...kl,blk->...b", rho_b, _PAULIS))
-    corr = np.real(np.einsum("...ikjl,aji,blk->...ab", r, _PAULIS, _PAULIS))
+    r = rho.reshape(2, 2, 2, 2)
+    rho_a = np.einsum("ikjk->ij", r)
+    rho_b = np.einsum("ikil->kl", r)
+    r_alice = np.real(np.einsum("ij,aji->a", rho_a, _PAULIS))
+    r_bob = np.real(np.einsum("kl,blk->b", rho_b, _PAULIS))
+    corr = np.real(np.einsum("ikjl,aji,blk->ab", r, _PAULIS, _PAULIS))
     return r_alice, r_bob, corr
 
 
@@ -193,35 +202,23 @@ def _renormalize_rows(candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seesaw_batch(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_history, retire=None):
-    # Alternating ascent for S states at one tilt: ``r_alice`` and ``r_bob``
-    # are (S, 3), ``corr`` is (S, 3, 3), and the four (restarts, 3) start
-    # arrays are shared by every state, so rows are laid out (S, restarts, 3).
-    # A restart is converged once its value improves by less than ``tol``;
-    # a state stops at the iteration where its last restart converges, or at
-    # ``max_iterations``, and is then compacted out of the batch.  The optional
-    # ``retire(active, values)`` sees, every iteration, the batch indices of
-    # the states still running and their (active, restarts) values; the states
-    # it flags have a decided outcome and stop there, reporting the values
-    # they reached.  Compaction leaves every other state's arithmetic, and so
-    # its results, bit for bit as they were.  Returns the
-    # final values (S, restarts), the four (S, restarts, 3) measurement
-    # arrays, the converged flags, the iteration at which each restart first
-    # converged (or stopped), and, with ``keep_history``, each state's list of
+def _seesaw_batch(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_history):
+    # Alternating ascent at one tilt for S states, all stopping together:
+    # ``r_alice`` and ``r_bob`` are (S, 3), ``corr`` is (S, 3, 3), and the
+    # four (restarts, 3) start arrays are shared by every state, so rows are
+    # laid out (S, restarts, 3).  A restart is converged once its value
+    # improves by less than ``tol``; the batch stops at the iteration where
+    # its last restart converges, or at ``max_iterations``.  Returns the final
+    # values (S, restarts), the four (S, restarts, 3) measurement arrays, the
+    # converged flags, the iteration at which each restart first converged
+    # (or stopped), and, with ``keep_history``, each state's list of
     # per-iteration value rows.
     states = corr.shape[0]
     a0, a1, b0, b1 = (np.repeat(np.asarray(s, dtype=float)[None], states, axis=0) for s in starts)
-    restarts = a0.shape[1]
-    out_values = np.empty((states, restarts))
-    out_vectors = tuple(np.empty_like(v) for v in (a0, a1, b0, b1))
-    out_converged = np.empty((states, restarts), dtype=bool)
-    out_iterations = np.empty((states, restarts), dtype=int)
     histories: list[list[np.ndarray]] = [[] for _ in range(states)]
-
-    active = np.arange(states)
-    previous = np.full((states, restarts), -np.inf)
-    converged = np.zeros((states, restarts), dtype=bool)
-    first_converged = np.zeros((states, restarts), dtype=int)
+    previous = np.full(a0.shape[:2], -np.inf)
+    converged = np.zeros(a0.shape[:2], dtype=bool)
+    first_converged = np.zeros(a0.shape[:2], dtype=int)
     corr_t = np.swapaxes(corr, 1, 2)
     alice_col = r_alice[:, :, None]
     bob_col = r_bob[:, :, None]
@@ -241,8 +238,8 @@ def _seesaw_batch(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_h
         corr_bm = bm @ corr_t
         a_dot = (a0 @ alice_col)[..., 0]
         b_dot = (b0 @ bob_col)[..., 0]
-        # Term by term, in this order: the golden-section search compares
-        # values about 1e-11 apart, so regrouping the sum moves its optimum.
+        # Term by term, in this order, so that results stay bit for bit those
+        # of earlier releases.
         values = 0.25 * (
             2.0
             + 2.0 * a_dot
@@ -252,35 +249,16 @@ def _seesaw_batch(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_h
             + np.einsum("srk,srk->sr", a1, corr_bm)
         ) - tau * (1.0 + 0.5 * (a_dot + b_dot))
         if keep_history:
-            for state, row in zip(active, values):
+            for state, row in enumerate(values):
                 histories[state].append(row)
         newly = ~converged & (values - previous < tol)
         first_converged[newly] = iterations
         converged |= newly
-        done = converged.all(axis=1)
-        if retire is not None:
-            done |= retire(active, values)
-        if iterations == max_iterations:
-            done[:] = True
-        if done.any():
-            first_converged[done[:, None] & ~converged] = iterations
-            finished = active[done]
-            out_values[finished] = values[done]
-            for out, v in zip(out_vectors, (a0, a1, b0, b1)):
-                out[finished] = v[done]
-            out_converged[finished] = converged[done]
-            out_iterations[finished] = first_converged[done]
-            if done.all():
-                break
-            keep = ~done
-            (active, values, converged, first_converged, a0, a1, b0, b1, corr_bp, corr_bm,
-             corr, corr_t, alice_col, bob_col, tilt_pull_a, tilt_pull_b) = (
-                x[keep]
-                for x in (active, values, converged, first_converged, a0, a1, b0, b1, corr_bp, corr_bm,
-                          corr, corr_t, alice_col, bob_col, tilt_pull_a, tilt_pull_b)
-            )
+        if converged.all() or iterations == max_iterations:
+            first_converged[~converged] = iterations
+            break
         previous = values
-    return out_values, out_vectors, out_converged, out_iterations, histories
+    return values, (a0, a1, b0, b1), converged, first_converged, histories
 
 
 def _chsh_start() -> tuple[np.ndarray, ...]:
@@ -294,13 +272,7 @@ def _chsh_start() -> tuple[np.ndarray, ...]:
 
 
 def _random_start(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    vectors = []
-    for _ in range(4):
-        v = rng.normal(size=3)
-        while np.linalg.norm(v) < 1e-8:
-            v = rng.normal(size=3)
-        vectors.append(v / np.linalg.norm(v))
-    return tuple(vectors)
+    return tuple(random_bloch_vector(rng).as_array() for _ in range(4))
 
 
 @functools.lru_cache(maxsize=16)
@@ -365,223 +337,198 @@ def seesaw_max_violation(
     )
 
 
-def _schmidt_peak_values(gammas, tau: float, cfg: SeesawConfig, retire=None) -> tuple[np.ndarray, np.ndarray]:
-    # Best see-saw value of each Schmidt-angle state, all states in one batch,
-    # and whether that best restart converged; each pair equals the value and
-    # flag of ``seesaw_max_violation(schmidt_state(gamma), tau, cfg)``.  A
-    # state stopped by the ``retire`` rule of ``_seesaw_batch`` reports the
-    # value it had reached, which settles only what that rule decided.
-    r_alice, r_bob, corr = _pauli_decomposition(schmidt_density_stack(gammas))
-    retired = np.zeros(len(corr), dtype=bool)
-
-    def record(active, values):
-        decided = retire(active, values)
-        retired[active[decided]] = True
-        return decided
-
-    values, _, converged, _, _ = _seesaw_batch(
-        r_alice, r_bob, corr, float(tau), _restart_starts(cfg), cfg.max_iterations, cfg.convergence_tol, False,
-        None if retire is None else record,
-    )
-    best = np.argmax(values, axis=1)
-    rows = np.arange(len(best))
-    best_converged = converged[rows, best]
-    message = "see-saw batch at tau %.10g: %d states, %d unconverged best restarts"
-    counts = [len(best), int(np.count_nonzero(~best_converged & ~retired))]
-    if retire is not None:
-        message += ", %d retired as decided"
-        counts.append(int(np.count_nonzero(retired)))
-    logger.debug(message, tau, *counts)
-    return values[rows, best], best_converged
-
-
-def _retire_below_lead(caps: np.ndarray):
-    # Retire rule for an arg-max over states with the given value caps
-    # (pure_state_value_cap).  A state's see-saw values never exceed its cap,
-    # and the ascent is monotone, so the best value any state has reached is
-    # a lower bound on the final value of the arg-max.  A state whose cap lies
-    # below that lead, by more than the rounding _DECIDED_MARGIN covers, can
-    # no longer be the arg-max.
-    lead = -math.inf
-
-    def retire(active, values):
-        nonlocal lead
-        lead = max(lead, float(values.max()))
-        return caps[active] + _DECIDED_MARGIN < lead
-
-    return retire
+def _in_plane_f(sin0, cos0, sin1, cos1, s, k, derivatives=False):
+    # F - (1/2 - tau) with Bob's vectors in the x-z plane at polar angles t0
+    # and t1 round the whole circle, from their sines and cosines (arrays, or
+    # floats with ``derivatives``), and k = (1 - tau) c.  t1 in (pi, 2 pi) is
+    # the polar angle 2 pi - t1 at azimuth difference pi, so X is at an end
+    # of its clip range.  That is where the maximum of F lies: between the
+    # ends F is sqrt((A + B)/2)/2 plus terms of t0, and (A + B)/2 is convex in
+    # cos t1, so F has no local maximum in t1 there; at sin t0 sin t1 = 0 the
+    # range is {0}, one of its own ends.  With ``derivatives`` the
+    # gradient and the Hessian (h00, h01, h11) come too.  Each norm is that
+    # of w = (s (sin t0 +/- sin t1), cos t0 +/- cos t1 [+ 2k]); the second
+    # derivative of (s sin t, cos t) is minus itself.
+    value = 0.5 * k * cos0
+    grad0, grad1 = -0.5 * k * sin0, 0.0
+    h00, h01, h11 = -0.5 * k * cos0, 0.0, 0.0
+    for sign, shift in ((1.0, 2.0 * k), (-1.0, 0.0)):
+        x = s * (sin0 + sign * sin1)
+        z = cos0 + sign * cos1 + shift
+        r = (x * x + z * z) ** 0.5
+        value = value + 0.25 * r
+        if derivatives and r > 0.0:  # a vanishing norm is a kink at a minimum
+            w0 = (x * s * cos0 - z * sin0) / r
+            w1 = sign * (x * s * cos1 - z * sin1) / r
+            grad0 += 0.25 * w0
+            grad1 += 0.25 * w1
+            h00 += 0.25 * ((s * s * cos0 * cos0 + sin0 * sin0 - x * s * sin0 - z * cos0) / r - w0 * w0 / r)
+            h11 += 0.25 * ((s * s * cos1 * cos1 + sin1 * sin1 - sign * (x * s * sin1 + z * cos1)) / r - w1 * w1 / r)
+            h01 += 0.25 * (sign * (s * s * cos0 * cos1 + sin0 * sin1) / r - w0 * w1 / r)
+    if not derivatives:
+        return value
+    return value, grad0, grad1, h00, h01, h11
 
 
-def _retire_violating(active, values):
-    # Retire rule for the violation test: a restart above the threshold by
-    # _DECIDED_MARGIN ends above it too, since the ascent is monotone up to
-    # rounding below that margin, and the best restart ends at least as high.
-    return (values > VIOLATION_THRESHOLD + _DECIDED_MARGIN).any(axis=1)
+def _newton_max(t0: float, t1: float, s: float, k: float):
+    # Damped (Levenberg-Marquardt) Newton ascent of the in-plane form from one
+    # start: the Hessian is shifted until negative definite, a step is kept
+    # only if F rises, and the shift grows tenfold on a refused step and
+    # shrinks tenfold on a kept one.  Stops once the predicted rise is below
+    # 1e-17.  Returns the value, the angles and the steps taken.
+    current = _in_plane_f(math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1), s, k, True)
+    shift, steps = 0.0, 0
+    while steps < _NEWTON_MAX_STEPS:
+        value, g0, g1, h00, h01, h11 = current
+        mu = max(0.5 * (h00 + h11) + math.hypot(0.5 * (h00 - h11), h01) + 1e-12, 0.0) + shift
+        a, d = h00 - mu, h11 - mu
+        det = a * d - h01 * h01
+        d0 = (h01 * g1 - d * g0) / det
+        d1 = (h01 * g0 - a * g1) / det
+        if 0.5 * (g0 * d0 + g1 * d1) < 1e-17:
+            break
+        steps += 1
+        n0, n1 = t0 + d0, t1 + d1
+        trial = _in_plane_f(math.sin(n0), math.cos(n0), math.sin(n1), math.cos(n1), s, k, True)
+        if trial[0] > value:
+            t0, t1, current, shift = n0, n1, trial, 0.1 * shift
+        else:
+            shift = 10.0 * shift + 1e-3 * (abs(h00) + abs(h11)) + 1e-12
+    return current[0], t0, t1, steps
 
 
-def _lookahead_round(step, judge, state):
-    # Up to BISECTION_STEPS_PER_ROUND steps of a sequential search from one
-    # batched judgment.  ``step(state)`` is None where the sequential search
-    # stops, else ``(point, decide, follow)``: the point the step judges,
-    # ``decide(judgment)`` for the branch it takes, and
-    # ``follow(branch, judgment)`` for the state after it.  The points depend
-    # on the branches alone, so following both branches with no judgment yet
-    # (None) lists every point the steps could visit, as the sequential search
-    # computes them; ``judge`` rates them all in one call, then the steps are
-    # walked.
-    points: dict[tuple[bool, ...], float] = {}
-
-    def expand(state, path: tuple[bool, ...]) -> None:
-        taken = step(state) if len(path) < BISECTION_STEPS_PER_ROUND else None
-        if taken is not None:
-            point, _, follow = taken
-            points[path] = point
-            for branch in (False, True):
-                expand(follow(branch, None), path + (branch,))
-
-    expand(state, ())
-    judged = dict(zip(points, judge(list(points.values()))))
-    path: tuple[bool, ...] = ()
-    while path in points:
-        _, decide, follow = step(state)
-        branch = bool(decide(judged[path]))
-        state = follow(branch, judged[path])
-        path += (branch,)
-    return state
+def _schmidt_maxima(gammas, tau: float):
+    # max F at each Schmidt angle, the maximizing (t0, t1) of the in-plane
+    # form, and the Newton steps taken: the grid is rated a chunk of angles
+    # at a time, and Newton runs from each angle's best starts.
+    values, thetas, steps = [], [], 0
+    for lo in range(0, len(gammas), _ANGLE_CHUNK):
+        chunk = [float(g) for g in gammas[lo : lo + _ANGLE_CHUNK]]
+        s = [math.sin(2.0 * g) for g in chunk]
+        k = [(1.0 - tau) * math.cos(2.0 * g) for g in chunk]
+        grid = _in_plane_f(*_GRID_TRIG, np.array(s)[:, None], np.array(k)[:, None])
+        for row, s_row, k_row in zip(np.argsort(grid, axis=1)[:, -_NEWTON_STARTS:], s, k):
+            runs = [_newton_max(_GRID_T0[i], _GRID_T1[i], s_row, k_row) for i in row]
+            value, t0, t1, _ = max(runs)
+            values.append(0.5 - tau + value)
+            thetas.append((t0, t1))
+            steps += sum(run[3] for run in runs)
+    return np.array(values), thetas, steps
 
 
-def _golden_section_max(values, lo: float, hi: float, tol: float) -> float:
-    # Golden-section search for a maximum, in lookahead rounds.  ``values``
-    # rates a list of points in one call.  A state is (lo, hi, c, d, known,
-    # c_is_new): the interval, its two interior points, the value of the one
-    # already rated, and which one the next step rates.  Each step compares
-    # fc >= fd and moves exactly as the sequential search does.
-    def step(state):
-        lo, hi, c, d, known, c_is_new = state
-        if hi - lo <= tol:
-            return None
+class _Rater:
+    # max F for one search at one tilt, counting the angles rated and the
+    # Newton steps for the search's log line.
+    def __init__(self, tau: float):
+        self.tau, self.angles, self.steps = tau, 0, 0
 
-        def pair(value):
-            return (value, known) if c_is_new else (known, value)
+    def __call__(self, gammas):
+        values, thetas, steps = _schmidt_maxima(gammas, self.tau)
+        self.angles += len(values)
+        self.steps += steps
+        return values, thetas
 
-        def decide(value) -> bool:
-            fc, fd = pair(value)
-            return fc >= fd
 
-        def follow(keep_left: bool, value):
-            fc, fd = pair(value)
-            if keep_left:
-                return (lo, d, d - _INV_GOLDEN * (d - lo), c, fc, True)
-            return (c, hi, d, c + _INV_GOLDEN * (hi - c), fd, False)
-
-        return (c if c_is_new else d), decide, follow
-
+def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
+    # Golden-section search for a maximum of f on [lo, hi], to width tol.
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = values([c, d])
-    # d is rated already, so the first step is walked here, outside a round.
-    state = (lo, hi, c, d, fc, False)
-    taken = step(state)
-    if taken is not None:
-        _, decide, follow = taken
-        state = follow(bool(decide(fd)), fd)
-        while step(state) is not None:
-            state = _lookahead_round(step, values, state)
-    return 0.5 * (state[0] + state[1])
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_GOLDEN * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
 
 
-def global_max_violation(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> OptimumPoint:
+def _optimum_point(gamma: float, tau: float, rate: _Rater) -> OptimumPoint:
+    # The measurements at max F: Bob in the x-z plane at the maximizing
+    # angles, Alice's best response to him, the update the see-saw kernel
+    # makes.  Their quantum value must reproduce max F.
+    values, thetas = rate([gamma])
+    t0, t1 = thetas[0]
+    rho = schmidt_state(gamma)
+    r_alice, _, corr = _pauli_decomposition(rho.matrix)
+    bob = np.array([[math.sin(t0), 0.0, math.cos(t0)], [math.sin(t1), 0.0, math.cos(t1)]])
+    candidates = np.array([corr @ (bob[0] + bob[1]) + 2.0 * (1.0 - tau) * r_alice, corr @ (bob[0] - bob[1])])
+    alice = _renormalize_rows(candidates, np.array(_chsh_start()[:2]))
+    measurements = _measurement_set_from([*alice, *bob])
+    s_q = quantum_value(rho, measurements, tau).value
+    if abs(s_q - values[0]) > 1e-12:
+        raise NumericFailure(
+            f"quantum value {s_q!r} at the maximizing measurements differs from max F {values[0]!r} "
+            f"at gamma {gamma!r}, tilt {tau!r}"
+        )
+    return OptimumPoint(tau=tau, gamma_star=gamma, s_q=s_q, measurements=measurements)
+
+
+def global_max_violation(tau: float) -> OptimumPoint:
     """Maximal violation over all two-qubit states at a given tilt.
 
     By convexity the optimum is attained on pure states, parametrized in the
-    Schmidt basis by a single angle; the scan assumes no unimodality (a coarse
-    64-point grid first, all its states in one see-saw batch) and
-    golden-section refines to 1e-8 in the angle.  A grid state leaves the
-    batch once :func:`pure_state_value_cap` at its angle lies below the best
-    value any state has reached: it can no longer be the arg-max, which is
-    all the scan keeps.  The refinement judges, in one see-saw batch per
-    round, the up to 15 angles the next four golden-section steps could
-    visit, so it returns the angle the sequential search would, from about
-    nine batches instead of 33 single-state calls.
+    Schmidt basis by a single angle.  Each angle is rated by the exact
+    maximum over measurements, max F (see the module docstring).  The scan
+    assumes no unimodality: a coarse 64-point grid first, then a golden
+    section to 1e-8 in the angle.  ``s_q`` is the quantum value at the
+    returned measurements, which reproduces max F to 1e-12 or the search
+    raises :class:`~bellbound.errors.NumericFailure`.
     """
     coefficients(tau)
-
-    def values(gammas) -> np.ndarray:
-        return _schmidt_peak_values(gammas, tau, cfg)[0]
-
+    t = float(tau)
+    rate = _Rater(t)
     grid = np.linspace(0.0, math.pi / 4, COARSE_GAMMA_POINTS)
-    caps = np.array([pure_state_value_cap(float(g), tau) for g in grid])
-    coarse, _ = _schmidt_peak_values(grid, tau, cfg, _retire_below_lead(caps))
-    peak = int(np.argmax(coarse))
-    lo = grid[max(peak - 1, 0)]
-    hi = grid[min(peak + 1, COARSE_GAMMA_POINTS - 1)]
-    gamma_star = _golden_section_max(values, float(lo), float(hi), 1e-8)
-    final = seesaw_max_violation(schmidt_state(gamma_star), tau, cfg)
-    return OptimumPoint(
-        tau=float(tau),
-        gamma_star=float(gamma_star),
-        s_q=final.value.value,
-        measurements=final.measurements,
-    )
+    peak = int(np.argmax(rate(grid)[0]))
+    lo = float(grid[max(peak - 1, 0)])
+    hi = float(grid[min(peak + 1, COARSE_GAMMA_POINTS - 1)])
+    gamma_star = _golden_section_max(lambda g: rate([g])[0][0], lo, hi, 1e-8)
+    optimum = _optimum_point(gamma_star, t, rate)
+    logger.debug("Schmidt optimum at tau %.10g: %d angles rated, %d Newton steps", t, rate.angles, rate.steps)
+    return optimum
 
 
-def _bisection_round(violates, lo: float, hi: float) -> tuple[float, float]:
-    # Up to BISECTION_STEPS_PER_ROUND steps of plain bisection from one batched
-    # evaluation of ``violates``; the steps the tolerance would stop are cut.
-    def step(state):
-        lo, hi = state
-        if hi - lo <= GAMMA_BISECTION_TOL:
-            return None
-        mid = 0.5 * (lo + hi)
-        return mid, bool, lambda violated, _: (mid, hi) if violated else (lo, mid)
-
-    return _lookahead_round(step, violates, (lo, hi))
-
-
-def critical_gamma(tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> CriticalCurvePoint:
+def critical_gamma(tau: float) -> CriticalCurvePoint:
     """Largest Schmidt angle whose state still violates at tilt ``tau``.
 
     Defined for tilts from the maximally-entangled cutoff up to (not including)
-    3/2.  Locates the violation/no-violation crossing above the arg-max angle,
-    with "violates" meaning a see-saw value above 1e-10, to 1e-8 in the angle,
-    by a dyadic 16-section: each round judges, in one see-saw batch, the 15
-    angles the next four bisection steps could visit, so the result is the
-    angle plain bisection would return.  An angle whose
-    :func:`pure_state_value_cap` is at most half the threshold is judged
-    non-violating without a see-saw, and a state counts as violating, and
-    leaves the batch, as soon as one restart passes the threshold by 1e-12;
-    monotone ascent makes both judgments the ones the full see-saw would
-    reach.  The optimum from :func:`global_max_violation` that the search
-    starts from is returned too.
+    3/2.  Bisects, to 1e-8 in the angle, for the violation/no-violation
+    crossing above the arg-max angle of :func:`global_max_violation`, with
+    "violates" meaning max F above 1e-10 (see the module docstring).  That
+    optimum is returned too.
     """
     t = float(tau)
     if not (TAU_MAXENT_CUTOFF - 1e-12 <= t < TAU_TRIVIAL):
         raise ValueError(
             f"critical angle is defined for tilts in [{TAU_MAXENT_CUTOFF:.10f}, 1.5), got {tau!r}"
         )
-    optimum = global_max_violation(t, cfg)
+    optimum = global_max_violation(t)
     if optimum.s_q <= VIOLATION_THRESHOLD:
         raise NumericFailure(
             f"no violating Schmidt angle found at tilt {t!r} (peak value {optimum.s_q:.3e} "
             f"at gamma {optimum.gamma_star:.6f}); the search is expected to violate below 3/2"
         )
-
-    def violates(gammas) -> np.ndarray:
-        # An angle whose cap is at most half the threshold cannot violate,
-        # since see-saw values exceed the cap by less than _DECIDED_MARGIN;
-        # its see-saw is not run.
-        judged = np.array([pure_state_value_cap(g, t) > VIOLATION_THRESHOLD / 2 for g in gammas])
-        if judged.any():
-            values, _ = _schmidt_peak_values(np.asarray(gammas)[judged], t, cfg, _retire_violating)
-            judged[judged] = values > VIOLATION_THRESHOLD
-        return judged
-
     # pi/4 never violates on this domain: its cap, (1 - t) + (sqrt 2 - 1)/2,
     # is at most 1e-12 for t >= cutoff - 1e-12, far below the threshold.  So
     # [gamma_star, pi/4] brackets the crossing.
+    rate = _Rater(t)
     lo, hi = optimum.gamma_star, math.pi / 4
+    f_lo, f_hi = optimum.s_q, rate([hi])[0][0]
     while hi - lo > GAMMA_BISECTION_TOL:
-        lo, hi = _bisection_round(violates, lo, hi)
+        mid = 0.5 * (lo + hi)
+        value = rate([mid])[0][0]
+        if value > VIOLATION_THRESHOLD:
+            lo, f_lo = mid, value
+        else:
+            hi, f_hi = mid, value
+    logger.debug(
+        "critical angle at tau %.10g: %d angles rated, %d Newton steps, bracket [%.12g, %.12g] "
+        "with max F %.6e and %.6e",
+        t, rate.angles, rate.steps, lo, hi, f_lo, f_hi,
+    )
     return CriticalCurvePoint(tau=t, gamma_c=lo, c_cr=math.sin(2.0 * lo), optimum=optimum)
 
 

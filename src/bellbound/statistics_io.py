@@ -171,10 +171,10 @@ def validate(stats: ProbabilityTable | ChSlice, tol: float = HARD_VALIDATION_TOL
     Verdict is ``pass`` if every residual is within ``tol``, ``warn`` within
     10x ``tol``, and ``fail`` beyond that.  For a :class:`ChSlice` only the
     consistency and Tsirelson residuals are computable; the other two are
-    reported as zero.
+    reported as zero.  ``tol`` must be positive and finite.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if isinstance(stats, ChSlice):
         consistency = _slice_consistency(stats)
         tsirelson = _slice_tsirelson(stats)

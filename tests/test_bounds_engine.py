@@ -116,15 +116,15 @@ class TestUpperBoundAnalytic:
 
 class TestUpperBoundNumeric:
     def test_demo_threshold_bracket(self):
-        value = upper_bound_numeric(1.2102, FAST)
+        value = upper_bound_numeric(1.2102)
         assert 0.9 < value <= 0.9999 + 1e-4
         assert value <= upper_bound_analytic(1.2102) + 1e-6
 
     def test_cutoff_is_nearly_vacuous(self):
-        assert upper_bound_numeric(TAU_MAXENT_CUTOFF, FAST) >= 1.0 - 1e-3
+        assert upper_bound_numeric(TAU_MAXENT_CUTOFF) >= 1.0 - 1e-3
 
     def test_strong_tilt(self):
-        assert upper_bound_numeric(1.49, FAST) < 0.3
+        assert upper_bound_numeric(1.49) < 0.3
 
 
 class TestUpperBoundMarginal:
@@ -204,7 +204,7 @@ class TestAssembleReport:
             assemble_report(slc)
 
     def test_numeric_bound_below_lower_bound_refused(self, monkeypatch):
-        monkeypatch.setattr(bounds_engine, "upper_bound_numeric", lambda tau, cfg: 0.5)
+        monkeypatch.setattr(bounds_engine, "upper_bound_numeric", lambda tau: 0.5)
         with pytest.raises(NumericFailure, match="empty bracket"):
             assemble_report(DEMO_SLICE, projective=True, numeric_ub=True)
 
@@ -212,7 +212,7 @@ class TestAssembleReport:
         # Simulate the pi/8 state with its own tilt-1.3 optimal measurements.
         rho = schmidt_state(math.pi / 8)
         measurements = seesaw_max_violation(rho, 1.3, FAST).measurements
-        report = assemble_report(simulate(rho, measurements), projective=True, numeric_ub=True, cfg=FAST)
+        report = assemble_report(simulate(rho, measurements), projective=True, numeric_ub=True)
         truth = math.sin(math.pi / 4)
         assert report.lower_bound <= truth + 1e-6
         for upper in report.present_upper_bounds():

@@ -95,6 +95,18 @@ class TestBoundCommand:
         assert code == EXIT_VALIDATION
         assert "validation failure" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_exits_parse(self, capsys, tmp_path, tol):
+        # With --tol inf the PR box would pass validation and get a bracket.
+        slc = ChSlice(j00=0.5, j01=0.5, j10=0.5, j11=0.0, mA0=0.5, mA1=0.5, mB0=0.5, mB1=0.5)
+        path = tmp_path / "pr_box_slice.json"
+        save(slc, path)
+        code, out, err = run(capsys, "bound", "--input", str(path), "--tol", tol, "--projective")
+        assert code == EXIT_PARSE
+        assert "finite" in err and "lower bound" not in out
+        code, _, err = run(capsys, "demo", "--tol", tol)
+        assert code == EXIT_PARSE and "finite" in err
+
     def test_pr_box_slice_exits_validation(self, capsys, tmp_path):
         # CH value 1/2, far above the quantum maximum (sqrt(2) - 1)/2.
         slc = ChSlice(j00=0.5, j01=0.5, j10=0.5, j11=0.0, mA0=0.5, mA1=0.5, mB0=0.5, mB1=0.5)
@@ -227,8 +239,9 @@ class TestLogLevel:
         debug_out, debug_err, debug_files = curves("--log-level", "DEBUG")
         assert (debug_out, debug_files) == (out, files)
         assert err == ""
-        assert "DEBUG bellbound: see-saw batch at tau 1.49: 64 states" in debug_err
-        assert "retired as decided" in debug_err
+        assert "DEBUG bellbound: Schmidt optimum at tau 1.49: 98 angles rated" in debug_err
+        assert "DEBUG bellbound: critical angle at tau 1.49: " in debug_err
+        assert "bracket [" in debug_err
         assert (log.handlers, log.level) == (handlers, level)
 
     def test_option_before_or_after_the_command(self):

@@ -1,5 +1,7 @@
+import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from bellbound import (
     verify_maximally_entangled_cutoff,
 )
 from bellbound import optimizer as opt_module
-from bellbound.quantum_core import schmidt_density_stack
 
 from conftest import horodecki_ch_max
 
@@ -30,6 +31,10 @@ TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
 FAST = SeesawConfig(restarts=4, max_iterations=400)
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 COARSE_GRID = np.linspace(0.0, math.pi / 4, opt_module.COARSE_GAMMA_POINTS)
+
+
+def max_f(gamma, tau):
+    return float(opt_module._schmidt_maxima([gamma], tau)[0][0])
 
 
 def sequential_golden_section_max(f, lo, hi, tol):
@@ -49,18 +54,36 @@ def sequential_golden_section_max(f, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def sequential_global_max_violation(tau, cfg):
-    """Coarse scan, then the sequential golden section on single see-saw calls."""
-    grid = np.linspace(0.0, math.pi / 4, opt_module.COARSE_GAMMA_POINTS)
-    peak = int(np.argmax(opt_module._schmidt_peak_values(grid, tau, cfg)[0]))
-    lo = float(grid[max(peak - 1, 0)])
-    hi = float(grid[min(peak + 1, grid.size - 1)])
+def sequential_global_max_violation(tau):
+    """Coarse scan, then the sequential golden section on max F."""
+    peak = int(np.argmax([max_f(float(g), tau) for g in COARSE_GRID]))
+    lo = float(COARSE_GRID[max(peak - 1, 0)])
+    hi = float(COARSE_GRID[min(peak + 1, COARSE_GRID.size - 1)])
+    gamma_star = sequential_golden_section_max(lambda g: max_f(g, tau), lo, hi, 1e-8)
+    return gamma_star, max_f(gamma_star, tau)
 
-    def value_at(gamma):
-        return seesaw_max_violation(schmidt_state(gamma), tau, cfg).value.value
 
-    gamma_star = sequential_golden_section_max(value_at, lo, hi, 1e-8)
-    return gamma_star, value_at(gamma_star)
+def bisection_from(lo, tau, value_at):
+    """Plain bisection for the last violating angle in [lo, pi/4]: the oracle."""
+    hi = math.pi / 4
+    while hi - lo > opt_module.GAMMA_BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if value_at(mid) > opt_module.VIOLATION_THRESHOLD:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def clipped_f(gamma, tau, t0, t1):
+    """F over polar angles in [0, pi] with the clipped best X, as first derived."""
+    c, s = math.cos(2.0 * gamma), math.sin(2.0 * gamma)
+    common = s * s * (math.sin(t0) ** 2 + math.sin(t1) ** 2)
+    a = common + (math.cos(t0) + math.cos(t1) + 2.0 * (1.0 - tau) * c) ** 2
+    b = common + (math.cos(t0) - math.cos(t1)) ** 2
+    bound = 2.0 * s * s * abs(math.sin(t0) * math.sin(t1))
+    x = min(bound, max(-bound, 0.5 * (b - a)))
+    return 0.5 - tau + 0.5 * (1.0 - tau) * c * math.cos(t0) + 0.25 * math.sqrt(a + x) + 0.25 * math.sqrt(b - x)
 
 
 class TestSeesaw:
@@ -128,50 +151,19 @@ class TestSeesaw:
 
 
 class TestBatchedKernel:
-    def test_stack_equals_single_state_calls(self, rng):
-        # States that stop at different iterations, two of them at the cap.
-        states = [maximally_entangled_state(), schmidt_state(0.3), schmidt_state(0.7)]
-        states += [random_two_qubit_state(rng, pure=bool(i % 2)) for i in range(5)]
-        parts = [opt_module._pauli_decomposition(rho.matrix) for rho in states]
-        r_alice, r_bob, corr = (np.array(p) for p in zip(*parts))
-        cfg = SeesawConfig(max_iterations=100)
-        shared = (1.3, opt_module._restart_starts(cfg), cfg.max_iterations, cfg.convergence_tol, True)
-        values, vectors, converged, iterations, histories = opt_module._seesaw_batch(
-            r_alice, r_bob, corr, *shared
-        )
-        stopped = iterations.max(axis=1)
-        assert len(set(stopped.tolist())) >= 5
-        assert not converged.all(axis=1).all()
-        assert (stopped[~converged.all(axis=1)] == cfg.max_iterations).all()
-        for s in range(len(states)):
-            one = slice(s, s + 1)
-            v1, vectors1, c1, it1, h1 = opt_module._seesaw_batch(r_alice[one], r_bob[one], corr[one], *shared)
-            np.testing.assert_allclose(values[s], v1[0], rtol=0.0, atol=1e-12)
-            for stacked, single in zip(vectors, vectors1):
-                np.testing.assert_allclose(stacked[s], single[0], rtol=0.0, atol=1e-12)
-            np.testing.assert_array_equal(converged[s], c1[0])
-            np.testing.assert_array_equal(iterations[s], it1[0])
-            assert len(histories[s]) == stopped[s] == len(h1[0])
-            np.testing.assert_allclose(histories[s], h1[0], rtol=0.0, atol=1e-12)
-
     def test_schmidt_batch_equals_public_calls(self):
+        # A batch of angles rated at once, against one public see-saw each.
         gammas = [0.05, 0.4, 0.6, math.pi / 4]
-        batched, converged = opt_module._schmidt_peak_values(gammas, 1.25, FAST)
-        for gamma, value, flag in zip(gammas, batched, converged):
-            single = seesaw_max_violation(schmidt_state(gamma), 1.25, FAST)
-            assert value == pytest.approx(single.value.value, abs=1e-12)
-            assert flag == single.converged
-
-    def test_schmidt_batch_logs_unconverged_best_restarts(self, caplog):
-        cfg = SeesawConfig(max_iterations=2)
-        with caplog.at_level(logging.DEBUG, logger="bellbound"):
-            _, converged = opt_module._schmidt_peak_values([0.3, 0.5, 0.7], 1.2, cfg)
-        assert not converged.any()
-        messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
-        assert messages == ["see-saw batch at tau 1.2: 3 states, 3 unconverged best restarts"]
+        batched, _, _ = opt_module._schmidt_maxima(gammas, 1.25)
+        for gamma, value in zip(gammas, batched):
+            single = seesaw_max_violation(schmidt_state(gamma), 1.25)
+            assert single.converged
+            assert value >= single.value.value - 1e-12
+            assert value == pytest.approx(single.value.value, abs=1e-9)
+            assert value == max_f(gamma, 1.25)
 
     def test_search_is_silent_by_default(self, capsys):
-        global_max_violation(1.3, FAST)
+        global_max_violation(1.3)
         assert capsys.readouterr() == ("", "")
 
     def test_restart_starts_drawn_once_and_read_only(self):
@@ -185,149 +177,45 @@ class TestBatchedKernel:
             with pytest.raises(ValueError):
                 cached[0, 0] = 0.0
 
-    def test_bisection_rounds_reproduce_plain_bisection(self):
-        for crossing in (0.3, 0.5123456789, 0.7853, 0.2 + 1e-9):
-            lo0, hi0 = 0.2, math.pi / 4
-            lo, hi = lo0, hi0
-            while hi - lo > opt_module.GAMMA_BISECTION_TOL:
-                mid = 0.5 * (lo + hi)
-                if mid < crossing:
-                    lo = mid
-                else:
-                    hi = mid
-            sizes = []
-
-            def violates(gammas):
-                sizes.append(len(gammas))
-                return np.array(gammas) < crossing
-
-            blo, bhi = lo0, hi0
-            while bhi - blo > opt_module.GAMMA_BISECTION_TOL:
-                blo, bhi = opt_module._bisection_round(violates, blo, bhi)
-            assert (blo, bhi) == (lo, hi)
-            assert max(sizes) == 2**opt_module.BISECTION_STEPS_PER_ROUND - 1
-
-
-def plain_critical_gamma(tau, cfg):
-    """Plain bisection on single see-saw calls from the optimum: the oracle."""
-    lo, hi = global_max_violation(tau, cfg).gamma_star, math.pi / 4
-    while hi - lo > opt_module.GAMMA_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if seesaw_max_violation(schmidt_state(mid), tau, cfg).value.value > opt_module.VIOLATION_THRESHOLD:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
 
 class TestDecidedStates:
-    """Retiring decided states from a batch keeps every result bit for bit."""
-
-    @staticmethod
-    def kernel_inputs(states):
-        return opt_module._pauli_decomposition(np.array([rho.matrix for rho in states]))
-
-    def test_stacked_decomposition_equals_single_states(self, rng):
-        states = [schmidt_state(float(g)) for g in COARSE_GRID]
-        states += [random_two_qubit_state(rng, pure=bool(i % 2)) for i in range(20)]
-        stacked = self.kernel_inputs(states)
-        for s, rho in enumerate(states):
-            for part, single in zip(stacked, opt_module._pauli_decomposition(rho.matrix)):
-                np.testing.assert_array_equal(part[s], single)
-
-    @pytest.mark.parametrize("gamma", [-0.1, math.pi / 4 + 0.01, math.pi, math.nan, math.inf])
-    def test_stacked_states_reject_angles_as_schmidt_state(self, gamma):
-        with pytest.raises(ValueError) as single:
-            schmidt_state(gamma)
-        with pytest.raises(ValueError) as stacked:
-            schmidt_density_stack([0.2, gamma])
-        assert str(stacked.value) == str(single.value)
-        with pytest.raises(ValueError) as searched:
-            opt_module._schmidt_peak_values([0.2, gamma], 1.3, FAST)
-        assert str(searched.value) == str(single.value)
-
-    def test_retired_state_leaves_the_others_bitwise_unchanged(self, rng):
-        states = [schmidt_state(g) for g in (0.1, 0.3, 0.5, 0.7)]
-        states += [random_two_qubit_state(rng, pure=bool(i % 2)) for i in range(4)]
-        r_alice, r_bob, corr = self.kernel_inputs(states)
-        cfg = SeesawConfig(max_iterations=200)
-        shared = (1.2, opt_module._restart_starts(cfg), cfg.max_iterations, cfg.convergence_tol, True)
-        values, vectors, converged, iterations, histories = opt_module._seesaw_batch(
-            r_alice, r_bob, corr, *shared
-        )
-        leave_at = {3: 2, 10: 5}  # iteration -> the state retired there
-        seen = []
-
-        def retire(active, values):
-            seen.append(active.copy())
-            return active == leave_at.get(len(seen), -1)
-
-        pruned = opt_module._seesaw_batch(r_alice, r_bob, corr, *shared, retire)
-        for iteration, state in leave_at.items():
-            assert state in seen[iteration - 1] and state not in seen[iteration]
-            np.testing.assert_array_equal(pruned[0][state], histories[state][iteration - 1])
-            assert len(pruned[4][state]) == iteration
-        for s in set(range(len(states))) - set(leave_at.values()):
-            np.testing.assert_array_equal(pruned[0][s], values[s])
-            for got, want in zip(pruned[1], vectors):
-                np.testing.assert_array_equal(got[s], want[s])
-            np.testing.assert_array_equal(pruned[2][s], converged[s])
-            np.testing.assert_array_equal(pruned[3][s], iterations[s])
-            np.testing.assert_array_equal(pruned[4][s], histories[s])
+    """How a Schmidt angle's outcome is decided: values stay below the cap,
+    pi/4 never violates, and the crossing is a plain bisection on max F."""
 
     @pytest.mark.parametrize("tau", [1.0, 1.1736, 1.3, 1.427, 1.49])
     def test_seesaw_stays_below_the_cap_on_the_coarse_grid(self, tau):
-        values, _ = opt_module._schmidt_peak_values(COARSE_GRID, tau, opt_module.DEFAULT_CONFIG)
-        caps = np.array([pure_state_value_cap(float(g), tau) for g in COARSE_GRID])
-        assert (values <= caps + 1e-12).all()
-
-    @pytest.mark.parametrize("tau", [1.0, 1.1736, 1.3, 1.427, 1.49])
-    def test_pruned_coarse_argmax_equals_unpruned(self, tau):
-        cfg = opt_module.DEFAULT_CONFIG
-        caps = np.array([pure_state_value_cap(float(g), tau) for g in COARSE_GRID])
-        full, _ = opt_module._schmidt_peak_values(COARSE_GRID, tau, cfg)
-        pruned, _ = opt_module._schmidt_peak_values(COARSE_GRID, tau, cfg, opt_module._retire_below_lead(caps))
-        assert int(np.argmax(pruned)) == int(np.argmax(full))
-        kept = pruned == full
-        assert kept[np.argmax(full)]
-        assert not kept.all()
+        for gamma in COARSE_GRID:
+            value = seesaw_max_violation(schmidt_state(float(gamma)), tau).value.value
+            assert value <= pure_state_value_cap(float(gamma), tau) + 1e-12
 
     def test_maximally_entangled_cap_rules_out_violation(self):
-        # Why critical_gamma never judges pi/4 itself.
+        # Why [gamma_star, pi/4] brackets the crossing in critical_gamma.
         taus = np.linspace(TAU_MAXENT_CUTOFF - 1e-12, 1.5, 4001)[:-1]
         for tau in (*taus, math.nextafter(1.5, 0.0)):
             assert pure_state_value_cap(math.pi / 4, float(tau)) <= opt_module.VIOLATION_THRESHOLD / 2
 
     @pytest.mark.parametrize("tau", [1.2236, 1.427])
     def test_critical_gamma_equals_plain_bisection(self, tau):
-        cfg = opt_module.DEFAULT_CONFIG
-        assert critical_gamma(tau, cfg).gamma_c == plain_critical_gamma(tau, cfg)
-
-    def test_batch_log_counts_retired_states(self, caplog):
-        cfg = SeesawConfig(max_iterations=2)
-        with caplog.at_level(logging.DEBUG, logger="bellbound"):
-            opt_module._schmidt_peak_values([0.3, 0.5, 0.7], 1.2, cfg, lambda active, values: active == 1)
-        messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
-        assert messages == [
-            "see-saw batch at tau 1.2: 3 states, 2 unconverged best restarts, 1 retired as decided"
-        ]
+        point = critical_gamma(tau)
+        assert point.gamma_c == bisection_from(point.optimum.gamma_star, tau, lambda g: max_f(g, tau))
 
 
 class TestGoldenSectionRounds:
-    @staticmethod
-    def batched(f, sizes):
-        def values(points):
-            sizes.append(len(points))
-            return np.array([f(x) for x in points])
+    """The golden section steps exactly as the textbook sequential search."""
 
-        return values
+    @staticmethod
+    def counted(f, calls):
+        def value(x):
+            calls.append(x)
+            return f(x)
+
+        return value
 
     def check(self, f, lo, hi, tol=1e-8):
-        sizes = []
-        got = opt_module._golden_section_max(self.batched(f, sizes), lo, hi, tol)
+        calls = []
+        got = opt_module._golden_section_max(self.counted(f, calls), lo, hi, tol)
         assert got == sequential_golden_section_max(f, lo, hi, tol)
-        assert max(sizes) <= 2**opt_module.BISECTION_STEPS_PER_ROUND - 1
-        return got, sizes
+        return got, calls
 
     def test_unimodal_functions(self):
         for peak in (0.0, 0.1234567, 0.3, 0.5, 0.77, 1.0):
@@ -337,33 +225,114 @@ class TestGoldenSectionRounds:
 
     def test_call_count_on_a_coarse_bracket(self):
         # The width of two coarse-grid cells takes 31 golden-section steps to
-        # shrink below 1e-8: 33 sequential evaluations, 9 batched calls.
+        # shrink below 1e-8: 33 evaluations.
         width = 2.0 * (math.pi / 4) / (opt_module.COARSE_GAMMA_POINTS - 1)
-        _, sizes = self.check(lambda x: -((x - 0.41) ** 2), 0.4, 0.4 + width)
-        assert len(sizes) == 9
-        assert sizes[0] == 2
+        _, calls = self.check(lambda x: -((x - 0.41) ** 2), 0.4, 0.4 + width)
+        assert len(calls) == 33
 
     def test_exact_ties(self):
         # Values on a coarse lattice tie fc == fd on many steps.
         def f(x):
             return -float(round(abs(x - 0.4) * 20.0))
 
-        _, sizes = self.check(f, 0.0, 1.0)
-        assert len(sizes) > 1
+        _, calls = self.check(f, 0.0, 1.0)
+        assert len(calls) > 2
 
     def test_flat_plateau(self):
         self.check(lambda x: 1.0, 0.0, 1.0)
         self.check(lambda x: min(1.0, 5.0 - 20.0 * abs(x - 0.6)), 0.0, 1.0)
 
     def test_interval_already_within_tolerance(self):
-        self.check(lambda x: x, 0.3, 0.3 + 5e-9)
+        _, calls = self.check(lambda x: x, 0.3, 0.3 + 5e-9)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("tau", [1.0, 1.1736, 1.3, 1.427])
     def test_global_optimum_matches_sequential_search(self, tau):
-        gamma_star, s_q = sequential_global_max_violation(tau, opt_module.DEFAULT_CONFIG)
+        gamma_star, value = sequential_global_max_violation(tau)
         opt = global_max_violation(tau)
         assert opt.gamma_star == gamma_star
-        assert opt.s_q == s_q
+        assert opt.s_q == pytest.approx(value, abs=1e-12)
+
+
+class TestExactSchmidtMaximum:
+    """The accuracy contract of max F against the see-saw, the caps and the oracles."""
+
+    GAMMAS = (0.02, 0.08, 0.138, 0.2, 0.45, 0.7, 0.78, math.pi / 4)
+    TAUS = (1.0, 1.1736, 1.2236, 1.3, 1.427, 1.49)
+
+    def test_against_seesaw_and_cap_on_a_grid(self):
+        for tau in self.TAUS:
+            values, _, _ = opt_module._schmidt_maxima(self.GAMMAS, tau)
+            for gamma, value in zip(self.GAMMAS, values):
+                seesaw = seesaw_max_violation(schmidt_state(gamma), tau)
+                assert value >= seesaw.value.value - 1e-12
+                if seesaw.converged:
+                    assert abs(value - seesaw.value.value) <= 1e-9
+                assert value <= pure_state_value_cap(gamma, tau) + 1e-12
+
+    def test_above_an_unconverged_seesaw(self):
+        # Next to pi/4 the see-saw runs out of iterations short of the maximum.
+        seesaw = seesaw_max_violation(schmidt_state(0.78), 1.1736)
+        assert not seesaw.converged
+        assert max_f(0.78, 1.1736) - seesaw.value.value > 1e-7
+
+    @pytest.mark.parametrize("gamma,tau", [(0.1, 1.427), (0.35, 1.3), (0.6, 1.1), (math.pi / 4, 1.0)])
+    def test_against_the_in_plane_grid_oracle(self, gamma, tau):
+        oracle = in_plane_grid_max_violation(gamma, tau)
+        assert max_f(gamma, tau) >= oracle - 1e-12
+        assert max_f(gamma, tau) == pytest.approx(oracle, abs=1e-7)
+
+    def test_clipped_form_never_exceeds_the_maximum(self):
+        # The maximizer runs on the in-plane form; F with the clipped best X
+        # over all polar angles never rises above its maximum, and reaches it.
+        rng = np.random.default_rng(17)
+        for gamma, tau in ((0.05, 1.49), (0.3, 1.2), (0.7, 1.0), (0.5, 1.35)):
+            value, thetas, _ = opt_module._schmidt_maxima([gamma], tau)
+            t0, t1 = thetas[0]
+            polar = [math.acos(math.cos(t)) for t in (t0, t1)]
+            assert clipped_f(gamma, tau, *polar) == pytest.approx(value[0], abs=1e-12)
+            samples = rng.uniform(0.0, math.pi, size=(2000, 2))
+            assert max(clipped_f(gamma, tau, a, b) for a, b in samples) <= value[0] + 1e-12
+
+    def test_optimum_reproduces_max_f_with_its_measurements(self):
+        for tau in (1.0, 1.2236, 1.49):
+            opt = global_max_violation(tau)
+            assert opt.s_q == pytest.approx(max_f(opt.gamma_star, tau), abs=1e-12)
+            rho = schmidt_state(opt.gamma_star)
+            assert quantum_value(rho, opt.measurements, tau).value == opt.s_q
+
+    def test_measurements_that_miss_max_f_are_refused(self, monkeypatch):
+        real = opt_module.quantum_value
+
+        def shifted(rho, m, tau):
+            value = real(rho, m, tau)
+            return opt_module.BellValue(value=value.value + 1e-9, tau=value.tau)
+
+        monkeypatch.setattr(opt_module, "quantum_value", shifted)
+        with pytest.raises(NumericFailure, match="differs from max F"):
+            global_max_violation(1.3)
+
+    @pytest.mark.parametrize("tau", [1.2236, 1.3, 1.427, 1.49])
+    def test_critical_angle_at_least_the_seesaw_bisection(self, tau):
+        point = critical_gamma(tau)
+        seesaw = bisection_from(
+            point.optimum.gamma_star,
+            tau,
+            lambda g: seesaw_max_violation(schmidt_state(g), tau).value.value,
+        )
+        assert point.gamma_c >= seesaw
+
+    def test_each_search_logs_one_line(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="bellbound"):
+            critical_gamma(1.3)
+        messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
+        assert len(messages) == 2
+        assert re.fullmatch(r"Schmidt optimum at tau 1\.3: 98 angles rated, \d+ Newton steps", messages[0])
+        assert re.fullmatch(
+            r"critical angle at tau 1\.3: \d+ angles rated, \d+ Newton steps, "
+            r"bracket \[\S+, \S+\] with max F \S+ and \S+",
+            messages[1],
+        )
 
 
 class TestGlobalMaxViolation:
@@ -374,44 +343,44 @@ class TestGlobalMaxViolation:
         assert math.sin(2.0 * opt.gamma_star) == pytest.approx(1.0, abs=1e-6)
 
     def test_near_trivial_tilt_optimum_vanishes(self):
-        opt = global_max_violation(1.499, FAST)
+        opt = global_max_violation(1.499)
         assert opt.s_q <= 1e-4
         assert opt.gamma_star < 0.1
 
     def test_interior_tilt_prefers_partial_entanglement(self):
-        opt = global_max_violation(1.25, FAST)
+        opt = global_max_violation(1.25)
         assert opt.s_q > 0.0
         assert opt.gamma_star < math.pi / 4 - 0.01
         oracle = in_plane_grid_max_violation(opt.gamma_star, 1.25)
         assert opt.s_q == pytest.approx(oracle, abs=1e-5)
 
     def test_optimal_entanglement_drops_below_one_past_cutoff(self):
-        opt = global_max_violation(1.21, FAST)
+        opt = global_max_violation(1.21)
         assert math.sin(2.0 * opt.gamma_star) < 0.999
 
 
 class TestCriticalGamma:
     def test_boundary_tilt_keeps_maximal_entanglement(self):
-        point = critical_gamma(TAU_MAXENT_CUTOFF, FAST)
+        point = critical_gamma(TAU_MAXENT_CUTOFF)
         assert point.c_cr >= 1.0 - 1e-3
 
     def test_demo_threshold_tilt(self):
-        point = critical_gamma(1.2102, FAST)
+        point = critical_gamma(1.2102)
         assert 0.9 < point.c_cr <= 0.9999 + 1e-4
 
     def test_strong_tilt(self):
         # The analytic cap evaluates to about 0.201 at tilt 1.49.
-        point = critical_gamma(1.49, FAST)
+        point = critical_gamma(1.49)
         assert point.c_cr < 0.3
 
     def test_concurrence_consistent_with_angle(self):
-        point = critical_gamma(1.3, FAST)
+        point = critical_gamma(1.3)
         assert point.c_cr == pytest.approx(math.sin(2.0 * point.gamma_c), abs=1e-12)
         assert point.s_at_peak > 0.0
 
     def test_returns_the_optimum_it_started_from(self):
-        point = critical_gamma(1.3, FAST)
-        optimum = global_max_violation(1.3, FAST)
+        point = critical_gamma(1.3)
+        optimum = global_max_violation(1.3)
         assert point.optimum.tau == optimum.tau
         assert point.optimum.gamma_star == optimum.gamma_star
         assert point.optimum.s_q == optimum.s_q
@@ -420,12 +389,12 @@ class TestCriticalGamma:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            critical_gamma(1.1, FAST)
+            critical_gamma(1.1)
         with pytest.raises(ValueError):
-            critical_gamma(1.5, FAST)
+            critical_gamma(1.5)
 
     def test_nonincreasing_on_small_grid(self):
-        values = [critical_gamma(t, FAST).c_cr for t in (1.21, 1.28, 1.35, 1.42, 1.49)]
+        values = [critical_gamma(t).c_cr for t in (1.21, 1.28, 1.35, 1.42, 1.49)]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-8
 
@@ -491,20 +460,11 @@ class TestInPlaneOracle:
 
 class TestNumericFailurePath:
     def test_critical_gamma_reports_diagnostics_when_search_finds_nothing(self, monkeypatch):
-        import bellbound.optimizer as opt_module
+        real = opt_module.global_max_violation
 
-        real = opt_module.seesaw_max_violation
+        def never_violates(tau):
+            return dataclasses.replace(real(tau), s_q=-1.0)
 
-        def never_violates(rho, tau, cfg=opt_module.DEFAULT_CONFIG, **kwargs):
-            result = real(rho, tau, cfg, **kwargs)
-            crushed = opt_module.BellValue(value=-1.0, tau=result.value.tau)
-            return opt_module.SeesawResult(
-                value=crushed,
-                measurements=result.measurements,
-                converged=result.converged,
-                iterations=result.iterations,
-            )
-
-        monkeypatch.setattr(opt_module, "seesaw_max_violation", never_violates)
+        monkeypatch.setattr(opt_module, "global_max_violation", never_violates)
         with pytest.raises(NumericFailure, match="no violating"):
-            critical_gamma(1.3, FAST)
+            critical_gamma(1.3)

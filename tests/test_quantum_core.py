@@ -17,7 +17,7 @@ from bellbound import (
     random_two_qubit_state,
     schmidt_state,
 )
-from bellbound.quantum_core import _check_density_stack, random_single_qubit_unitary
+from bellbound.quantum_core import random_single_qubit_unitary
 
 from conftest import concurrence_eigvals_oracle
 
@@ -178,15 +178,6 @@ class TestTwoQubitStateValidation:
         m = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
         with pytest.raises(ValueError, match="eigenvalue"):
             TwoQubitState(m)
-
-    def test_stack_check_names_the_failing_matrix(self):
-        stack = np.array([schmidt_state(0.2).matrix, np.eye(4, dtype=complex) / 2.0])
-        with pytest.raises(ValueError, match=r"trace \(2\+0j\)"):
-            _check_density_stack(stack)
-        stack[1] = np.diag([0.7, 0.5, -0.1, -0.1])
-        with pytest.raises(ValueError, match="eigenvalue -1.000e-01"):
-            _check_density_stack(stack)
-        _check_density_stack(stack[:1])
 
     def test_matrix_is_readonly(self):
         rho = schmidt_state(0.2)

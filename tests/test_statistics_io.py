@@ -129,6 +129,13 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(uniform_table(), 0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # A NaN tolerance would fail every residual, an infinite one pass them all.
+        for stats in (uniform_table(), DEMO_SLICE):
+            with pytest.raises(ValueError, match="finite"):
+                validate(stats, tol)
+
 
 class TestChSlice:
     def test_maximally_entangled_computational_basis(self):
