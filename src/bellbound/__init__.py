@@ -37,6 +37,7 @@ from .bounds_engine import (
     upper_bound_numeric,
 )
 from .errors import (
+    NoViolationFound,
     NumericFailure,
     ParseError,
     RangeError,
@@ -62,13 +63,10 @@ from .optimizer import (
 from .quantum_core import (
     BlochVector,
     MeasurementSet,
-    Projector2x2,
-    SchmidtState,
     TwoQubitState,
     concurrence,
     joint_probability,
     maximally_entangled_state,
-    projector_from_bloch,
     random_measurement_set,
     random_two_qubit_state,
     schmidt_state,
@@ -99,14 +97,13 @@ __all__ = [
     "CutoffCheck",
     "CutoffReport",
     "MeasurementSet",
+    "NoViolationFound",
     "NumericFailure",
     "OptimumPoint",
     "ParseError",
     "ProbabilityTable",
-    "Projector2x2",
     "RangeError",
     "SchemaError",
-    "SchmidtState",
     "SeesawConfig",
     "SeesawResult",
     "StatisticsFormatError",
@@ -132,7 +129,6 @@ __all__ = [
     "lower_bound_concurrence",
     "max_value_cap",
     "maximally_entangled_state",
-    "projector_from_bloch",
     "pure_state_value_cap",
     "quantum_value",
     "random_measurement_set",

@@ -132,16 +132,7 @@ def evaluate_from_ch(
 
 
 def quantum_value(rho: TwoQubitState, m: MeasurementSet, tau: float) -> BellValue:
-    """Quantum expectation of the tilted functional: sum of beta-weighted Born terms."""
+    """Quantum expectation of the tilted functional: beta contracted with the Born table."""
     coeff = coefficients(tau)
-    alice = m.alice_projectors()
-    bob = m.bob_projectors()
-    total = 0.0
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    w = coeff.beta[x, y, a, b]
-                    if w != 0.0:
-                        total += w * joint_probability(rho, alice[x][a], bob[y][b])
-    return BellValue(value=total, tau=coeff.tau)
+    value = float(np.sum(coeff.beta * joint_probability(rho, m)))
+    return BellValue(value=value, tau=coeff.tau)

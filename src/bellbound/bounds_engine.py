@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bell_model import TAU_MAXENT_CUTOFF, TAU_TRIVIAL, ch_value
-from .errors import NumericFailure, ValidationFailure
+from .errors import NoViolationFound, NumericFailure, ValidationFailure
 from .optimizer import critical_gamma
 from .statistics_io import (
     HARD_VALIDATION_TOL,
@@ -43,6 +43,9 @@ NOTE_BELOW_CUTOFF = (
 NOTE_NOT_PROJECTIVE = "marginal bound skipped: measurements not asserted projective"
 NOTE_NUMERIC_UNAVAILABLE = "numeric upper bound skipped: no usable tilt threshold"
 NOTE_NUMERIC_AT_TRIVIAL = "numeric upper bound skipped: tilt threshold at the trivial boundary 3/2"
+NOTE_NUMERIC_NO_VIOLATION = (
+    "numeric upper bound skipped: no Schmidt angle violates above 1e-10 at the tilt threshold"
+)
 
 
 def lower_bound_concurrence(s_ch_obs: float) -> float:
@@ -99,9 +102,17 @@ def upper_bound_analytic(tau: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def upper_bound_numeric(tau: float) -> float:
-    """Critical-curve concurrence at tilt ``tau`` (numeric, via bisection)."""
-    return critical_gamma(tau).c_cr
+def upper_bound_numeric(tau: float) -> float | None:
+    """Critical-curve concurrence at tilt ``tau`` (numeric, via bisection).
+
+    None when no Schmidt angle violates above the search threshold at
+    ``tau``, as happens just below 3/2: the search then has no crossing to
+    locate, and the analytic bound is the one that holds.
+    """
+    try:
+        return critical_gamma(tau).c_cr
+    except NoViolationFound:
+        return None
 
 
 def upper_bound_marginal(slc: ChSlice, projective: bool = True) -> float | None:
@@ -203,8 +214,9 @@ def assemble_report(
     verdict is ``fail``, or when the lower bound exceeds the analytic or the
     marginal upper bound by more than ``tol``: no state meeting the stated
     assumptions fits such statistics.  The numeric upper bound runs the
-    optimizer and is gated behind ``numeric_ub``; a numeric bound below the
-    lower bound by more than ``tol`` raises
+    optimizer and is gated behind ``numeric_ub``; it is absent, with a note,
+    when the search finds no violating Schmidt angle at the tilt threshold,
+    and a numeric bound below the lower bound by more than ``tol`` raises
     :class:`~bellbound.errors.NumericFailure`.
     """
     diagnostics = validate(stats, tol)
@@ -236,7 +248,9 @@ def assemble_report(
             notes.append(NOTE_NUMERIC_AT_TRIVIAL)
         else:
             numeric = upper_bound_numeric(threshold)
-            if lower > numeric + tol:
+            if numeric is None:
+                notes.append(NOTE_NUMERIC_NO_VIOLATION)
+            elif lower > numeric + tol:
                 raise NumericFailure(
                     f"empty bracket: numeric upper bound {numeric:.6f} at tilt {threshold:.6f} "
                     f"lies below the lower bound {lower:.6f}"

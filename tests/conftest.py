@@ -1,7 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from bellbound import ChSlice
+from bellbound import ChSlice, global_max_violation, optimizer, schmidt_state, simulate
 
 # The bundled demo statistics (a down-conversion pair source measured with
 # two settings per side; see src/bellbound/data/demo_slice.json).
@@ -23,6 +25,27 @@ PAULIS = (
     PAULI_Y,
     np.array([[1.0, 0.0], [0.0, -1.0]]),
 )
+
+
+def projector_from_bloch(direction, outcome: int) -> np.ndarray:
+    """Qubit projector (1 + (-1)^outcome n.sigma)/2 as a 2x2 matrix."""
+    n = direction.as_array()
+    sign = -1.0 if outcome else 1.0
+    return 0.5 * (np.eye(2) + sign * sum(c * pauli for c, pauli in zip(n, PAULIS)))
+
+
+def kron_born_table(rho, m) -> np.ndarray:
+    """Independent Born-rule oracle: p[x, y, a, b] = tr(rho A_x^a (x) B_y^b).
+
+    Builds each projector as a matrix and takes one 4x4 Kronecker product and
+    trace per entry -- a different code path from the library's Bloch-form
+    rule, which never forms an operator.
+    """
+    p = np.empty((2, 2, 2, 2))
+    for x, y, a, b in product(range(2), repeat=4):
+        op = np.kron(projector_from_bloch(m.alice[x], a), projector_from_bloch(m.bob[y], b))
+        p[x, y, a, b] = np.trace(rho.matrix @ op).real
+    return p
 
 
 def concurrence_eigvals_oracle(matrix: np.ndarray) -> float:
@@ -47,6 +70,30 @@ def horodecki_ch_max(matrix: np.ndarray) -> float:
     corr = np.array([[np.trace(matrix @ np.kron(si, sj)).real for sj in PAULIS] for si in PAULIS])
     eig = np.linalg.eigvalsh(corr.T @ corr)
     return float((np.sqrt(max(0.0, eig[-1] + eig[-2])) - 1.0) / 2.0)
+
+
+def near_trivial_experiment():
+    """The tilt-1.4999 optimum, simulated: valid data whose threshold nears 3/2.
+
+    Its tilt threshold is about 1.49993, where no Schmidt angle violates above
+    the critical-angle search's 1e-10.  Returns the table and the true
+    concurrence sin(2 gamma*).
+    """
+    optimum = global_max_violation(1.4999)
+    table = simulate(schmidt_state(optimum.gamma_star), optimum.measurements)
+    return table, float(np.sin(2.0 * optimum.gamma_star))
+
+
+@pytest.fixture
+def quantum_value_off_by_1e9(monkeypatch):
+    """Shift the optimizer's quantum_value by 1e-9, so no optimum reproduces max F."""
+    real = optimizer.quantum_value
+
+    def shifted(rho, m, tau):
+        value = real(rho, m, tau)
+        return optimizer.BellValue(value=value.value + 1e-9, tau=value.tau)
+
+    monkeypatch.setattr(optimizer, "quantum_value", shifted)
 
 
 @pytest.fixture

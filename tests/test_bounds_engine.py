@@ -29,11 +29,11 @@ from bellbound import (
     validate,
 )
 from bellbound import bounds_engine
-from bellbound.bounds_engine import NOTE_BELOW_CUTOFF, NOTE_NO_VIOLATION
+from bellbound.bounds_engine import NOTE_BELOW_CUTOFF, NOTE_NO_VIOLATION, NOTE_NUMERIC_NO_VIOLATION
 from bellbound.optimizer import SeesawConfig
 from bellbound.statistics_io import ProbabilityTable
 
-from conftest import DEMO_SLICE
+from conftest import DEMO_SLICE, near_trivial_experiment
 
 TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
 FAST = SeesawConfig(restarts=4, max_iterations=400)
@@ -206,6 +206,20 @@ class TestAssembleReport:
     def test_numeric_bound_below_lower_bound_refused(self, monkeypatch):
         monkeypatch.setattr(bounds_engine, "upper_bound_numeric", lambda tau: 0.5)
         with pytest.raises(NumericFailure, match="empty bracket"):
+            assemble_report(DEMO_SLICE, projective=True, numeric_ub=True)
+
+    def test_no_violating_angle_leaves_numeric_bound_absent(self):
+        table, truth = near_trivial_experiment()
+        report = assemble_report(table, projective=True, numeric_ub=True)
+        assert 1.4999 < report.tau_obs < 1.5 - 1e-9
+        assert report.upper_bound_numeric is None
+        assert NOTE_NUMERIC_NO_VIOLATION in report.notes
+        assert report.lower_bound <= truth + 1e-6
+        for upper in report.present_upper_bounds():
+            assert truth <= upper + 1e-6
+
+    def test_measurements_missing_max_f_still_raise(self, quantum_value_off_by_1e9):
+        with pytest.raises(NumericFailure, match="differs from max F"):
             assemble_report(DEMO_SLICE, projective=True, numeric_ub=True)
 
     def test_end_to_end_bounds_bracket_true_concurrence(self):

@@ -17,7 +17,7 @@ from bellbound.cli import (
     main,
 )
 
-from conftest import DEMO_SLICE
+from conftest import DEMO_SLICE, near_trivial_experiment
 
 
 def run(capsys, *argv):
@@ -106,6 +106,21 @@ class TestBoundCommand:
         assert "finite" in err and "lower bound" not in out
         code, _, err = run(capsys, "demo", "--tol", tol)
         assert code == EXIT_PARSE and "finite" in err
+
+    def test_near_trivial_threshold_reports_numeric_bound_absent(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        save(near_trivial_experiment()[0], path)
+        code, out, _ = run(capsys, "bound", "--input", str(path), "--projective", "--numeric-ub")
+        assert code == EXIT_OK
+        assert "upper bound (numeric):   absent" in out
+        assert "no Schmidt angle violates" in out
+
+    def test_measurements_missing_max_f_exit_numeric(self, capsys, tmp_path, quantum_value_off_by_1e9):
+        path = tmp_path / "slice.json"
+        save(DEMO_SLICE, path)
+        code, out, err = run(capsys, "bound", "--input", str(path), "--projective", "--numeric-ub")
+        assert code == EXIT_NUMERIC
+        assert "differs from max F" in err and "lower bound" not in out
 
     def test_pr_box_slice_exits_validation(self, capsys, tmp_path):
         # CH value 1/2, far above the quantum maximum (sqrt(2) - 1)/2.

@@ -6,20 +6,21 @@ import pytest
 from bellbound import (
     BlochVector,
     MeasurementSet,
-    Projector2x2,
-    SchmidtState,
+    NumericFailure,
     TwoQubitState,
     concurrence,
     joint_probability,
     maximally_entangled_state,
-    projector_from_bloch,
     random_measurement_set,
     random_two_qubit_state,
     schmidt_state,
 )
 from bellbound.quantum_core import random_single_qubit_unitary
 
-from conftest import concurrence_eigvals_oracle
+from conftest import concurrence_eigvals_oracle, kron_born_table, projector_from_bloch
+
+Z = BlochVector(0.0, 0.0, 1.0)
+ALL_Z = MeasurementSet(alice=(Z, Z), bob=(Z, Z))
 
 
 class TestSchmidtState:
@@ -50,78 +51,76 @@ class TestSchmidtState:
         assert oracle == pytest.approx(math.sin(math.pi / 4), abs=1e-6)
         assert concurrence(rho) == pytest.approx(oracle, abs=1e-6)
 
-    def test_schmidt_state_value_type(self):
-        s = SchmidtState(0.3)
-        assert s.concurrence == pytest.approx(math.sin(0.6), abs=1e-15)
-        np.testing.assert_allclose(s.density().matrix, schmidt_state(0.3).matrix)
-
 
 class TestProjectorFromBloch:
+    # The projectors of the kron_born_table oracle, against closed forms.
     def test_z_axis_outcome_zero(self):
         p = projector_from_bloch(BlochVector(0.0, 0.0, 1.0), 0)
-        np.testing.assert_allclose(p.matrix, np.diag([1.0, 0.0]), atol=1e-15)
+        np.testing.assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_x_axis_outcome_zero(self):
         p = projector_from_bloch(BlochVector(1.0, 0.0, 0.0), 0)
-        np.testing.assert_allclose(p.matrix, 0.5 * np.ones((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(p, 0.5 * np.ones((2, 2)), atol=1e-15)
 
     def test_outcomes_sum_to_identity(self, rng):
         for _ in range(20):
             n = BlochVector.normalized(rng.normal(size=3))
-            total = projector_from_bloch(n, 0).matrix + projector_from_bloch(n, 1).matrix
+            total = projector_from_bloch(n, 0) + projector_from_bloch(n, 1)
             np.testing.assert_allclose(total, np.eye(2), atol=1e-15)
 
     def test_idempotent_and_hermitian(self, rng):
         for _ in range(20):
             n = BlochVector.normalized(rng.normal(size=3))
             for outcome in (0, 1):
-                m = projector_from_bloch(n, outcome).matrix
+                m = projector_from_bloch(n, outcome)
                 assert np.max(np.abs(m @ m - m)) <= 1e-12
                 assert np.max(np.abs(m - m.conj().T)) <= 1e-12
                 assert m.trace().real == pytest.approx(1.0, abs=1e-12)
 
-    def test_non_unit_vector_raises(self):
-        with pytest.raises(ValueError):
-            projector_from_bloch([0.0, 0.0, 2.0], 0)
-
-    def test_bad_outcome_raises(self):
-        with pytest.raises(ValueError):
-            projector_from_bloch(BlochVector(0.0, 0.0, 1.0), 2)
-
 
 class TestJointProbability:
     def test_product_state_computational_basis(self):
-        rho = schmidt_state(0.0)
-        p0 = projector_from_bloch(BlochVector(0.0, 0.0, 1.0), 0)
-        assert joint_probability(rho, p0, p0) == pytest.approx(1.0, abs=1e-15)
+        p = joint_probability(schmidt_state(0.0), ALL_Z)
+        assert p.shape == (2, 2, 2, 2)
+        assert p[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_entangled_uniform_marginal(self):
-        rho = maximally_entangled_state()
-        p0 = projector_from_bloch(BlochVector(0.0, 0.0, 1.0), 0)
-        assert joint_probability(rho, p0, p0) == pytest.approx(0.5, abs=1e-15)
+        p = joint_probability(maximally_entangled_state(), ALL_Z)
+        assert p[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_schmidt_basis_has_no_cross_terms(self):
         # Direct matrix evaluation: <01| rho |01> vanishes for Schmidt states.
         rho = schmidt_state(math.pi / 8)
         assert np.abs(rho.matrix[1, 1]) <= 1e-15
-        a = projector_from_bloch(BlochVector(0.0, 0.0, 1.0), 0)
-        b = projector_from_bloch(BlochVector(0.0, 0.0, 1.0), 1)
-        assert joint_probability(rho, a, b) == pytest.approx(0.0, abs=1e-15)
+        assert joint_probability(rho, ALL_Z)[0, 0, 0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_outcomes_sum_to_one(self, rng):
         for i in range(20):
             rho = random_two_qubit_state(rng, pure=bool(i % 2))
+            p = joint_probability(rho, random_measurement_set(rng))
+            np.testing.assert_allclose(p.sum(axis=(2, 3)), np.ones((2, 2)), rtol=0.0, atol=1e-12)
+
+    def test_matches_kron_oracle(self):
+        rng = np.random.default_rng(7741)
+        worst = 0.0
+        for i in range(240):
+            rho = random_two_qubit_state(rng, pure=bool(i % 2))
             m = random_measurement_set(rng)
-            alice = m.alice_projectors()
-            bob = m.bob_projectors()
-            for x in range(2):
-                for y in range(2):
-                    total = sum(
-                        joint_probability(rho, alice[x][a], bob[y][b])
-                        for a in range(2)
-                        for b in range(2)
-                    )
-                    assert total == pytest.approx(1.0, abs=1e-12)
+            worst = max(worst, float(np.abs(joint_probability(rho, m) - kron_born_table(rho, m)).max()))
+        assert worst <= 1e-14
+
+    def test_rounding_below_zero_is_clamped(self):
+        rho = TwoQubitState(np.diag([1.0 + 5e-13, -5e-13, 0.0, 0.0]).astype(complex))
+        p = joint_probability(rho, ALL_Z)
+        assert p[0, 0, 0, 1] == 0.0
+        assert p[0, 0, 0, 0] == 1.0
+
+    def test_probability_outside_range_raises(self):
+        # A state inside the PSD tolerance (eigenvalue -5e-11 >= -1e-10) whose
+        # Born probability is beyond the 1e-12 the rule forgives.
+        rho = TwoQubitState(np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex))
+        with pytest.raises(NumericFailure, match="outside"):
+            joint_probability(rho, ALL_Z)
 
 
 class TestConcurrence:
@@ -205,17 +204,6 @@ class TestMeasurementSet:
         with pytest.raises(ValueError):
             MeasurementSet(alice=(z,), bob=(z, z))
 
-    def test_projector_pairs_complete(self):
-        m = MeasurementSet.chsh_optimal()
-        for pair in (*m.alice_projectors(), *m.bob_projectors()):
-            np.testing.assert_allclose(pair[0].matrix + pair[1].matrix, np.eye(2), atol=1e-15)
-
-
-class TestProjector2x2Validation:
-    def test_rank_two_rejected(self):
-        with pytest.raises(ValueError):
-            Projector2x2(np.eye(2, dtype=complex))
-
-    def test_non_idempotent_rejected(self):
-        with pytest.raises(ValueError):
-            Projector2x2(np.diag([0.6, 0.4]).astype(complex))
+    def test_non_unit_direction_raises(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            BlochVector.from_array([0.0, 0.0, 2.0])
