@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import logging
 import math
@@ -220,6 +221,23 @@ def _verify_checks(seed: int, tol: float):
         ok = worst <= 1e-12
         return ok, f"max value at tilt 3/2 is {worst:.3e}"
 
+    def kron_value(rho, m, t):
+        # The tilted value from tr(rho Pi_a (x) Pi_b), with each projector
+        # (I +/- v.sigma)/2 built as a matrix: a Born rule independent of the
+        # Bloch-form table that simulate and quantum_value share.
+        paulis = (quantum_core.PAULI_X, quantum_core.PAULI_Y, quantum_core.PAULI_Z)
+
+        def projector(v, outcome):
+            sign = -1.0 if outcome else 1.0
+            return 0.5 * (np.eye(2) + sign * sum(c * pauli for c, pauli in zip(v.as_array(), paulis)))
+
+        beta = bell_model.coefficients(t).beta
+        value = 0.0
+        for x, y, a, b in itertools.product(range(2), repeat=4):
+            op = np.kron(projector(m.alice[x], a), projector(m.bob[y], b))
+            value += beta[x, y, a, b] * np.trace(rho.matrix @ op).real
+        return value
+
     def quantum_classical_consistency():
         rng = np.random.default_rng([seed, 5])
         worst = 0.0
@@ -236,9 +254,10 @@ def _verify_checks(seed: int, tol: float):
                 report.nosignaling_residual,
                 report.consistency_residual,
             )
+            reference = kron_value(rho, m, t)
             direct = bell_model.quantum_value(rho, m, t).value
             simulated = bell_model.evaluate_classical(table, t).value
-            worst = max(worst, abs(direct - simulated))
+            worst = max(worst, abs(direct - reference), abs(simulated - reference))
         ok = worst <= 1e-12 and worst_validation <= 1e-10
         return ok, f"max value residual {worst:.3e}, max structural residual {worst_validation:.3e}"
 

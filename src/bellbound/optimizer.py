@@ -11,7 +11,9 @@ Three layers:
   family containing the current projector.  Every restart runs in one batch.
 * :func:`global_max_violation` -- outer scalar search over the Schmidt angle:
   a 64-point coarse grid guards against multiple local maxima, then a
-  golden section refines to 1e-8.
+  golden section refines to 1e-8.  The grid is rated in decreasing order of
+  :func:`pure_state_value_cap`, skipping every angle whose cap cannot reach
+  the best value already rated.
 * :func:`critical_gamma` -- for a tilt at which the maximally entangled state
   no longer violates, a bisection above the arg-max angle locates the
   largest Schmidt angle that still violates; its concurrence is the numeric
@@ -95,6 +97,10 @@ _GRID_TRIG = tuple(f(np.array(t)) for t in (_GRID_T0, _GRID_T1) for f in (np.sin
 _NEWTON_STARTS = 4
 _NEWTON_MAX_STEPS = 60
 _ANGLE_CHUNK = 8
+# max F never exceeds pure_state_value_cap by more than this (a tested
+# contract), so the coarse scan skips an angle whose cap plus this is below
+# the best max F already rated: it cannot be the scan's peak.
+_CAP_TOLERANCE = 1e-12
 
 logger = logging.getLogger("bellbound")
 
@@ -452,15 +458,30 @@ def global_max_violation(tau: float) -> OptimumPoint:
     Schmidt basis by a single angle.  Each angle is rated by the exact
     maximum over measurements, max F (see the module docstring).  The scan
     assumes no unimodality: a coarse 64-point grid first, then a golden
-    section to 1e-8 in the angle.  ``s_q`` is the quantum value at the
-    returned measurements, which reproduces max F to 1e-12 or the search
-    raises :class:`~bellbound.errors.NumericFailure`.
+    section to 1e-8 in the angle.  The grid is rated eight angles at a time
+    in decreasing order of :func:`pure_state_value_cap`, and an angle is
+    rated only if its cap + 1e-12 reaches the best max F rated so far; the
+    scan stops at the first group with none left.  Since max F never exceeds
+    the cap by more than 1e-12, a skipped angle lies strictly below the
+    lead, and an angle that ties the peak is always rated, so the peak (the
+    first one, on ties) is that of the full grid.  ``s_q`` is the quantum
+    value at the returned measurements, which reproduces max F to 1e-12 or
+    the search raises :class:`~bellbound.errors.NumericFailure`.
     """
     coefficients(tau)
     t = float(tau)
     rate = _Rater(t)
     grid = np.linspace(0.0, math.pi / 4, COARSE_GAMMA_POINTS)
-    peak = int(np.argmax(rate(grid)[0]))
+    caps = np.array([pure_state_value_cap(float(g), t) for g in grid])
+    values = np.full(COARSE_GAMMA_POINTS, -np.inf)
+    order = np.argsort(-caps, kind="stable")
+    for start in range(0, COARSE_GAMMA_POINTS, _ANGLE_CHUNK):
+        chunk = order[start : start + _ANGLE_CHUNK]
+        chunk = chunk[caps[chunk] + _CAP_TOLERANCE >= values.max()]
+        if chunk.size == 0:  # caps only fall from here, so no later angle passes
+            break
+        values[chunk] = rate(grid[chunk])[0]
+    peak = int(np.argmax(values))
     lo = float(grid[max(peak - 1, 0)])
     hi = float(grid[min(peak + 1, COARSE_GAMMA_POINTS - 1)])
     gamma_star = _golden_section_max(lambda g: rate([g])[0][0], lo, hi, 1e-8)
@@ -496,7 +517,7 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     # [gamma_star, pi/4] brackets the crossing.
     rate = _Rater(t)
     lo, hi = optimum.gamma_star, math.pi / 4
-    f_lo, f_hi = optimum.s_q, rate([hi])[0][0]
+    f_lo, f_hi = optimum.s_q, None
     while hi - lo > GAMMA_BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         value = rate([mid])[0][0]
@@ -504,6 +525,8 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
             lo, f_lo = mid, value
         else:
             hi, f_hi = mid, value
+    if f_hi is None:  # pi/4 itself is the upper end, rated only for the log line
+        f_hi = rate([hi])[0][0]
     logger.debug(
         "critical angle at tau %.10g: %d angles rated, %d Newton steps, bracket [%.12g, %.12g] "
         "with max F %.6e and %.6e",

@@ -2,10 +2,11 @@ import json
 import logging
 import math
 import re
+from pathlib import Path
 
 import pytest
 
-from bellbound import ChSlice, load, save, uniform_table
+from bellbound import ChSlice, bell_model, load, quantum_core, save, statistics_io, uniform_table
 from bellbound.cli import (
     CSV_CONCURRENCE,
     CSV_VIOLATION,
@@ -18,6 +19,8 @@ from bellbound.cli import (
 )
 
 from conftest import DEMO_SLICE, near_trivial_experiment
+
+RECORDED_OUTPUTS = Path(__file__).with_name("recorded_cli_outputs.json")
 
 
 def run(capsys, *argv):
@@ -254,7 +257,7 @@ class TestLogLevel:
         debug_out, debug_err, debug_files = curves("--log-level", "DEBUG")
         assert (debug_out, debug_files) == (out, files)
         assert err == ""
-        assert "DEBUG bellbound: Schmidt optimum at tau 1.49: 98 angles rated" in debug_err
+        assert "DEBUG bellbound: Schmidt optimum at tau 1.49: 42 angles rated" in debug_err
         assert "DEBUG bellbound: critical angle at tau 1.49: " in debug_err
         assert "bracket [" in debug_err
         assert (log.handlers, log.level) == (handlers, level)
@@ -277,5 +280,47 @@ class TestVerifyCommand:
         assert "[FAIL]" not in out1
         assert "14/14 passed" in out1
 
+    def test_a_wrong_born_rule_fails_the_value_check(self, capsys, monkeypatch):
+        # simulate and quantum_value share one Born table, so the check needs
+        # its own reference.  Swapping Bob's outcomes at setting 1 leaves a
+        # valid table, just not the one the measurements give.
+        def swapped(rho, m):
+            table = quantum_core.joint_probability(rho, m)
+            wrong = table.copy()
+            wrong[:, 1] = table[:, 1, :, ::-1]
+            return wrong
+
+        for module in (bell_model, statistics_io):
+            monkeypatch.setattr(module, "joint_probability", swapped)
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        assert "[FAIL] quantum value matches simulated classical value" in out
+
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_NUMERIC}) == 4
+
+
+class TestRecordedOutputs:
+    """The outputs of the numeric searches are byte-identical to recordings.
+
+    ``recorded_cli_outputs.json`` holds the stdout and the files of
+    ``curves --grid 25`` (default range) and ``optimize --tau 1.25``, recorded
+    before the coarse Schmidt-angle scan skipped angles by their analytic
+    cap; stdout names the output directory as ``{output}``.  The recordings
+    hold for one floating-point environment (numpy 2.4 with OpenBLAS on
+    x86-64); a libm or BLAS that rounds differently changes the last printed
+    digit of some value without any change to the code.
+    """
+
+    @pytest.mark.parametrize("command", ["curves --grid 25", "optimize --tau 1.25"])
+    def test_matches_the_recording(self, capsys, tmp_path, command):
+        recorded = json.loads(RECORDED_OUTPUTS.read_text(encoding="utf-8"))[command]
+        argv = command.split()
+        if argv[0] == "curves":
+            argv += ["--output", str(tmp_path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.replace(str(tmp_path), "{output}") == recorded["stdout"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(recorded["files"])
+        for name, text in recorded["files"].items():
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8")

@@ -200,13 +200,39 @@ class TestBatchedKernel:
 
 class TestDecidedStates:
     """How a Schmidt angle's outcome is decided: values stay below the cap,
-    pi/4 never violates, and the crossing is a plain bisection on max F."""
+    so the coarse scan may skip what the cap rules out, pi/4 never violates,
+    and the crossing is a plain bisection on max F."""
 
     @pytest.mark.parametrize("tau", [1.0, 1.1736, 1.3, 1.427, 1.49])
     def test_seesaw_stays_below_the_cap_on_the_coarse_grid(self, tau):
         for gamma in COARSE_GRID:
             value = seesaw_max_violation(schmidt_state(float(gamma)), tau).value.value
             assert value <= pure_state_value_cap(float(gamma), tau) + 1e-12
+
+    @pytest.mark.parametrize("tau", [1.0, 1.1736, 1.3, 1.427, 1.49])
+    def test_max_f_stays_below_the_cap_on_the_coarse_grid(self, tau):
+        # The premise that lets the coarse scan skip an angle: its max F is
+        # at most its cap + 1e-12.
+        values, _, _ = opt_module._schmidt_maxima(COARSE_GRID, tau)
+        for gamma, value in zip(COARSE_GRID, values):
+            assert value <= pure_state_value_cap(float(gamma), tau) + 1e-12
+
+    def test_coarse_scan_skips_only_what_the_cap_rules_out(self, monkeypatch):
+        schmidt_maxima, rated = opt_module._schmidt_maxima, []
+
+        def recording(gammas, t):
+            rated.extend(float(g) for g in gammas)
+            return schmidt_maxima(gammas, t)
+
+        def coarse_ratings(tau):
+            rated.clear()
+            global_max_violation(tau)
+            return len(set(rated) & set(COARSE_GRID.tolist()))
+
+        monkeypatch.setattr(opt_module, "_schmidt_maxima", recording)
+        assert coarse_ratings(1.3) < opt_module.COARSE_GAMMA_POINTS
+        # Just below 3/2 the lead is too small for any cap to rule an angle out.
+        assert coarse_ratings(1.4999) == opt_module.COARSE_GAMMA_POINTS
 
     def test_maximally_entangled_cap_rules_out_violation(self):
         # Why [gamma_star, pi/4] brackets the crossing in critical_gamma.
@@ -266,7 +292,7 @@ class TestGoldenSectionRounds:
         _, calls = self.check(lambda x: x, 0.3, 0.3 + 5e-9)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("tau", [1.0, 1.1736, 1.3, 1.427])
+    @pytest.mark.parametrize("tau", [1.0, 1.1736, TAU_MAXENT_CUTOFF, 1.3, 1.427, 1.49, 1.4999])
     def test_global_optimum_matches_sequential_search(self, tau):
         gamma_star, value = sequential_global_max_violation(tau)
         opt = global_max_violation(tau)
@@ -340,7 +366,7 @@ class TestExactSchmidtMaximum:
             critical_gamma(1.3)
         messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
         assert len(messages) == 2
-        assert re.fullmatch(r"Schmidt optimum at tau 1\.3: 98 angles rated, \d+ Newton steps", messages[0])
+        assert re.fullmatch(r"Schmidt optimum at tau 1\.3: 52 angles rated, \d+ Newton steps", messages[0])
         assert re.fullmatch(
             r"critical angle at tau 1\.3: \d+ angles rated, \d+ Newton steps, "
             r"bracket \[\S+, \S+\] with max F \S+ and \S+",
