@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bell_model, bounds_engine, optimizer, quantum_core, statistics_io
-from .errors import NumericFailure, StatisticsFormatError, ValidationFailure
+from .errors import NoViolationFound, NumericFailure, StatisticsFormatError, ValidationFailure
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -130,8 +130,11 @@ def _cmd_curves(args) -> int:
     for tau in taus:
         t = float(tau)
         if t >= bell_model.TAU_MAXENT_CUTOFF:
-            point = optimizer.critical_gamma(t)
-            optimum, critical = point.optimum, point.c_cr
+            try:
+                point = optimizer.critical_gamma(t)
+                optimum, critical = point.optimum, point.c_cr
+            except NoViolationFound as exc:  # no violating angle, so no critical curve
+                optimum, critical = exc.optimum, math.nan
         else:
             optimum = optimizer.global_max_violation(t)
             critical = 1.0  # below the cutoff even the maximally entangled state violates

@@ -8,7 +8,9 @@ Three layers:
   onto the top eigenvector of a 2x2 effective operator (obtained by
   contracting the state with the fixed party's operators and the tilted
   coefficients).  Ascent is monotone because each update maximizes over a
-  family containing the current projector.  Every restart runs in one batch.
+  family containing the current projector.  Every restart runs in one batch,
+  with each party's two settings stacked into one array, so that a half-step
+  is one matrix product and one renormalization for all of them.
 * :func:`global_max_violation` -- outer scalar search over the Schmidt angle:
   a 64-point coarse grid guards against multiple local maxima, then a
   golden section refines to 1e-8.  The grid is rated in decreasing order of
@@ -130,15 +132,20 @@ DEFAULT_CONFIG = SeesawConfig()
 class SeesawResult:
     """Best value over restarts, the measurements achieving it, and diagnostics.
 
-    ``converged`` refers to the best restart; ``histories`` (present when the
-    search is run with ``keep_history=True``) carries the per-iteration value
-    sequence of every restart, each of which is nondecreasing.
+    ``converged`` and ``iterations`` refer to the best restart;
+    ``batch_iterations`` is the iteration at which the batch of restarts
+    stopped, and ``unconverged`` the number of restarts that never converged.
+    ``histories`` (present when the search is run with ``keep_history=True``)
+    carries the per-iteration value sequence of every restart, each of which
+    is nondecreasing.
     """
 
     value: BellValue
     measurements: MeasurementSet
     converged: bool
     iterations: int
+    batch_iterations: int
+    unconverged: int
     histories: tuple[tuple[float, ...], ...] | None = None
 
 
@@ -186,55 +193,59 @@ def _renormalize_rows(candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seesaw_batch(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_history):
-    # Alternating ascent at one tilt for S states, all stopping together:
-    # ``r_alice`` and ``r_bob`` are (S, 3), ``corr`` is (S, 3, 3), and the
-    # four (restarts, 3) start arrays are shared by every state, so rows are
-    # laid out (S, restarts, 3).  A restart is converged once its value
-    # improves by less than ``tol``; the batch stops at the iteration where
-    # its last restart converges, or at ``max_iterations``.  Returns the final
-    # values (S, restarts), the four (S, restarts, 3) measurement arrays, the
-    # converged flags, the iteration at which each restart first converged
-    # (or stopped), and, with ``keep_history``, each state's list of
-    # per-iteration value rows.
-    states = corr.shape[0]
-    a0, a1, b0, b1 = (np.repeat(np.asarray(s, dtype=float)[None], states, axis=0) for s in starts)
-    histories: list[list[np.ndarray]] = [[] for _ in range(states)]
-    previous = np.full(a0.shape[:2], -np.inf)
-    converged = np.zeros(a0.shape[:2], dtype=bool)
-    first_converged = np.zeros(a0.shape[:2], dtype=int)
-    corr_t = np.swapaxes(corr, 1, 2)
-    alice_col = r_alice[:, :, None]
-    bob_col = r_bob[:, :, None]
-    tilt_pull_a = (2.0 * (1.0 - tau) * r_alice)[:, None, :]
-    tilt_pull_b = (2.0 * (1.0 - tau) * r_bob)[:, None, :]
+def _seesaw(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_history):
+    # Alternating ascent on one state at one tilt, every restart in one batch.
+    # Each party's two settings are one (2, restarts, 3) array, so a half-step
+    # is one product with ``corr`` (or its transposed view), the tilt pull
+    # added in place on setting 0, and one renormalization; the sum and
+    # difference of the settings go into two preallocated (2, restarts, 3)
+    # buffers.  A restart is converged once its value improves by less than
+    # ``tol``; the batch stops at the iteration where its last restart
+    # converges, or at ``max_iterations``.  Returns the final values
+    # (restarts,), Alice's and Bob's (2, restarts, 3) settings, the converged
+    # flags, the iteration at which each restart first converged (or
+    # stopped), the iteration at which the batch stopped, and, with
+    # ``keep_history``, the list of per-iteration value rows.
+    alice, bob = starts
+    restarts = alice.shape[1]
+    history: list[np.ndarray] = []
+    previous = np.full(restarts, -np.inf)
+    converged = np.zeros(restarts, dtype=bool)
+    first_converged = np.zeros(restarts, dtype=int)
+    # corr.T stays a view: a contiguous copy takes another BLAS path for a
+    # single restart and rounds differently.
+    corr_t = corr.T
+    alice_col = r_alice[:, None]
+    bob_col = r_bob[:, None]
+    tilt_pull_a = 2.0 * (1.0 - tau) * r_alice
+    tilt_pull_b = 2.0 * (1.0 - tau) * r_bob
+    alice_pm, bob_pm, corr_bob, corr_alice = (np.empty_like(alice) for _ in range(4))
+    np.add(bob[0], bob[1], out=bob_pm[0])
+    np.subtract(bob[0], bob[1], out=bob_pm[1])
     # T b_+ and T b_- feed both the value line and the next update of Alice.
-    corr_bp = (b0 + b1) @ corr_t
-    corr_bm = (b0 - b1) @ corr_t
+    np.matmul(bob_pm, corr_t, out=corr_bob)
     for iterations in range(1, max_iterations + 1):
-        a0 = _renormalize_rows(corr_bp + tilt_pull_a, a0)
-        a1 = _renormalize_rows(corr_bm, a1)
-        b0 = _renormalize_rows((a0 + a1) @ corr + tilt_pull_b, b0)
-        b1 = _renormalize_rows((a0 - a1) @ corr, b1)
-        bp = b0 + b1
-        bm = b0 - b1
-        corr_bp = bp @ corr_t
-        corr_bm = bm @ corr_t
-        a_dot = (a0 @ alice_col)[..., 0]
-        b_dot = (b0 @ bob_col)[..., 0]
+        np.add(corr_bob[0], tilt_pull_a, out=corr_bob[0])
+        alice = _renormalize_rows(corr_bob, alice)
+        np.add(alice[0], alice[1], out=alice_pm[0])
+        np.subtract(alice[0], alice[1], out=alice_pm[1])
+        np.matmul(alice_pm, corr, out=corr_alice)
+        np.add(corr_alice[0], tilt_pull_b, out=corr_alice[0])
+        bob = _renormalize_rows(corr_alice, bob)
+        np.add(bob[0], bob[1], out=bob_pm[0])
+        np.subtract(bob[0], bob[1], out=bob_pm[1])
+        np.matmul(bob_pm, corr_t, out=corr_bob)
+        a_dot = (alice[0] @ alice_col)[:, 0]
+        b_dot = (bob[0] @ bob_col)[:, 0]
+        bob_marginal = (bob_pm @ bob_col)[..., 0]
+        corr_terms = np.einsum("prk,prk->pr", alice, corr_bob)
         # Term by term, in this order, so that results stay bit for bit those
         # of earlier releases.
         values = 0.25 * (
-            2.0
-            + 2.0 * a_dot
-            + (bp @ bob_col)[..., 0]
-            + np.einsum("srk,srk->sr", a0, corr_bp)
-            + (bm @ bob_col)[..., 0]
-            + np.einsum("srk,srk->sr", a1, corr_bm)
+            2.0 + 2.0 * a_dot + bob_marginal[0] + corr_terms[0] + bob_marginal[1] + corr_terms[1]
         ) - tau * (1.0 + 0.5 * (a_dot + b_dot))
         if keep_history:
-            for state, row in enumerate(values):
-                histories[state].append(row)
+            history.append(values)
         newly = ~converged & (values - previous < tol)
         first_converged[newly] = iterations
         converged |= newly
@@ -242,7 +253,7 @@ def _seesaw_batch(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_h
             first_converged[~converged] = iterations
             break
         previous = values
-    return values, (a0, a1, b0, b1), converged, first_converged, histories
+    return values, alice, bob, converged, first_converged, iterations, history
 
 
 def _chsh_start() -> tuple[np.ndarray, ...]:
@@ -260,15 +271,17 @@ def _random_start(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=16)
-def _restart_starts(cfg: SeesawConfig) -> tuple[np.ndarray, ...]:
+def _restart_starts(cfg: SeesawConfig) -> tuple[np.ndarray, np.ndarray]:
     # Restart 0 is the CHSH-optimal start; the others are drawn from streams
-    # derived from the seed.  Returned as four (restarts, 3) arrays, drawn
-    # once per config and read-only, since every caller shares them.
+    # derived from the seed.  Returned as Alice's and Bob's (2, restarts, 3)
+    # settings, drawn once per config and read-only, since every caller
+    # shares them.
     starts = [_chsh_start()]
     if cfg.restarts > 1:
         for child in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.restarts - 1):
             starts.append(_random_start(np.random.default_rng(child)))
-    arrays = tuple(np.array([s[k] for s in starts]) for k in range(4))
+    settings = np.array(starts).transpose(1, 0, 2)
+    arrays = (settings[:2].copy(), settings[2:].copy())
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -297,26 +310,28 @@ def seesaw_max_violation(
     """
     coefficients(tau)  # validates the tilt range
     r_alice, r_bob, corr = _pauli_decomposition(rho.matrix)
-    values, vectors, converged, iteration_counts, history = _seesaw_batch(
-        r_alice[None],
-        r_bob[None],
-        corr[None],
+    values, alice, bob, converged, iteration_counts, batch_iterations, history = _seesaw(
+        r_alice,
+        r_bob,
+        corr,
         float(tau),
         _restart_starts(cfg),
         cfg.max_iterations,
         cfg.convergence_tol,
         keep_history,
     )
-    best = int(np.argmax(values[0]))
+    best = int(np.argmax(values))
     histories = None
     if keep_history:
-        stacked = np.array(history[0])
+        stacked = np.array(history)
         histories = tuple(tuple(stacked[:, r]) for r in range(cfg.restarts))
     return SeesawResult(
-        value=BellValue(value=float(values[0, best]), tau=float(tau)),
-        measurements=_measurement_set_from([v[0, best] for v in vectors]),
-        converged=bool(converged[0, best]),
-        iterations=int(iteration_counts[0, best]),
+        value=BellValue(value=float(values[best]), tau=float(tau)),
+        measurements=_measurement_set_from([alice[0, best], alice[1, best], bob[0, best], bob[1, best]]),
+        converged=bool(converged[best]),
+        iterations=int(iteration_counts[best]),
+        batch_iterations=batch_iterations,
+        unconverged=int(np.count_nonzero(~converged)),
         histories=histories,
     )
 
@@ -498,8 +513,8 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     crossing above the arg-max angle of :func:`global_max_violation`, with
     "violates" meaning max F above 1e-10 (see the module docstring).  That
     optimum is returned too.  Raises
-    :class:`~bellbound.errors.NoViolationFound` when even the optimum does
-    not violate, as happens just below 3/2.
+    :class:`~bellbound.errors.NoViolationFound`, carrying the optimum, when
+    even the optimum does not violate, as happens just below 3/2.
     """
     t = float(tau)
     if not (TAU_MAXENT_CUTOFF - 1e-12 <= t < TAU_TRIVIAL):
@@ -510,7 +525,8 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     if optimum.s_q <= VIOLATION_THRESHOLD:
         raise NoViolationFound(
             f"no violating Schmidt angle found at tilt {t!r} (peak value {optimum.s_q:.3e} "
-            f"at gamma {optimum.gamma_star:.6f}); the search is expected to violate below 3/2"
+            f"at gamma {optimum.gamma_star:.6f}); the search is expected to violate below 3/2",
+            optimum,
         )
     # pi/4 never violates on this domain: its cap, (1 - t) + (sqrt 2 - 1)/2,
     # is at most 1e-12 for t >= cutoff - 1e-12, far below the threshold.  So

@@ -236,6 +236,31 @@ class TestCurvesCommand:
         assert s_q <= 1e-3
         assert s_q <= cap + 1e-9
 
+    def test_tilt_without_a_violating_angle_leaves_the_critical_value_absent(self, capsys, tmp_path):
+        # 1.4999 passes the range check, but no Schmidt angle violates there:
+        # its row keeps the optimum and writes c_critical as nan.
+        code, _, _ = run(
+            capsys,
+            "curves",
+            "--tau-min",
+            "1.3",
+            "--tau-max",
+            "1.4999",
+            "--grid",
+            "2",
+            "--output",
+            str(tmp_path),
+        )
+        assert code == EXIT_OK
+        rows = (tmp_path / CSV_CONCURRENCE).read_text(encoding="utf-8").strip().splitlines()
+        first, last = (row.split(",") for row in rows[1:])
+        assert 0.0 < float(first[2]) < 1.0
+        assert last[0] == "1.4999"
+        assert math.isnan(float(last[2]))
+        assert 0.0 < float(last[1]) < 1e-3
+        violation = (tmp_path / CSV_VIOLATION).read_text(encoding="utf-8").strip().splitlines()
+        assert float(violation[-1].split(",")[1]) <= 1e-10
+
     def test_bad_range_exits_parse(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "curves", "--tau-min", "1.2", "--tau-max", "1.6", "--output", str(tmp_path)

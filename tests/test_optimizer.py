@@ -9,8 +9,10 @@ import pytest
 
 from bellbound import (
     TAU_MAXENT_CUTOFF,
+    NoViolationFound,
     NumericFailure,
     SeesawConfig,
+    TwoQubitState,
     critical_gamma,
     global_max_violation,
     in_plane_grid_max_violation,
@@ -169,6 +171,70 @@ class TestSeesaw:
             digest.update(np.array([result.converged, result.iterations], dtype=np.int64).tobytes())
         assert digest.hexdigest() == "8dd842d112b509f4b00d3ae1d3ec390a2e24b14e5a4a7151e7b041e1780d8120"
 
+    def test_bit_identical_on_histories_configs_and_degenerate_states(self):
+        # The paths the digest above misses: every restart's history, a single
+        # restart, a batch stopped unconverged at its iteration cap, another
+        # seed, and the states I/4 and |00> (whose effective operators
+        # vanish).  Recorded from the kernel that carried a state-stack axis;
+        # same floating-point caveat as above.
+        configs = (
+            SeesawConfig(),
+            SeesawConfig(restarts=1),
+            SeesawConfig(restarts=3, max_iterations=5),
+            SeesawConfig(restarts=4, max_iterations=400, rng_seed=99),
+        )
+        rng = np.random.default_rng(7177)
+        cases = [(TwoQubitState(np.eye(4) / 4.0), 1.0), (TwoQubitState(np.eye(4) / 4.0), 1.3)]
+        cases += [(schmidt_state(0.0), 1.0), (schmidt_state(0.0), 1.3)]
+        for i in range(16):
+            cases.append((random_two_qubit_state(rng, pure=bool(i % 2)), float(rng.uniform(1.0, 1.5))))
+        digest = hashlib.sha256()
+        for cfg in configs:
+            for rho, tau in cases:
+                result = seesaw_max_violation(rho, tau, cfg, keep_history=True)
+                vectors = [v.as_array() for v in (*result.measurements.alice, *result.measurements.bob)]
+                digest.update(np.array([result.value.value, *np.concatenate(vectors)]).tobytes())
+                digest.update(np.array([result.converged, result.iterations], dtype=np.int64).tobytes())
+                for history in result.histories:
+                    digest.update(np.array(history).tobytes())
+        assert digest.hexdigest() == "88c085c4f35a02fe6264e27ca822fbac11541e973c3db583bb9d8fd832648c07"
+
+    @pytest.mark.parametrize("tau,expected", [(1.0, -0.5), (1.3, -0.8)])
+    def test_maximally_mixed_state_keeps_every_start(self, tau, expected):
+        # I/4 has no Bloch or correlation part, so every candidate vanishes:
+        # the degenerate branch keeps each restart's start, the value is
+        # exactly 1/2 - tau, and the batch converges at its second iteration.
+        result = seesaw_max_violation(TwoQubitState(np.eye(4) / 4.0), tau)
+        assert result.value.value == expected
+        assert result.measurements == opt_module._measurement_set_from(opt_module._chsh_start())
+        assert (result.converged, result.iterations, result.batch_iterations) == (True, 2, 2)
+
+    def test_product_state_mixes_degenerate_and_regular_rows(self):
+        # On |00> only some rows vanish (Alice's setting 1 from the CHSH
+        # start, whose b0 - b1 is orthogonal to z), so the degenerate mask
+        # picks single entries of the stacked (2, restarts) layout.
+        result = seesaw_max_violation(schmidt_state(0.0), 1.3)
+        assert result.value.value == 0.0
+        assert result.converged
+        assert result.unconverged == 0
+
+    def test_batch_diagnostics_on_a_converging_call(self):
+        result = seesaw_max_violation(maximally_entangled_state(), 1.0, keep_history=True)
+        assert result.unconverged == 0
+        assert result.iterations <= result.batch_iterations
+        assert {len(h) for h in result.histories} == {result.batch_iterations}
+
+    def test_batch_diagnostics_on_a_call_stopped_at_its_cap(self):
+        rho = random_two_qubit_state(np.random.default_rng(23), pure=True)
+        cfg = SeesawConfig(restarts=3, max_iterations=5)
+        result = seesaw_max_violation(rho, 1.2, cfg, keep_history=True)
+        assert result.batch_iterations == 5
+        # A restart converged once its value rose by less than the tolerance.
+        never = sum(
+            not any(np.diff(np.array((-np.inf, *h))) < cfg.convergence_tol) for h in result.histories
+        )
+        assert result.unconverged == never > 0
+
 
 class TestBatchedKernel:
     def test_schmidt_batch_equals_public_calls(self):
@@ -192,7 +258,7 @@ class TestBatchedKernel:
         assert opt_module._restart_starts(SeesawConfig(restarts=5, rng_seed=11)) is starts
         fresh = opt_module._restart_starts.__wrapped__(cfg)
         for cached, drawn in zip(starts, fresh):
-            assert cached.shape == (5, 3)
+            assert cached.shape == (2, 5, 3)
             np.testing.assert_array_equal(cached, drawn)
             with pytest.raises(ValueError):
                 cached[0, 0] = 0.0
@@ -507,3 +573,11 @@ class TestNumericFailurePath:
         monkeypatch.setattr(opt_module, "global_max_violation", never_violates)
         with pytest.raises(NumericFailure, match="no violating"):
             critical_gamma(1.3)
+
+    def test_no_violation_carries_the_optimum(self):
+        # Just below 3/2 even the optimum stays under the threshold; the
+        # error hands it on, equal to the one the search itself finds.
+        with pytest.raises(NoViolationFound) as caught:
+            critical_gamma(1.4999)
+        assert caught.value.optimum == global_max_violation(1.4999)
+        assert caught.value.optimum.s_q <= opt_module.VIOLATION_THRESHOLD
