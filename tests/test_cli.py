@@ -326,18 +326,24 @@ class TestVerifyCommand:
 
 
 class TestRecordedOutputs:
-    """The outputs of the numeric searches are byte-identical to recordings.
+    """The outputs of the numeric searches and of ``verify`` are byte-identical to recordings.
 
     ``recorded_cli_outputs.json`` holds the stdout and the files of
     ``curves --grid 25`` (default range) and ``optimize --tau 1.25``, recorded
     before the coarse Schmidt-angle scan skipped angles by their analytic
-    cap; stdout names the output directory as ``{output}``.  The recordings
-    hold for one floating-point environment (numpy 2.4 with OpenBLAS on
-    x86-64); a libm or BLAS that rounds differently changes the last printed
-    digit of some value without any change to the code.
+    cap, and the stdout of ``verify`` (default seed and seed 7) and
+    ``demo --numeric-ub``, recorded before the invariants moved out of the
+    CLI into their registry; stdout names the output directory as
+    ``{output}``.  The recordings hold for one floating-point environment
+    (numpy 2.4 with OpenBLAS on x86-64); a libm or BLAS that rounds
+    differently changes the last printed digit of some value without any
+    change to the code.
     """
 
-    @pytest.mark.parametrize("command", ["curves --grid 25", "optimize --tau 1.25"])
+    @pytest.mark.parametrize(
+        "command",
+        ["curves --grid 25", "optimize --tau 1.25", "verify", "verify --seed 7", "demo --numeric-ub"],
+    )
     def test_matches_the_recording(self, capsys, tmp_path, command):
         recorded = json.loads(RECORDED_OUTPUTS.read_text(encoding="utf-8"))[command]
         argv = command.split()
