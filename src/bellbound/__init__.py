@@ -6,7 +6,8 @@ the concurrence of the underlying state from below (via the untilted CH
 violation) and from above (via the largest tilt at which the statistics still
 violate, and optionally via the marginals when the measurements are
 projective).  A quantum simulator and a see-saw optimizer generate, certify,
-and cross-check every quantity at desk scale.
+and cross-check every quantity at desk scale; ``bellbound verify`` runs the
+paper's checkable claims from :mod:`bellbound.invariants`, not loaded here.
 
 Search diagnostics go to the ``"bellbound"`` logger, which stays silent until
 the application configures logging.
@@ -47,18 +48,14 @@ from .errors import (
 )
 from .optimizer import (
     CriticalCurvePoint,
-    CutoffCheck,
-    CutoffReport,
     OptimumPoint,
     SeesawConfig,
     SeesawResult,
     critical_gamma,
     global_max_violation,
-    in_plane_grid_max_violation,
     max_value_cap,
     pure_state_value_cap,
     seesaw_max_violation,
-    verify_maximally_entangled_cutoff,
 )
 from .quantum_core import (
     BlochVector,
@@ -94,8 +91,6 @@ __all__ = [
     "BoundReport",
     "ChSlice",
     "CriticalCurvePoint",
-    "CutoffCheck",
-    "CutoffReport",
     "MeasurementSet",
     "NoViolationFound",
     "NumericFailure",
@@ -123,7 +118,6 @@ __all__ = [
     "evaluate_classical",
     "evaluate_from_ch",
     "global_max_violation",
-    "in_plane_grid_max_violation",
     "joint_probability",
     "load",
     "lower_bound_concurrence",
@@ -145,5 +139,4 @@ __all__ = [
     "upper_bound_marginal",
     "upper_bound_numeric",
     "validate",
-    "verify_maximally_entangled_cutoff",
 ]

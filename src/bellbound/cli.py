@@ -6,18 +6,18 @@ commands are deterministic: only ``verify`` draws random numbers, from its
 ``--seed``, and repeated runs produce byte-identical output files.
 ``--log-level`` sends the ``"bellbound"`` logger to stderr for one command,
 so search diagnostics never reach standard output or the files written.
+``demo`` is ``bound --projective`` on the bundled slice, and ``verify`` runs
+the registry of :mod:`bellbound.invariants`, which it alone imports.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import logging
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -48,26 +48,10 @@ def _parse_angles(text: str) -> tuple[float, float, float, float]:
 
 
 def _cmd_bound(args) -> int:
-    stats = statistics_io.load(args.input)
+    stats = statistics_io.load_demo_slice() if args.input is None else statistics_io.load(args.input)
     report = bounds_engine.assemble_report(
         stats,
         projective=args.projective,
-        numeric_ub=args.numeric_ub,
-        tol=args.tol,
-    )
-    print(report.summary_text())
-    if args.output:
-        bounds_engine.save_report(report, args.output)
-        print(f"report written to {args.output}")
-    return EXIT_OK
-
-
-def _cmd_demo(args) -> int:
-    with resources.as_file(resources.files("bellbound").joinpath("data/demo_slice.json")) as path:
-        stats = statistics_io.load(path)
-    report = bounds_engine.assemble_report(
-        stats,
-        projective=True,
         numeric_ub=args.numeric_ub,
         tol=args.tol,
     )
@@ -155,252 +139,17 @@ def _cmd_curves(args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(seed: int, tol: float):
-    maxent = quantum_core.maximally_entangled_state()
-
-    def tilt_domain():
-        for bad in (1.6, 0.9):
-            try:
-                bell_model.coefficients(bad)
-            except ValueError:
-                continue
-            return False, f"tilt {bad} was accepted"
-        return True, "tilts 1.6 and 0.9 rejected"
-
-    def coefficient_support():
-        rng = np.random.default_rng([seed, 1])
-        worst = 0.0
-        for _ in range(20):
-            t = float(rng.uniform(1.0, 1.5))
-            beta = bell_model.coefficients(t).beta
-            if int(np.count_nonzero(beta)) != 6:
-                return False, "support is not six entries"
-            expected = np.zeros((2, 2, 2, 2))
-            expected[0, 1, 0, 0] = expected[1, 0, 0, 0] = 1.0 - t
-            expected[0, 1, 0, 1] = expected[1, 0, 1, 0] = -t
-            expected[0, 0, 0, 0] = 1.0
-            expected[1, 1, 0, 0] = -1.0
-            worst = max(worst, float(np.max(np.abs(beta - expected))))
-        ok = worst <= 1e-15
-        return ok, f"max coefficient residual {worst:.3e}"
-
-    def decomposition_identity():
-        rng = np.random.default_rng([seed, 2])
-        worst = 0.0
-        for _ in range(1000):
-            table = statistics_io.random_nosignaling_table(rng)
-            t = float(rng.uniform(1.0, 1.5))
-            direct = bell_model.evaluate_classical(table, t).value
-            via_slice = bell_model.evaluate_classical(statistics_io.ch_slice(table), t).value
-            decomposed = bell_model.evaluate_from_ch(table, t).value
-            worst = max(worst, abs(direct - decomposed), abs(via_slice - decomposed))
-        ok = worst <= 1e-12
-        return ok, f"max residual {worst:.3e} over 1000 boxes"
-
-    def tilt_slope():
-        rng = np.random.default_rng([seed, 3])
-        worst = 0.0
-        for _ in range(200):
-            table = statistics_io.random_nosignaling_table(rng)
-            slc = statistics_io.ch_slice(table)
-            t1 = float(rng.uniform(1.0, 1.2))
-            t2 = float(rng.uniform(1.25, 1.499))
-            v1 = bell_model.evaluate_classical(slc, t1).value
-            v2 = bell_model.evaluate_classical(slc, t2).value
-            slope = (v2 - v1) / (t2 - t1)
-            worst = max(worst, abs(slope + (slc.mA0 + slc.mB0)))
-        ok = worst <= 1e-12
-        return ok, f"max slope residual {worst:.3e}"
-
-    def trivial_nonpositivity():
-        rng = np.random.default_rng([seed, 4])
-        worst = -math.inf
-        for _ in range(1000):
-            table = statistics_io.random_nosignaling_table(rng)
-            worst = max(
-                worst,
-                bell_model.evaluate_classical(table, 1.5, allow_trivial_regime=True).value,
-            )
-        ok = worst <= 1e-12
-        return ok, f"max value at tilt 3/2 is {worst:.3e}"
-
-    def kron_value(rho, m, t):
-        # The tilted value from tr(rho Pi_a (x) Pi_b), with each projector
-        # (I +/- v.sigma)/2 built as a matrix: a Born rule independent of the
-        # Bloch-form table that simulate and quantum_value share.
-        paulis = (quantum_core.PAULI_X, quantum_core.PAULI_Y, quantum_core.PAULI_Z)
-
-        def projector(v, outcome):
-            sign = -1.0 if outcome else 1.0
-            return 0.5 * (np.eye(2) + sign * sum(c * pauli for c, pauli in zip(v.as_array(), paulis)))
-
-        beta = bell_model.coefficients(t).beta
-        value = 0.0
-        for x, y, a, b in itertools.product(range(2), repeat=4):
-            op = np.kron(projector(m.alice[x], a), projector(m.bob[y], b))
-            value += beta[x, y, a, b] * np.trace(rho.matrix @ op).real
-        return value
-
-    def quantum_classical_consistency():
-        rng = np.random.default_rng([seed, 5])
-        worst = 0.0
-        worst_validation = 0.0
-        for i in range(50):
-            rho = quantum_core.random_two_qubit_state(rng, pure=bool(i % 2))
-            m = quantum_core.random_measurement_set(rng)
-            t = float(rng.uniform(1.0, 1.5))
-            table = statistics_io.simulate(rho, m)
-            report = statistics_io.validate(table, 1e-10)
-            worst_validation = max(
-                worst_validation,
-                report.normalization_residual,
-                report.nosignaling_residual,
-                report.consistency_residual,
-            )
-            reference = kron_value(rho, m, t)
-            direct = bell_model.quantum_value(rho, m, t).value
-            simulated = bell_model.evaluate_classical(table, t).value
-            worst = max(worst, abs(direct - reference), abs(simulated - reference))
-        ok = worst <= 1e-12 and worst_validation <= 1e-10
-        return ok, f"max value residual {worst:.3e}, max structural residual {worst_validation:.3e}"
-
-    def schmidt_concurrence():
-        worst = 0.0
-        for gamma in np.linspace(0.0, math.pi / 4, 50):
-            c = quantum_core.concurrence(quantum_core.schmidt_state(float(gamma)))
-            worst = max(worst, abs(c - math.sin(2.0 * float(gamma))))
-        ok = worst <= 1e-9
-        return ok, f"max residual {worst:.3e} on 50 angles"
-
-    def local_unitary_invariance():
-        rng = np.random.default_rng([seed, 6])
-        worst = 0.0
-        for i in range(100):
-            rho = quantum_core.random_two_qubit_state(rng, pure=bool(i % 2))
-            base = quantum_core.concurrence(rho)
-            u = np.kron(
-                quantum_core.random_single_qubit_unitary(rng),
-                quantum_core.random_single_qubit_unitary(rng),
-            )
-            rotated = quantum_core.TwoQubitState(u @ rho.matrix @ u.conj().T)
-            worst = max(worst, abs(quantum_core.concurrence(rotated) - base))
-        ok = worst <= 1e-9
-        return ok, f"max residual {worst:.3e} over 100 rotations"
-
-    def projective_marginal_law():
-        rng = np.random.default_rng([seed, 7])
-        worst = 0.0
-        interval_excess = 0.0
-        for _ in range(50):
-            gamma = float(rng.uniform(0.0, math.pi / 4))
-            rho = quantum_core.schmidt_state(gamma)
-            m = quantum_core.random_measurement_set(rng)
-            slc = statistics_io.ch_slice(statistics_io.simulate(rho, m))
-            cos2g = math.cos(2.0 * gamma)
-            for marginal, direction in (
-                (slc.mA0, m.alice[0]),
-                (slc.mA1, m.alice[1]),
-                (slc.mB0, m.bob[0]),
-                (slc.mB1, m.bob[1]),
-            ):
-                predicted = 0.5 * (1.0 + direction.z * cos2g)
-                worst = max(worst, abs(marginal - predicted))
-                interval_excess = max(
-                    interval_excess,
-                    0.5 * (1.0 - cos2g) - marginal,
-                    marginal - 0.5 * (1.0 + cos2g),
-                )
-        ok = worst <= 1e-12 and interval_excess <= 1e-12
-        return ok, f"max law residual {worst:.3e}, max interval excess {interval_excess:.3e}"
-
-    def tsirelson_point():
-        cfg = optimizer.SeesawConfig(rng_seed=seed)
-        value = optimizer.seesaw_max_violation(maxent, 1.0, cfg).value.value
-        residual = abs(value - (1.0 / math.sqrt(2.0) - 0.5))
-        ok = residual <= 1e-6
-        return ok, f"value {value:.9f}, residual {residual:.3e}"
-
-    def maxent_cutoff():
-        cfg = optimizer.SeesawConfig(rng_seed=seed)
-        report = optimizer.verify_maximally_entangled_cutoff(
-            [1.2072, 1.3, 1.4, 1.49], cfg, measurement_sets_per_tau=25
-        )
-        worst_violation = max(c.max_violation for c in report.checks)
-        worst_identity = max(c.identity_residual for c in report.checks)
-        return bool(report.passed), (
-            f"max violation {worst_violation:.3e}, max identity residual {worst_identity:.3e}"
-        )
-
-    def cap_dominance():
-        cfg = optimizer.SeesawConfig(rng_seed=seed)
-        worst = -math.inf
-        for gamma in (0.2, 0.45, 0.7, math.pi / 4):
-            for t in (1.0, 1.1, 1.25, 1.4):
-                value = optimizer.seesaw_max_violation(
-                    quantum_core.schmidt_state(gamma), t, cfg
-                ).value.value
-                worst = max(worst, value - optimizer.pure_state_value_cap(gamma, t))
-        ok = worst <= 1e-9
-        return ok, f"max excess over the analytic cap {worst:.3e}"
-
-    def bound_monotonicity():
-        s_grid = np.linspace(0.0, 1.0 / math.sqrt(2.0) - 0.5, 200)
-        lowers = [bounds_engine.lower_bound_concurrence(float(s)) for s in s_grid]
-        if any(b > a + 1e-15 for a, b in zip(lowers[1:], lowers)):
-            return False, "lower bound is not nondecreasing"
-        t_grid = np.linspace(bell_model.TAU_MAXENT_CUTOFF, 1.5, 200)
-        uppers = [bounds_engine.upper_bound_analytic(float(t)) for t in t_grid]
-        if any(b > a + 1e-12 for a, b in zip(uppers, uppers[1:])):
-            return False, "analytic upper bound is not nonincreasing"
-        return True, "lower bound nondecreasing, analytic upper bound nonincreasing"
-
-    def demo_slice_bounds():
-        with resources.as_file(
-            resources.files("bellbound").joinpath("data/demo_slice.json")
-        ) as path:
-            slc = statistics_io.load(path)
-        report = bounds_engine.assemble_report(slc, projective=True, tol=tol)
-        ok = (
-            abs(report.s_ch_obs - 0.1826) <= 1e-4
-            and abs(report.lower_bound - 0.9297) <= 1e-3
-            and report.tau_obs is not None
-            and abs(report.tau_obs - 1.2102) <= 1e-3
-            and abs(report.upper_bound_analytic - 0.9999) <= 1e-4
-            and abs(report.upper_bound_marginal - 0.9806) <= 5e-4
-        )
-        return ok, (
-            f"lower {report.lower_bound:.4f}, threshold {report.tau_obs:.4f}, "
-            f"analytic {report.upper_bound_analytic:.4f}, marginal {report.upper_bound_marginal:.4f}"
-        )
-
-    return [
-        ("tilt domain rejects out-of-range requests", tilt_domain),
-        ("coefficient tensor has six-entry support", coefficient_support),
-        ("decomposition identity on no-signaling boxes", decomposition_identity),
-        ("value is affine in the tilt with slope -(mA0+mB0)", tilt_slope),
-        ("nonpositivity at tilt 3/2", trivial_nonpositivity),
-        ("quantum value matches simulated classical value", quantum_classical_consistency),
-        ("schmidt-state concurrence equals sin(2 gamma)", schmidt_concurrence),
-        ("concurrence invariant under local unitaries", local_unitary_invariance),
-        ("projective marginals follow the cosine law", projective_marginal_law),
-        ("tsirelson point reproduced by see-saw", tsirelson_point),
-        ("maximally entangled state silent past the cutoff", maxent_cutoff),
-        ("analytic cap dominates see-saw values", cap_dominance),
-        ("bounds are monotone", bound_monotonicity),
-        ("bundled demo slice reproduces its bounds", demo_slice_bounds),
-    ]
-
-
 def _cmd_verify(args) -> int:
-    checks = _verify_checks(args.seed, args.tol)
+    from .invariants import INVARIANTS  # loaded only here, so other commands skip it
+
     failures = []
-    for name, check in checks:
-        ok, detail = check()
+    for name, check in INVARIANTS:
+        ok, detail = check(args.seed, args.tol)
         tag = "PASS" if ok else "FAIL"
         print(f"[{tag}] {name} ({detail})")
         if not ok:
             failures.append(name)
-    total = len(checks)
+    total = len(INVARIANTS)
     print(f"verification suite: {total - len(failures)}/{total} passed (seed {args.seed})")
     if failures:
         print("failing invariants: " + "; ".join(failures), file=sys.stderr)
@@ -408,17 +157,22 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    # numpy would reject a negative seed only after verify printed its first lines
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_log_level(parser, default) -> None:
     parser.add_argument("--log-level", dest="log_level", type=str.upper, choices=LOG_LEVELS,
                         default=default, help="print bellbound log records from this level up to stderr")
 
 
-def _add_common(parser, *, seed=False, tol=True, output=False):
+def _add_common(parser, *, tol=True, output=False):
     # The option is accepted after the command too; SUPPRESS keeps a command
     # without it from resetting the value given before the command.
     _add_log_level(parser, argparse.SUPPRESS)
-    if seed:
-        parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
     if tol:
         parser.add_argument("--tol", type=float, default=statistics_io.HARD_VALIDATION_TOL,
                             help="hard validation tolerance")
@@ -444,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run `bound --projective` on the bundled demo slice")
     p_demo.add_argument("--numeric-ub", action="store_true", dest="numeric_ub")
+    p_demo.set_defaults(input=None, projective=True)
     _add_common(p_demo, output=True)
 
     p_sim = sub.add_parser("simulate", help="write the Born-rule table of a Schmidt-angle state")
@@ -465,14 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_curves, tol=False)
 
     p_verify = sub.add_parser("verify", help="run the invariant verification suite")
-    _add_common(p_verify, seed=True)
+    p_verify.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="RNG seed (non-negative)")
+    _add_common(p_verify)
 
     return parser
 
 
 _HANDLERS = {
     "bound": _cmd_bound,
-    "demo": _cmd_demo,
+    "demo": _cmd_bound,
     "simulate": _cmd_simulate,
     "optimize": _cmd_optimize,
     "curves": _cmd_curves,

@@ -41,10 +41,8 @@ angles it rated and its Newton steps at DEBUG level on the ``"bellbound"``
 logger, which is silent unless the application configures logging (the
 CLI's ``--log-level``); the critical-angle search adds its final bracket.
 
-:func:`in_plane_grid_max_violation` is an independent grid oracle for
-Schmidt-angle states, and :func:`pure_state_value_cap` /
-:func:`max_value_cap` give the closed-form analytic caps the search results
-are checked against.
+:func:`pure_state_value_cap` / :func:`max_value_cap` give the closed-form
+analytic caps the search results are checked against.
 """
 
 from __future__ import annotations
@@ -69,9 +67,7 @@ from .quantum_core import (
     MeasurementSet,
     TwoQubitState,
     _pauli_decomposition,
-    maximally_entangled_state,
     random_bloch_vector,
-    random_measurement_set,
     schmidt_state,
 )
 
@@ -551,74 +547,6 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     return CriticalCurvePoint(tau=t, gamma_c=lo, c_cr=math.sin(2.0 * lo), optimum=optimum)
 
 
-@dataclass(frozen=True)
-class CutoffCheck:
-    """One tilt of the maximally-entangled cutoff verification."""
-
-    tau: float
-    max_violation: float
-    identity_residual: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class CutoffReport:
-    checks: tuple[CutoffCheck, ...]
-    violation_tol: float
-    identity_tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[CutoffCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def verify_maximally_entangled_cutoff(
-    tau_grid,
-    cfg: SeesawConfig = DEFAULT_CONFIG,
-    *,
-    measurement_sets_per_tau: int = 100,
-    violation_tol: float = 1e-9,
-    identity_tol: float = 1e-12,
-) -> CutoffReport:
-    """Numeric check that the maximally entangled state cannot violate past the cutoff.
-
-    For each tilt in the grid (which must lie in [cutoff, 3/2)) two facts are
-    verified: (i) the see-saw on the maximally entangled state never exceeds
-    ``violation_tol``; (ii) because that state's marginals under rank-1
-    projective measurements are exactly 1/2, its tilted value equals its
-    untilted value minus (tau - 1) -- checked on random measurement sets to
-    ``identity_tol``.
-    """
-    rho = maximally_entangled_state()
-    checks = []
-    for index, tau in enumerate(np.asarray(tau_grid, dtype=float)):
-        t = float(tau)
-        if not (TAU_MAXENT_CUTOFF - 1e-12 <= t < TAU_TRIVIAL):
-            raise ValueError(f"grid tilt {t!r} outside [{TAU_MAXENT_CUTOFF:.10f}, 1.5)")
-        result = seesaw_max_violation(rho, t, cfg)
-        rng = np.random.default_rng([cfg.rng_seed, index])
-        residual = 0.0
-        for _ in range(measurement_sets_per_tau):
-            m = random_measurement_set(rng)
-            tilted = quantum_value(rho, m, t).value
-            untilted = quantum_value(rho, m, 1.0).value
-            residual = max(residual, abs(tilted - (untilted - (t - 1.0))))
-        passed = result.value.value <= violation_tol and residual <= identity_tol
-        checks.append(
-            CutoffCheck(
-                tau=t,
-                max_violation=result.value.value,
-                identity_residual=residual,
-                passed=passed,
-            )
-        )
-    return CutoffReport(tuple(checks), violation_tol, identity_tol)
-
-
 def pure_state_value_cap(gamma: float, tau: float) -> float:
     """Closed-form cap on the maximal violation by the Schmidt-angle state.
 
@@ -639,56 +567,3 @@ def max_value_cap(tau: float) -> float:
     t = float(tau) - 1.0
     c = min(1.0, 2.0 * t * math.sqrt(2.0 / (1.0 + 4.0 * t * t)))
     return pure_state_value_cap(0.5 * math.acos(c), tau)
-
-
-def in_plane_grid_max_violation(
-    gamma: float, tau: float, *, resolution: float = 0.002, refine: bool = True
-) -> float:
-    """Independent grid oracle for the maximal violation of a Schmidt-angle state.
-
-    Scans Bob's two polar angles over [0, 2 pi) at the given resolution.  For
-    in-plane measurements the objective is affine in each of Alice's Bloch
-    vectors, so her optimal response per setting is exact (the norm of the
-    coefficient vector); nothing is iterated, making this a genuine
-    cross-check of the see-saw.  One refinement pass re-grids a window of
-    +/- 2 resolution around the best Bob pair at 1/50 of the resolution.
-    """
-    schmidt_state(gamma)  # validates the angle range
-    coefficients(tau)
-    c2g = math.cos(2.0 * gamma)
-    s2g = math.sin(2.0 * gamma)
-    t = float(tau)
-
-    def scan(theta0: np.ndarray, theta1: np.ndarray):
-        cb1 = np.cos(theta1)
-        sb1 = np.sin(theta1)
-        best = -math.inf
-        best_pair = (0.0, 0.0)
-        chunk = 256
-        for lo in range(0, theta0.size, chunk):
-            th0 = theta0[lo : lo + chunk]
-            cb0 = np.cos(th0)[:, None]
-            sb0 = np.sin(th0)[:, None]
-            u0 = 0.5 * (1.0 - t) * c2g + 0.25 * (cb0 + cb1[None, :])
-            v0 = 0.25 * s2g * (sb0 + sb1[None, :])
-            u1 = 0.25 * (cb0 - cb1[None, :])
-            v1 = 0.25 * s2g * (sb0 - sb1[None, :])
-            values = (
-                (0.5 - t + 0.5 * (1.0 - t) * c2g * cb0)
-                + np.hypot(u0, v0)
-                + np.hypot(u1, v1)
-            )
-            i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-            if values[i, j] > best:
-                best = float(values[i, j])
-                best_pair = (float(th0[i]), float(theta1[j]))
-        return best, best_pair
-
-    thetas = np.arange(0.0, 2.0 * math.pi, resolution)
-    best, (t0, t1) = scan(thetas, thetas)
-    if refine:
-        step = resolution / 50.0
-        window = np.arange(-2.0 * resolution, 2.0 * resolution + step / 2, step)
-        refined, _ = scan(t0 + window, t1 + window)
-        best = max(best, refined)
-    return best

@@ -242,15 +242,6 @@ def random_measurement_set(rng: np.random.Generator) -> MeasurementSet:
     )
 
 
-def random_single_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random 2x2 unitary (QR of a complex Gaussian with phase fixing)."""
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
-
-
 def random_two_qubit_state(rng: np.random.Generator, *, pure: bool = False) -> TwoQubitState:
     """Random two-qubit state: Haar-random pure, or a Ginibre-induced mixed state."""
     if pure:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from importlib import resources
 from itertools import product
 from pathlib import Path
 
@@ -46,12 +47,10 @@ _SLICE_KEYS = {"format", "description", *_SLICE_FIELDS}
 def _check_probability(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{label} must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise RangeError(f"{label} is not finite: {value!r}")
-    if v < 0.0 or v > 1.0:
+    # Compared before float(), which overflows past the float range; NaN fails too.
+    if not 0.0 <= value <= 1.0:
         raise RangeError(f"{label} = {value!r} lies outside [0, 1]")
-    return v
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,18 +291,28 @@ def load(path) -> ProbabilityTable | ChSlice:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read statistics file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"statistics file {path} is not UTF-8 text: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer literal past int's digit limit
         raise ParseError(f"statistics file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SchemaError("statistics file must contain a top-level object")
+    if not isinstance(payload.get("description", ""), str):
+        raise SchemaError(f'"description" must be a string, got {type(payload["description"]).__name__}')
     fmt = payload.get("format")
     if fmt == "full":
         return _load_full(payload)
     if fmt == "ch_slice":
         return _load_slice(payload)
     raise SchemaError(f'"format" must be "full" or "ch_slice", got {fmt!r}')
+
+
+def load_demo_slice() -> ChSlice:
+    """The bundled demo statistics, ``data/demo_slice.json``, read by :func:`load`."""
+    with resources.as_file(resources.files("bellbound").joinpath("data/demo_slice.json")) as path:
+        return load(path)
 
 
 def save(stats: ProbabilityTable | ChSlice, path, *, description: str | None = None) -> None:

@@ -1,9 +1,10 @@
-from itertools import product
+import math
 
 import numpy as np
 import pytest
 
-from bellbound import ChSlice, global_max_violation, optimizer, schmidt_state, simulate
+from bellbound import ChSlice, coefficients, global_max_violation, optimizer, schmidt_state, simulate
+from bellbound.invariants import kron_born_table, projector_from_bloch  # noqa: F401  (re-exported for the test modules)
 
 # The bundled demo statistics (a down-conversion pair source measured with
 # two settings per side; see src/bellbound/data/demo_slice.json).
@@ -25,27 +26,6 @@ PAULIS = (
     PAULI_Y,
     np.array([[1.0, 0.0], [0.0, -1.0]]),
 )
-
-
-def projector_from_bloch(direction, outcome: int) -> np.ndarray:
-    """Qubit projector (1 + (-1)^outcome n.sigma)/2 as a 2x2 matrix."""
-    n = direction.as_array()
-    sign = -1.0 if outcome else 1.0
-    return 0.5 * (np.eye(2) + sign * sum(c * pauli for c, pauli in zip(n, PAULIS)))
-
-
-def kron_born_table(rho, m) -> np.ndarray:
-    """Independent Born-rule oracle: p[x, y, a, b] = tr(rho A_x^a (x) B_y^b).
-
-    Builds each projector as a matrix and takes one 4x4 Kronecker product and
-    trace per entry -- a different code path from the library's Bloch-form
-    rule, which never forms an operator.
-    """
-    p = np.empty((2, 2, 2, 2))
-    for x, y, a, b in product(range(2), repeat=4):
-        op = np.kron(projector_from_bloch(m.alice[x], a), projector_from_bloch(m.bob[y], b))
-        p[x, y, a, b] = np.trace(rho.matrix @ op).real
-    return p
 
 
 def concurrence_eigvals_oracle(matrix: np.ndarray) -> float:
@@ -70,6 +50,59 @@ def horodecki_ch_max(matrix: np.ndarray) -> float:
     corr = np.array([[np.trace(matrix @ np.kron(si, sj)).real for sj in PAULIS] for si in PAULIS])
     eig = np.linalg.eigvalsh(corr.T @ corr)
     return float((np.sqrt(max(0.0, eig[-1] + eig[-2])) - 1.0) / 2.0)
+
+
+def in_plane_grid_max_violation(
+    gamma: float, tau: float, *, resolution: float = 0.002, refine: bool = True
+) -> float:
+    """Independent grid oracle for the maximal violation of a Schmidt-angle state.
+
+    Scans Bob's two polar angles over [0, 2 pi) at the given resolution.  For
+    in-plane measurements the objective is affine in each of Alice's Bloch
+    vectors, so her optimal response per setting is exact (the norm of the
+    coefficient vector); nothing is iterated, making this a genuine
+    cross-check of the see-saw.  One refinement pass re-grids a window of
+    +/- 2 resolution around the best Bob pair at 1/50 of the resolution.
+    """
+    schmidt_state(gamma)  # validates the angle range
+    coefficients(tau)
+    c2g = math.cos(2.0 * gamma)
+    s2g = math.sin(2.0 * gamma)
+    t = float(tau)
+
+    def scan(theta0: np.ndarray, theta1: np.ndarray):
+        cb1 = np.cos(theta1)
+        sb1 = np.sin(theta1)
+        best = -math.inf
+        best_pair = (0.0, 0.0)
+        chunk = 256
+        for lo in range(0, theta0.size, chunk):
+            th0 = theta0[lo : lo + chunk]
+            cb0 = np.cos(th0)[:, None]
+            sb0 = np.sin(th0)[:, None]
+            u0 = 0.5 * (1.0 - t) * c2g + 0.25 * (cb0 + cb1[None, :])
+            v0 = 0.25 * s2g * (sb0 + sb1[None, :])
+            u1 = 0.25 * (cb0 - cb1[None, :])
+            v1 = 0.25 * s2g * (sb0 - sb1[None, :])
+            values = (
+                (0.5 - t + 0.5 * (1.0 - t) * c2g * cb0)
+                + np.hypot(u0, v0)
+                + np.hypot(u1, v1)
+            )
+            i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+            if values[i, j] > best:
+                best = float(values[i, j])
+                best_pair = (float(th0[i]), float(theta1[j]))
+        return best, best_pair
+
+    thetas = np.arange(0.0, 2.0 * math.pi, resolution)
+    best, (t0, t1) = scan(thetas, thetas)
+    if refine:
+        step = resolution / 50.0
+        window = np.arange(-2.0 * resolution, 2.0 * resolution + step / 2, step)
+        refined, _ = scan(t0 + window, t1 + window)
+        best = max(best, refined)
+    return best
 
 
 def near_trivial_experiment():

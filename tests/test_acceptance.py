@@ -1,7 +1,10 @@
-"""Acceptance gate: every release criterion at its stated tolerance.
+"""Acceptance gate: every release criterion and every ``verify`` invariant.
 
-Each test prints one pass/fail line (visible with ``pytest -s`` or in captured
-output); stated runtime limits are asserted alongside the numeric tolerances.
+Each invariant of :data:`bellbound.invariants.INVARIANTS` runs as its own
+test, named after it, at ``verify``'s default seed and tolerance; criteria 1,
+4 and 9 are such invariants.  Each test prints one pass/fail line (visible
+with ``pytest -s`` or in captured output); stated runtime limits are asserted
+alongside the numeric tolerances.
 """
 
 import math
@@ -12,37 +15,45 @@ import numpy as np
 import pytest
 
 import bellbound as bb
+from bellbound.cli import DEFAULT_SEED
 from bellbound.cli import main as cli_main
+from bellbound.invariants import INVARIANTS, maxent_cutoff
 from bellbound.optimizer import SeesawConfig
+from bellbound.statistics_io import HARD_VALIDATION_TOL
 
-from conftest import DEMO_SLICE
+from conftest import in_plane_grid_max_violation
 
 TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
 FAST = SeesawConfig(restarts=4, max_iterations=400)
+# Criteria checked by a verify invariant: its name -> (criterion number, runtime limit in s).
+INVARIANT_CRITERIA = {
+    "bundled demo slice reproduces its bounds": (1, 1.0),
+    "decomposition identity on no-signaling boxes": (4, None),
+    "nonpositivity at tilt 3/2": (9, None),
+}
 
 
 @contextmanager
-def criterion(number: int, name: str, runtime_limit: float | None = None):
+def criterion(number: int | None, name: str, runtime_limit: float | None = None):
+    label = "invariant" if number is None else f"criterion {number:02d}"
     start = time.perf_counter()
     try:
         yield
     except BaseException:
-        print(f"[criterion {number:02d}] FAIL {name}")
+        print(f"[{label}] FAIL {name}")
         raise
     elapsed = time.perf_counter() - start
     if runtime_limit is not None:
         assert elapsed < runtime_limit, f"runtime {elapsed:.1f}s exceeds limit {runtime_limit}s"
-    print(f"[criterion {number:02d}] PASS {name} ({elapsed:.2f}s)")
+    print(f"[{label}] PASS {name} ({elapsed:.2f}s)")
 
 
-def test_criterion_01_worked_example_reproduction():
-    with criterion(1, "worked-example reproduction from the bundled slice", 1.0):
-        report = bb.assemble_report(DEMO_SLICE, projective=True)
-        assert report.s_ch_obs == pytest.approx(0.1826, abs=1e-4)
-        assert report.lower_bound == pytest.approx(0.9297, abs=1e-3)
-        assert report.tau_obs == pytest.approx(1.2102, abs=1e-3)
-        assert report.upper_bound_analytic == pytest.approx(0.9999, abs=1e-4)
-        assert report.upper_bound_marginal == pytest.approx(0.9806, abs=5e-4)
+@pytest.mark.parametrize("name, check", INVARIANTS, ids=[name for name, _ in INVARIANTS])
+def test_verify_invariant(name, check):
+    number, runtime_limit = INVARIANT_CRITERIA.get(name, (None, None))
+    with criterion(number, name, runtime_limit):
+        ok, detail = check(DEFAULT_SEED, HARD_VALIDATION_TOL)
+        assert ok, detail
 
 
 def test_criterion_02_tsirelson_point():
@@ -55,22 +66,9 @@ def test_criterion_02_tsirelson_point():
 def test_criterion_03_maximally_entangled_cutoff_grid():
     with criterion(3, "maximally entangled state silent on the cutoff grid", 120.0):
         grid = np.linspace(1.2072, 1.499, 30)
-        report = bb.verify_maximally_entangled_cutoff(
-            grid, measurement_sets_per_tau=100, violation_tol=1e-9, identity_tol=1e-12
-        )
-        assert report.passed, f"failures at tilts {[c.tau for c in report.failures]}"
-
-
-def test_criterion_04_decomposition_identity(rng):
-    with criterion(4, "decomposition identity on 1000 random tables"):
-        worst = 0.0
-        for _ in range(1000):
-            table = bb.random_nosignaling_table(rng)
-            tau = float(rng.uniform(1.0, 1.5))
-            direct = bb.evaluate_classical(table, tau).value
-            decomposed = bb.evaluate_from_ch(table, tau).value
-            worst = max(worst, abs(direct - decomposed))
-        assert worst <= 1e-12
+        rows = maxent_cutoff(grid, 100)
+        failures = [float(t) for t, (v, r) in zip(grid, rows) if not (v <= 1e-9 and r <= 1e-12)]
+        assert not failures, f"failures at tilts {failures}"
 
 
 def test_criterion_05_pure_state_saturation(rng):
@@ -125,19 +123,8 @@ def test_criterion_08_oracle_equivalence():
                 seesaw = bb.seesaw_max_violation(
                     bb.schmidt_state(float(gamma)), float(tau)
                 ).value.value
-                oracle = bb.in_plane_grid_max_violation(float(gamma), float(tau))
+                oracle = in_plane_grid_max_violation(float(gamma), float(tau))
                 assert seesaw == pytest.approx(oracle, abs=1e-5)
-
-
-def test_criterion_09_trivial_tilt_nonpositivity(rng):
-    with criterion(9, "nonpositivity at tilt 3/2 on 1000 random tables"):
-        worst = -math.inf
-        for _ in range(1000):
-            table = bb.random_nosignaling_table(rng)
-            worst = max(
-                worst, bb.evaluate_classical(table, 1.5, allow_trivial_regime=True).value
-            )
-        assert worst <= 1e-12
 
 
 def test_criterion_10_determinism(tmp_path, capsys):

@@ -258,23 +258,3 @@ class TestAssembleReport:
         for label in ("CH value", "lower bound", "tilt threshold", "upper bound (marginal)"):
             assert label in text
 
-
-class TestProjectiveMarginalLaw:
-    def test_marginals_follow_cosine_law_and_interval(self, rng):
-        # Every projective marginal of a Schmidt-angle state equals
-        # (1 + cos(theta) cos(2 gamma))/2 and lies inside the admissible band.
-        for _ in range(20):
-            gamma = float(rng.uniform(0.0, math.pi / 4))
-            m = random_measurement_set(rng)
-            slc = ch_slice(simulate(schmidt_state(gamma), m))
-            cos2g = math.cos(2.0 * gamma)
-            observed = (
-                (slc.mA0, m.alice[0]),
-                (slc.mA1, m.alice[1]),
-                (slc.mB0, m.bob[0]),
-                (slc.mB1, m.bob[1]),
-            )
-            for marginal, direction in observed:
-                predicted = 0.5 * (1.0 + direction.z * cos2g)
-                assert marginal == pytest.approx(predicted, abs=1e-12)
-                assert 0.5 * (1.0 - cos2g) - 1e-12 <= marginal <= 0.5 * (1.0 + cos2g) + 1e-12

@@ -78,6 +78,14 @@ class TestBoundCommand:
         assert code == EXIT_PARSE
         assert "input error" in err
 
+    def test_integer_beyond_the_float_range_exits_parse(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"format": "full", "p": [1' + "0" * 400 + ", " + ", ".join(["0.25"] * 15) + "]}",
+                        encoding="utf-8")
+        code, out, err = run(capsys, "bound", "--input", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("input error: p[0] = 1000") and err.endswith(" lies outside [0, 1]\n")
+
     def test_missing_file_exits_parse(self, capsys, tmp_path):
         code, _, _ = run(capsys, "bound", "--input", str(tmp_path / "nope.json"))
         assert code == EXIT_PARSE
@@ -320,6 +328,14 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "[FAIL] quantum value matches simulated classical value" in out
+
+    def test_negative_seed_is_rejected_before_any_output(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["verify", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert caught.value.code == EXIT_PARSE
+        assert captured.out == ""
+        assert "--seed: expected a non-negative integer, got '-1'" in captured.err
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_NUMERIC}) == 4

@@ -15,7 +15,6 @@ from bellbound import (
     TwoQubitState,
     critical_gamma,
     global_max_violation,
-    in_plane_grid_max_violation,
     max_value_cap,
     maximally_entangled_state,
     pure_state_value_cap,
@@ -24,11 +23,11 @@ from bellbound import (
     random_two_qubit_state,
     schmidt_state,
     seesaw_max_violation,
-    verify_maximally_entangled_cutoff,
 )
 from bellbound import optimizer as opt_module
+from bellbound.invariants import maxent_cutoff
 
-from conftest import horodecki_ch_max
+from conftest import horodecki_ch_max, in_plane_grid_max_violation
 
 TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
 FAST = SeesawConfig(restarts=4, max_iterations=400)
@@ -506,14 +505,11 @@ class TestCriticalGamma:
 
 class TestMaxentCutoffVerification:
     def test_grid_passes(self):
-        report = verify_maximally_entangled_cutoff(
-            [1.2072, 1.3, 1.45], measurement_sets_per_tau=25
-        )
-        assert report.passed
-        assert report.failures == ()
-        for check in report.checks:
-            assert check.max_violation <= 1e-9
-            assert check.identity_residual <= 1e-12
+        rows = maxent_cutoff([1.2072, 1.3, 1.45], 25)
+        assert len(rows) == 3
+        for violation, residual in rows:
+            assert violation <= 1e-9
+            assert residual <= 1e-12
 
     def test_untilted_identity_is_trivial(self, rng):
         # At tilt 1 the uniform-marginal shift identity reduces to 0 = 0.
@@ -525,7 +521,7 @@ class TestMaxentCutoffVerification:
 
     def test_grid_outside_domain_rejected(self):
         with pytest.raises(ValueError):
-            verify_maximally_entangled_cutoff([1.1], measurement_sets_per_tau=1)
+            maxent_cutoff([1.1], 1)
 
 
 class TestAnalyticCaps:

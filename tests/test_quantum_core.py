@@ -15,7 +15,6 @@ from bellbound import (
     random_two_qubit_state,
     schmidt_state,
 )
-from bellbound.quantum_core import random_single_qubit_unitary
 
 from conftest import concurrence_eigvals_oracle, kron_born_table, projector_from_bloch
 
@@ -133,11 +132,6 @@ class TestConcurrence:
             rho = TwoQubitState(np.outer(ket, ket.conj()))
             assert concurrence(rho) <= 1e-7
 
-    def test_schmidt_states_give_sin_two_gamma(self):
-        for gamma in np.linspace(0.0, math.pi / 4, 50):
-            c = concurrence(schmidt_state(float(gamma)))
-            assert c == pytest.approx(math.sin(2.0 * float(gamma)), abs=1e-9)
-
     def test_werner_state_half(self):
         # Frozen value 0.25 computed with the independent eigensolver oracle.
         phi = maximally_entangled_state().matrix
@@ -152,14 +146,6 @@ class TestConcurrence:
             assert concurrence(rho) == pytest.approx(
                 concurrence_eigvals_oracle(rho.matrix), abs=1e-6
             )
-
-    def test_invariant_under_local_unitaries(self, rng):
-        for i in range(100):
-            rho = random_two_qubit_state(rng, pure=bool(i % 2))
-            base = concurrence(rho)
-            u = np.kron(random_single_qubit_unitary(rng), random_single_qubit_unitary(rng))
-            rotated = TwoQubitState(u @ rho.matrix @ u.conj().T)
-            assert abs(concurrence(rotated) - base) <= 1e-9
 
 
 class TestTwoQubitStateValidation:

@@ -234,6 +234,38 @@ class TestLoadSave:
         with pytest.raises(RangeError):
             load(path)
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["1" + "0" * 400, "-1" + "0" * 400, "NaN", "-Infinity"],
+        ids=["1e400", "-1e400", "NaN", "-Infinity"],
+    )
+    def test_unrepresentable_probability_is_range_error(self, tmp_path, literal):
+        # An integer past the float range once crashed float() with OverflowError.
+        path = tmp_path / "huge.json"
+        path.write_text('{"format": "full", "p": [' + ", ".join([literal] + ["0.25"] * 15) + "]}", encoding="utf-8")
+        with pytest.raises(RangeError, match=r"p\[0\] = .* lies outside \[0, 1\]"):
+            load(path)
+
+    def test_integer_past_the_digit_limit_is_parse_error(self, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text('{"format": "full", "p": [1' + "0" * 5000 + "]}", encoding="utf-8")
+        with pytest.raises(ParseError, match="not valid JSON"):
+            load(path)
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"format": "csv", "description": "Zürich"}'.encode("latin-1"))
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load(path)
+
+    @pytest.mark.parametrize("description", [7, None, ["white", "noise"]], ids=["int", "null", "list"])
+    def test_non_string_description_rejected(self, tmp_path, description):
+        payload = {"format": "full", "p": [0.25] * 16, "description": description}
+        path = tmp_path / "desc.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SchemaError, match='"description" must be a string'):
+            load(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "fmt.json"
         path.write_text(json.dumps({"format": "csv"}), encoding="utf-8")
