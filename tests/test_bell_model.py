@@ -10,6 +10,7 @@ from bellbound import (
     ch_value,
     coefficients,
     evaluate_classical,
+    evaluate_from_ch,
     maximally_entangled_state,
     quantum_value,
     random_measurement_set,
@@ -82,6 +83,24 @@ class TestEvaluateClassical:
             evaluate_classical(uniform_table(), 1.5)
         value = evaluate_classical(uniform_table(), 1.5, allow_trivial_regime=True).value
         assert value == pytest.approx(-0.5 + (1.0 - 1.5) * 1.0, abs=1e-15)
+
+    def test_nonpositivity_at_trivial_tilt(self, rng):
+        worst = -math.inf
+        for _ in range(200):
+            table = random_nosignaling_table(rng)
+            worst = max(worst, evaluate_classical(table, 1.5, allow_trivial_regime=True).value)
+        assert worst <= 1e-12
+
+    def test_decomposition_identity(self, rng):
+        worst = 0.0
+        for _ in range(200):
+            table = random_nosignaling_table(rng)
+            tau = float(rng.uniform(1.0, 1.5))
+            direct = evaluate_classical(table, tau).value
+            slice_direct = evaluate_classical(ch_slice(table), tau).value
+            decomposed = evaluate_from_ch(table, tau).value
+            worst = max(worst, abs(direct - decomposed), abs(slice_direct - decomposed))
+        assert worst <= 1e-12
 
     def test_affine_in_tilt_with_marginal_slope(self, rng):
         for _ in range(50):
