@@ -142,9 +142,13 @@ def _cmd_curves(args) -> int:
 def _cmd_verify(args) -> int:
     from .invariants import INVARIANTS  # loaded only here, so other commands skip it
 
+    statistics_io.check_tolerance(args.tol)  # before any check prints its line
     failures = []
     for name, check in INVARIANTS:
-        ok, detail = check(args.seed, args.tol)
+        try:
+            ok, detail = check(args.seed, args.tol)
+        except Exception as exc:  # a broken check fails alone; the others still run
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         tag = "PASS" if ok else "FAIL"
         print(f"[{tag}] {name} ({detail})")
         if not ok:

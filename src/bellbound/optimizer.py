@@ -8,9 +8,11 @@ Three layers:
   onto the top eigenvector of a 2x2 effective operator (obtained by
   contracting the state with the fixed party's operators and the tilted
   coefficients).  Ascent is monotone because each update maximizes over a
-  family containing the current projector.  Every restart runs in one batch,
+  family containing the current projector.  Its 8 restarts run in one batch,
   with each party's two settings stacked into one array, so that a half-step
-  is one matrix product and one renormalization for all of them.
+  is one matrix product and one renormalization for all of them; the batch
+  stops once every restart has converged, or after 500 iterations.  Only the
+  random starts are settable, through :class:`SeesawConfig`'s seed.
 * :func:`global_max_violation` -- outer scalar search over the Schmidt angle:
   a 64-point coarse grid guards against multiple local maxima, then a
   golden section refines to 1e-8.  The grid is rated in decreasing order of
@@ -50,7 +52,8 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -67,7 +70,7 @@ from .quantum_core import (
     MeasurementSet,
     TwoQubitState,
     _pauli_decomposition,
-    random_bloch_vector,
+    random_measurement_set,
     schmidt_state,
 )
 
@@ -105,20 +108,12 @@ logger = logging.getLogger("bellbound")
 
 @dataclass(frozen=True)
 class SeesawConfig:
-    """Restart count, iteration cap, convergence tolerance, and RNG seed."""
+    """The see-saw's RNG seed; its restart count, iteration cap and tolerance are fixed."""
 
-    restarts: int = 8
-    max_iterations: int = 500
-    convergence_tol: float = 1e-11
+    restarts: ClassVar[int] = 8
+    max_iterations: ClassVar[int] = 500
+    convergence_tol: ClassVar[float] = 1e-11
     rng_seed: int = 2071
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol <= 0.0:
-            raise ValueError("convergence_tol must be positive")
 
 
 DEFAULT_CONFIG = SeesawConfig()
@@ -131,9 +126,9 @@ class SeesawResult:
     ``converged`` and ``iterations`` refer to the best restart;
     ``batch_iterations`` is the iteration at which the batch of restarts
     stopped, and ``unconverged`` the number of restarts that never converged.
-    ``histories`` (present when the search is run with ``keep_history=True``)
-    carries the per-iteration value sequence of every restart, each of which
-    is nondecreasing.
+    ``histories`` is the read-only ``(batch_iterations, restarts)`` array of
+    every restart's value at each iteration; each column is nondecreasing.
+    Results compare and hash without it.
     """
 
     value: BellValue
@@ -142,7 +137,7 @@ class SeesawResult:
     iterations: int
     batch_iterations: int
     unconverged: int
-    histories: tuple[tuple[float, ...], ...] | None = None
+    histories: np.ndarray = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -189,22 +184,23 @@ def _renormalize_rows(candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seesaw(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_history):
+def _seesaw(r_alice, r_bob, corr, tau, starts):
     # Alternating ascent on one state at one tilt, every restart in one batch.
     # Each party's two settings are one (2, restarts, 3) array, so a half-step
     # is one product with ``corr`` (or its transposed view), the tilt pull
     # added in place on setting 0, and one renormalization; the sum and
     # difference of the settings go into two preallocated (2, restarts, 3)
-    # buffers.  A restart is converged once its value improves by less than
-    # ``tol``; the batch stops at the iteration where its last restart
-    # converges, or at ``max_iterations``.  Returns the final values
+    # buffers, and each iteration's values into its row of a preallocated
+    # history.  A restart is converged once its value improves by less than
+    # the tolerance; the batch stops at the iteration where its last restart
+    # converges, or at the iteration cap.  Returns the final values
     # (restarts,), Alice's and Bob's (2, restarts, 3) settings, the converged
     # flags, the iteration at which each restart first converged (or
-    # stopped), the iteration at which the batch stopped, and, with
-    # ``keep_history``, the list of per-iteration value rows.
+    # stopped), and the read-only (iterations, restarts) rows of the history.
+    max_iterations, tol = SeesawConfig.max_iterations, SeesawConfig.convergence_tol
     alice, bob = starts
     restarts = alice.shape[1]
-    history: list[np.ndarray] = []
+    history = np.empty((max_iterations, restarts))
     previous = np.full(restarts, -np.inf)
     converged = np.zeros(restarts, dtype=bool)
     first_converged = np.zeros(restarts, dtype=int)
@@ -237,11 +233,11 @@ def _seesaw(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_history
         corr_terms = np.einsum("prk,prk->pr", alice, corr_bob)
         # Term by term, in this order, so that results stay bit for bit those
         # of earlier releases.
-        values = 0.25 * (
-            2.0 + 2.0 * a_dot + bob_marginal[0] + corr_terms[0] + bob_marginal[1] + corr_terms[1]
-        ) - tau * (1.0 + 0.5 * (a_dot + b_dot))
-        if keep_history:
-            history.append(values)
+        values = np.subtract(
+            0.25 * (2.0 + 2.0 * a_dot + bob_marginal[0] + corr_terms[0] + bob_marginal[1] + corr_terms[1]),
+            tau * (1.0 + 0.5 * (a_dot + b_dot)),
+            out=history[iterations - 1],
+        )
         newly = ~converged & (values - previous < tol)
         first_converged[newly] = iterations
         converged |= newly
@@ -249,34 +245,25 @@ def _seesaw(r_alice, r_bob, corr, tau, starts, max_iterations, tol, keep_history
             first_converged[~converged] = iterations
             break
         previous = values
-    return values, alice, bob, converged, first_converged, iterations, history
+    histories = history[:iterations]
+    histories.setflags(write=False)
+    return values, alice, bob, converged, first_converged, histories
 
 
-def _chsh_start() -> tuple[np.ndarray, ...]:
-    inv = 1.0 / math.sqrt(2.0)
-    return (
-        np.array([0.0, 0.0, 1.0]),
-        np.array([1.0, 0.0, 0.0]),
-        np.array([inv, 0.0, inv]),
-        np.array([-inv, 0.0, inv]),
-    )
-
-
-def _random_start(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    return tuple(random_bloch_vector(rng).as_array() for _ in range(4))
+def _vectors(m: MeasurementSet) -> np.ndarray:
+    return np.array([v.as_array() for v in (*m.alice, *m.bob)])
 
 
 @functools.lru_cache(maxsize=16)
-def _restart_starts(cfg: SeesawConfig) -> tuple[np.ndarray, np.ndarray]:
-    # Restart 0 is the CHSH-optimal start; the others are drawn from streams
-    # derived from the seed.  Returned as Alice's and Bob's (2, restarts, 3)
-    # settings, drawn once per config and read-only, since every caller
-    # shares them.
-    starts = [_chsh_start()]
-    if cfg.restarts > 1:
-        for child in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.restarts - 1):
-            starts.append(_random_start(np.random.default_rng(child)))
-    settings = np.array(starts).transpose(1, 0, 2)
+def _restart_starts(rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    # Restart 0 is the CHSH-optimal start; the others are random measurement
+    # sets drawn from streams derived from the seed.  Returned as Alice's and
+    # Bob's (2, restarts, 3) settings, drawn once per seed and read-only,
+    # since every caller shares them.
+    children = np.random.SeedSequence(rng_seed).spawn(SeesawConfig.restarts - 1)
+    sets = [MeasurementSet.chsh_optimal()]
+    sets += [random_measurement_set(np.random.default_rng(child)) for child in children]
+    settings = np.array([_vectors(m) for m in sets]).transpose(1, 0, 2)
     arrays = (settings[:2].copy(), settings[2:].copy())
     for a in arrays:
         a.setflags(write=False)
@@ -288,45 +275,27 @@ def _measurement_set_from(vectors) -> MeasurementSet:
     return MeasurementSet(alice=(units[0], units[1]), bob=(units[2], units[3]))
 
 
-def seesaw_max_violation(
-    rho: TwoQubitState,
-    tau: float,
-    cfg: SeesawConfig = DEFAULT_CONFIG,
-    *,
-    keep_history: bool = False,
-) -> SeesawResult:
+def seesaw_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> SeesawResult:
     """Alternating ascent toward the maximal violation of a fixed state.
 
-    Restart 0 starts from the CHSH-optimal angles; the remaining restarts draw
-    random Bloch vectors from streams derived from ``cfg.rng_seed``, so results
-    are reproducible.  All restarts iterate in one batch; a restart is
-    converged once its value improves by less than ``cfg.convergence_tol``,
-    and the best restart is returned (flagged unconverged if it exhausted
-    ``cfg.max_iterations``).
+    Restart 0 starts from the CHSH-optimal angles; the other 7 draw random
+    Bloch vectors from streams derived from ``cfg.rng_seed``, so results are
+    reproducible.  All restarts iterate in one batch; a restart is converged
+    once its value improves by less than 1e-11, and the best restart is
+    returned (flagged unconverged if it ran out the 500 iterations).
     """
     coefficients(tau)  # validates the tilt range
     r_alice, r_bob, corr = _pauli_decomposition(rho.matrix)
-    values, alice, bob, converged, iteration_counts, batch_iterations, history = _seesaw(
-        r_alice,
-        r_bob,
-        corr,
-        float(tau),
-        _restart_starts(cfg),
-        cfg.max_iterations,
-        cfg.convergence_tol,
-        keep_history,
+    values, alice, bob, converged, iteration_counts, histories = _seesaw(
+        r_alice, r_bob, corr, float(tau), _restart_starts(cfg.rng_seed)
     )
     best = int(np.argmax(values))
-    histories = None
-    if keep_history:
-        stacked = np.array(history)
-        histories = tuple(tuple(stacked[:, r]) for r in range(cfg.restarts))
     return SeesawResult(
         value=BellValue(value=float(values[best]), tau=float(tau)),
         measurements=_measurement_set_from([alice[0, best], alice[1, best], bob[0, best], bob[1, best]]),
         converged=bool(converged[best]),
         iterations=int(iteration_counts[best]),
-        batch_iterations=batch_iterations,
+        batch_iterations=len(histories),
         unconverged=int(np.count_nonzero(~converged)),
         histories=histories,
     )
@@ -451,7 +420,7 @@ def _optimum_point(gamma: float, tau: float, rate: _Rater) -> OptimumPoint:
     r_alice, _, corr = _pauli_decomposition(rho.matrix)
     bob = np.array([[math.sin(t0), 0.0, math.cos(t0)], [math.sin(t1), 0.0, math.cos(t1)]])
     candidates = np.array([corr @ (bob[0] + bob[1]) + 2.0 * (1.0 - tau) * r_alice, corr @ (bob[0] - bob[1])])
-    alice = _renormalize_rows(candidates, np.array(_chsh_start()[:2]))
+    alice = _renormalize_rows(candidates, _vectors(MeasurementSet.chsh_optimal())[:2])
     measurements = _measurement_set_from([*alice, *bob])
     s_q = quantum_value(rho, measurements, tau).value
     if abs(s_q - values[0]) > 1e-12:

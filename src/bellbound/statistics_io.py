@@ -165,6 +165,12 @@ def _slice_tsirelson(slc: ChSlice) -> float:
     return max(0.0, ch_value(slc) - TSIRELSON_CH)
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ``ValueError`` unless the validation tolerance is positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def validate(stats: ProbabilityTable | ChSlice, tol: float = HARD_VALIDATION_TOL) -> ValidationReport:
     """Check normalization, no-signaling, joint/marginal consistency and Tsirelson's bound.
 
@@ -173,8 +179,7 @@ def validate(stats: ProbabilityTable | ChSlice, tol: float = HARD_VALIDATION_TOL
     consistency and Tsirelson residuals are computable; the other two are
     reported as zero.  ``tol`` must be positive and finite.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    check_tolerance(tol)
     if isinstance(stats, ChSlice):
         consistency = _slice_consistency(stats)
         tsirelson = _slice_tsirelson(stats)

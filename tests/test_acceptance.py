@@ -19,13 +19,11 @@ import bellbound as bb
 from bellbound.cli import DEFAULT_SEED
 from bellbound.cli import main as cli_main
 from bellbound.invariants import INVARIANTS, maxent_cutoff
-from bellbound.optimizer import SeesawConfig
 from bellbound.statistics_io import HARD_VALIDATION_TOL
 
 from conftest import in_plane_grid_max_violation
 
 TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
-FAST = SeesawConfig(restarts=4, max_iterations=400)
 # Criteria checked by a verify invariant: its name -> (criterion number, runtime limit in s).
 INVARIANT_CRITERIA = {
     "bundled demo slice reproduces its bounds": (1, 1.0),
@@ -95,9 +93,7 @@ def test_criterion_06_analytic_dominance():
     with criterion(6, "analytic caps dominate see-saw values and the critical curve"):
         for gamma in np.linspace(0.0, math.pi / 4, 20):
             for tau in np.linspace(1.0, 1.499, 20):
-                value = bb.seesaw_max_violation(
-                    bb.schmidt_state(float(gamma)), float(tau), FAST
-                ).value.value
+                value = bb.seesaw_max_violation(bb.schmidt_state(float(gamma)), float(tau)).value.value
                 cap = bb.pure_state_value_cap(float(gamma), float(tau))
                 assert value <= cap + 1e-9
         taus = np.linspace(bb.TAU_MAXENT_CUTOFF, 1.49, 50)

@@ -30,13 +30,11 @@ from bellbound import (
 )
 from bellbound import bounds_engine
 from bellbound.bounds_engine import NOTE_BELOW_CUTOFF, NOTE_NO_VIOLATION, NOTE_NUMERIC_NO_VIOLATION
-from bellbound.optimizer import SeesawConfig
 from bellbound.statistics_io import ProbabilityTable
 
 from conftest import DEMO_SLICE, near_trivial_experiment
 
 TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
-FAST = SeesawConfig(restarts=4, max_iterations=400)
 
 
 class TestLowerBound:
@@ -225,7 +223,7 @@ class TestAssembleReport:
     def test_end_to_end_bounds_bracket_true_concurrence(self):
         # Simulate the pi/8 state with its own tilt-1.3 optimal measurements.
         rho = schmidt_state(math.pi / 8)
-        measurements = seesaw_max_violation(rho, 1.3, FAST).measurements
+        measurements = seesaw_max_violation(rho, 1.3).measurements
         report = assemble_report(simulate(rho, measurements), projective=True, numeric_ub=True)
         truth = math.sin(math.pi / 4)
         assert report.lower_bound <= truth + 1e-6

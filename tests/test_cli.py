@@ -1,12 +1,16 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from bellbound import ChSlice, bell_model, load, quantum_core, save, statistics_io, uniform_table
+import bellbound
+from bellbound import ChSlice, bell_model, invariants, load, quantum_core, save, statistics_io, uniform_table
 from bellbound.cli import (
     CSV_CONCURRENCE,
     CSV_VIOLATION,
@@ -336,6 +340,35 @@ class TestVerifyCommand:
         assert caught.value.code == EXIT_PARSE
         assert captured.out == ""
         assert "--seed: expected a non-negative integer, got '-1'" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "inf", "-1"])
+    def test_bad_tolerance_is_rejected_before_any_output(self, capsys, tol):
+        code, out, err = run(capsys, "verify", "--tol", tol)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "tolerance must be positive and finite" in err
+
+    def test_an_invariant_that_raises_fails_alone(self, capsys, monkeypatch):
+        def broken(seed, tol):
+            raise RuntimeError("broken on purpose")
+
+        patched = list(invariants.INVARIANTS)
+        name = patched[3][0]
+        patched[3] = (name, broken)
+        monkeypatch.setattr(invariants, "INVARIANTS", patched)
+        code, out, err = run(capsys, "verify")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[3] == f"[FAIL] {name} (RuntimeError: broken on purpose)"
+        assert sum(line.startswith("[PASS] ") for line in lines) == 13
+        assert lines[-1] == "verification suite: 13/14 passed (seed 2071)"
+        assert err == f"failing invariants: {name}\n"
+
+    def test_importing_the_cli_leaves_the_invariants_unloaded(self):
+        # Only verify imports the registry, so every other command starts without it.
+        probe = "import sys, bellbound, bellbound.cli; sys.exit('bellbound.invariants' in sys.modules)"
+        src = str(Path(bellbound.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_NUMERIC}) == 4

@@ -9,6 +9,7 @@ import pytest
 
 from bellbound import (
     TAU_MAXENT_CUTOFF,
+    MeasurementSet,
     NoViolationFound,
     NumericFailure,
     SeesawConfig,
@@ -30,7 +31,6 @@ from bellbound.invariants import maxent_cutoff
 from conftest import horodecki_ch_max, in_plane_grid_max_violation
 
 TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
-FAST = SeesawConfig(restarts=4, max_iterations=400)
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 COARSE_GRID = np.linspace(0.0, math.pi / 4, opt_module.COARSE_GAMMA_POINTS)
 
@@ -121,12 +121,9 @@ class TestSeesaw:
         assert result.value.value == pytest.approx(oracle, abs=1e-6)
 
     def test_ascent_is_monotone_for_every_restart(self):
-        result = seesaw_max_violation(schmidt_state(0.5), 1.2, keep_history=True)
-        assert result.histories is not None
-        assert len(result.histories) == 8
-        for history in result.histories:
-            diffs = np.diff(np.array(history))
-            assert diffs.min() >= -1e-12
+        result = seesaw_max_violation(schmidt_state(0.5), 1.2)
+        assert result.histories.shape == (result.batch_iterations, 8)
+        assert np.diff(result.histories, axis=0).min() >= -1e-12
 
     def test_value_matches_returned_measurements(self, rng):
         for i in range(10):
@@ -153,16 +150,18 @@ class TestSeesaw:
     def test_deterministic_given_seed(self):
         a = seesaw_max_violation(schmidt_state(0.4), 1.25)
         b = seesaw_max_violation(schmidt_state(0.4), 1.25)
+        assert a == b and hash(a) == hash(b)
         assert a.value.value == b.value.value
         assert a.measurements.alice[0].as_array() == pytest.approx(
             b.measurements.alice[0].as_array(), abs=0.0
         )
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SeesawConfig(restarts=0)
-        with pytest.raises(ValueError):
-            SeesawConfig(convergence_tol=0.0)
+    def test_seed_is_the_only_setting(self):
+        assert [field.name for field in dataclasses.fields(SeesawConfig)] == ["rng_seed"]
+        constants = (SeesawConfig.restarts, SeesawConfig.max_iterations, SeesawConfig.convergence_tol)
+        assert constants == (8, 500, 1e-11)
+        with pytest.raises(TypeError):
+            SeesawConfig(restarts=4)
 
     def test_bit_identical_to_recorded_results(self):
         # SHA-256 of value, measurement vectors, converged flag and iteration
@@ -198,12 +197,12 @@ class TestSeesaw:
         digest = hashlib.sha256()
         for cfg in (SeesawConfig(), SeesawConfig(rng_seed=99)):
             for rho, tau in cases:
-                result = seesaw_max_violation(rho, tau, cfg, keep_history=True)
+                result = seesaw_max_violation(rho, tau, cfg)
                 vectors = [v.as_array() for v in (*result.measurements.alice, *result.measurements.bob)]
                 digest.update(np.array([result.value.value, *np.concatenate(vectors)]).tobytes())
                 digest.update(np.array([result.converged, result.iterations], dtype=np.int64).tobytes())
-                for history in result.histories:
-                    digest.update(np.array(history).tobytes())
+                for history in result.histories.T:
+                    digest.update(history.tobytes())
         assert digest.hexdigest() == "f246c0702021cee6596a5d2b23ad9ca39fa0e0b58680e249c6d16a1c4ec5bb61"
 
     @pytest.mark.parametrize("tau,expected", [(1.0, -0.5), (1.3, -0.8)])
@@ -213,7 +212,8 @@ class TestSeesaw:
         # exactly 1/2 - tau, and the batch converges at its second iteration.
         result = seesaw_max_violation(TwoQubitState(np.eye(4) / 4.0), tau)
         assert result.value.value == expected
-        assert result.measurements == opt_module._measurement_set_from(opt_module._chsh_start())
+        chsh = opt_module._vectors(MeasurementSet.chsh_optimal())
+        assert result.measurements == opt_module._measurement_set_from(chsh)
         assert (result.converged, result.iterations, result.batch_iterations) == (True, 2, 2)
 
     def test_product_state_mixes_degenerate_and_regular_rows(self):
@@ -226,21 +226,21 @@ class TestSeesaw:
         assert result.unconverged == 0
 
     def test_batch_diagnostics_on_a_converging_call(self):
-        result = seesaw_max_violation(maximally_entangled_state(), 1.0, keep_history=True)
+        result = seesaw_max_violation(maximally_entangled_state(), 1.0)
         assert result.unconverged == 0
         assert result.iterations <= result.batch_iterations
-        assert {len(h) for h in result.histories} == {result.batch_iterations}
+        assert result.histories.shape == (result.batch_iterations, 8)
+        with pytest.raises(ValueError):
+            result.histories[0, 0] = 0.0
 
     def test_batch_diagnostics_on_a_call_stopped_at_its_cap(self):
-        rho = random_two_qubit_state(np.random.default_rng(23), pure=True)
-        cfg = SeesawConfig(restarts=3, max_iterations=5)
-        result = seesaw_max_violation(rho, 1.2, cfg, keep_history=True)
-        assert result.batch_iterations == 5
+        result = seesaw_max_violation(*capped_input())
+        assert result.batch_iterations == SeesawConfig.max_iterations
+        assert (result.converged, result.iterations) == (False, SeesawConfig.max_iterations)
         # A restart converged once its value rose by less than the tolerance.
-        never = sum(
-            not any(np.diff(np.array((-np.inf, *h))) < cfg.convergence_tol) for h in result.histories
-        )
-        assert result.unconverged == never > 0
+        rises = np.diff(result.histories, axis=0, prepend=-np.inf)
+        never = int(np.count_nonzero(~(rises < SeesawConfig.convergence_tol).any(axis=0)))
+        assert result.unconverged == never == 8
 
 
 class TestBatchedKernel:
@@ -260,12 +260,11 @@ class TestBatchedKernel:
         assert capsys.readouterr() == ("", "")
 
     def test_restart_starts_drawn_once_and_read_only(self):
-        cfg = SeesawConfig(restarts=5, rng_seed=11)
-        starts = opt_module._restart_starts(cfg)
-        assert opt_module._restart_starts(SeesawConfig(restarts=5, rng_seed=11)) is starts
-        fresh = opt_module._restart_starts.__wrapped__(cfg)
+        starts = opt_module._restart_starts(11)
+        assert opt_module._restart_starts(11) is starts
+        fresh = opt_module._restart_starts.__wrapped__(11)
         for cached, drawn in zip(starts, fresh):
-            assert cached.shape == (2, 5, 3)
+            assert cached.shape == (2, 8, 3)
             np.testing.assert_array_equal(cached, drawn)
             with pytest.raises(ValueError):
                 cached[0, 0] = 0.0
@@ -548,7 +547,7 @@ class TestAnalyticCaps:
     def test_cap_dominates_seesaw_spot_checks(self):
         for gamma in (0.2, 0.5, math.pi / 4):
             for tau in (1.0, 1.15, 1.3):
-                value = seesaw_max_violation(schmidt_state(gamma), tau, FAST).value.value
+                value = seesaw_max_violation(schmidt_state(gamma), tau).value.value
                 assert value <= pure_state_value_cap(gamma, tau) + 1e-9
 
 
