@@ -103,12 +103,23 @@ def upper_bound_analytic(tau: float) -> float:
 
 
 def upper_bound_numeric(tau: float) -> float | None:
-    """Critical-curve concurrence at tilt ``tau`` (numeric, via bisection).
+    """Critical-curve concurrence at tilt ``tau`` (numeric).
 
-    None when no Schmidt angle violates above the search threshold at
-    ``tau``, as happens just below 3/2: the search then has no crossing to
-    locate, and the analytic bound is the one that holds.
+    The concurrence sin(2 gamma_c) of the largest violating Schmidt angle,
+    which :func:`~bellbound.optimizer.critical_gamma` finds by Newton on the
+    envelope slope of max F and a replay of the 1e-8 bisection.  None when no
+    Schmidt angle violates above the search threshold at ``tau``, as happens
+    just below 3/2: the search then has no crossing to locate, and the
+    analytic bound is the one that holds.
     """
+    # The search runs over pure Schmidt states, yet the bound holds for mixed
+    # states too.  Wootters' decomposition writes rho as a mixture of pure
+    # states that all have concurrence C(rho).  The observed value at a tilt
+    # is the same mixture of their values under the same measurements, so at
+    # every tilt below tau_obs, where rho's statistics violate, one of those
+    # pure states violates too.  Its Schmidt angle then lies at or below the
+    # critical angle, so C(rho) <= c_cr at every such tilt, and at tau_obs by
+    # the continuity of c_cr in the tilt.
     try:
         return critical_gamma(tau).c_cr
     except NoViolationFound:

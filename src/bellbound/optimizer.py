@@ -19,10 +19,15 @@ Three layers:
   :func:`pure_state_value_cap`, skipping every angle whose cap cannot reach
   the best value already rated.
 * :func:`critical_gamma` -- for a tilt at which the maximally entangled state
-  no longer violates, a bisection above the arg-max angle locates the
-  largest Schmidt angle that still violates; its concurrence is the numeric
-  upper bound on the concurrence of any violating state.  The optimum the
-  search started from is returned with it.
+  no longer violates, the largest Schmidt angle above the arg-max angle that
+  still violates; its concurrence is the numeric upper bound on the
+  concurrence of any violating state.  A safeguarded Newton iteration, with
+  the slope of max F from the envelope theorem, brackets the crossing to
+  1e-11; a bisection to 1e-8 is then replayed on its own midpoints, each
+  decided by its side of that bracket, so the angle is bit for bit the
+  bisection's while only Newton's angles, the rare midpoint within rounding's
+  reach of that bracket and the final bracket's two ends are rated.  The
+  optimum the search started from is returned with it.
 
 Neither Schmidt-angle search runs the see-saw.  For the state
 cos(g)|00> + sin(g)|11>, write c = cos 2g and s = sin 2g.  Alice's best
@@ -39,9 +44,10 @@ B = s^2 (sin^2 t0 + sin^2 t1) + (cos t0 - cos t1)^2 and
 X* = clip((B - A)/2, +/- 2 s^2 sin t0 sin t1).  Both searches rate each
 angle by max F, found to rounding by damped Newton from a coarse grid of
 (t0, t1), not by the see-saw's lower bound.  Each search logs its tilt, the
-angles it rated and its Newton steps at DEBUG level on the ``"bellbound"``
-logger, which is silent unless the application configures logging (the
-CLI's ``--log-level``); the critical-angle search adds its final bracket.
+angles it rated and the Newton steps of their maximizations at DEBUG level
+on the ``"bellbound"`` logger, which is silent unless the application
+configures logging (the CLI's ``--log-level``); the critical-angle search
+adds its final bracket with max F at both ends.
 
 :func:`pure_state_value_cap` / :func:`max_value_cap` give the closed-form
 analytic caps the search results are checked against.
@@ -102,6 +108,15 @@ _ANGLE_CHUNK = 8
 # contract), so the coarse scan skips an angle whose cap plus this is below
 # the best max F already rated: it cannot be the scan's peak.
 _CAP_TOLERANCE = 1e-12
+# Width to which Newton brackets the crossing before the bisection is
+# replayed: far below the last bisection steps' spacing, so a replayed
+# midpoint almost never falls inside and needs a rating.
+_CROSSING_TOL = 1e-11
+# max F is rated to rounding: over 1e-8-wide windows its ratings scatter about
+# a smooth curve by at most 2.3e-16 (measured at tilts from 1.21 to 1.4997).
+# So two ratings can order two angles wrongly unless max F differs between
+# them by more than this allowance.
+_MAX_F_ROUNDING = 1e-15
 
 logger = logging.getLogger("bellbound")
 
@@ -470,16 +485,70 @@ def global_max_violation(tau: float) -> OptimumPoint:
     return optimum
 
 
+def _envelope_slope(gamma: float, tau: float, t0: float, t1: float) -> float:
+    # d max F / d gamma at an angle whose in-plane form peaks at (t0, t1).
+    # There the gradient in (t0, t1) vanishes, so by Danskin's envelope
+    # theorem the slope is the partial derivative of F in gamma.  F sees gamma
+    # only through s = sin 2g and k = (1 - tau) c, with c = cos 2g, so the
+    # slope is 2 c dF/ds - 2 (1 - tau) s dF/dk.  In the terms of _in_plane_f,
+    # dF/ds = 1/4 sum x (sin t0 +/- sin t1) / r over both norms, and
+    # dF/dk = cos(t0)/2 + z/(2 r) of the "+" norm, the one that holds 2k.
+    c, s = math.cos(2.0 * gamma), math.sin(2.0 * gamma)
+    sin0, cos0, sin1, cos1 = math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1)
+    d_s, d_k = 0.0, 0.5 * cos0
+    for sign, shift in ((1.0, 2.0 * (1.0 - tau) * c), (-1.0, 0.0)):
+        u = sin0 + sign * sin1
+        x = s * u
+        z = cos0 + sign * cos1 + shift
+        r = (x * x + z * z) ** 0.5
+        if r > 0.0:  # a vanishing norm is a kink at a minimum, never at the maximizer
+            d_s += 0.25 * x * u / r
+            if sign > 0.0:
+                d_k += 0.5 * z / r
+    return 2.0 * c * d_s - 2.0 * (1.0 - tau) * s * d_k
+
+
+def _cap_root(tau: float) -> float:
+    # The angle above the peak at which pure_state_value_cap falls to the
+    # violation threshold v.  With u = sin^2 g, p = 1 + 2 v and
+    # q = 4 (tau - 1), the cap equals v where sqrt(1 + 4 u (1 - u)) = p + q u;
+    # squared, (4 + q^2) u^2 + 2 (p q - 2) u + 4 v (1 + v) = 0, whose larger
+    # root is the one above the peak.  The root is real wherever some angle
+    # violates: the cap's maximum is still 5.8e-8 at tilt 1.49966, where the
+    # largest max F falls to v.
+    v = VIOLATION_THRESHOLD
+    p, q = 1.0 + 2.0 * v, 4.0 * (tau - 1.0)
+    half_b, a2 = p * q - 2.0, 4.0 + q * q
+    disc = half_b * half_b - 4.0 * a2 * v * (1.0 + v)
+    return math.asin(math.sqrt((math.sqrt(disc) - half_b) / a2))
+
+
 def critical_gamma(tau: float) -> CriticalCurvePoint:
     """Largest Schmidt angle whose state still violates at tilt ``tau``.
 
     Defined for tilts from the maximally-entangled cutoff up to (not including)
-    3/2.  Bisects, to 1e-8 in the angle, for the violation/no-violation
-    crossing above the arg-max angle of :func:`global_max_violation`, with
-    "violates" meaning max F above 1e-10 (see the module docstring).  That
-    optimum is returned too.  Raises
-    :class:`~bellbound.errors.NoViolationFound`, carrying the optimum, when
-    even the optimum does not violate, as happens just below 3/2.
+    3/2.  The angle is the one a bisection, to 1e-8 in the angle, finds for
+    the violation/no-violation crossing above the arg-max angle of
+    :func:`global_max_violation`, with "violates" meaning max F above 1e-10
+    (see the module docstring); that optimum is returned too.  The search
+    runs in three steps:
+
+    1. A safeguarded Newton iteration on max F - 1e-10 brackets the crossing
+       to 1e-11, starting where :func:`pure_state_value_cap` falls to 1e-10.
+       The slope of max F comes from the envelope theorem, at no extra
+       rating.
+    2. The bisection is replayed on its own midpoints.  A midpoint below
+       Newton's bracket violates and one above it does not; only one inside
+       it, or so near it that rounding could reverse the verdict, is rated.
+       The violating angles above the optimum form one interval, as the
+       bisection itself assumes, so every step is decided as a rating would
+       decide it and the angle is bit for bit the bisection's.
+    3. Both ends of the final bracket are rated.  If the lower end does not
+       violate or the upper one does, the replay cannot vouch for the bracket
+       and :class:`~bellbound.errors.NumericFailure` is raised.
+
+    Raises :class:`~bellbound.errors.NoViolationFound`, carrying the optimum,
+    when even the optimum does not violate, as happens just below 3/2.
     """
     t = float(tau)
     if not (TAU_MAXENT_CUTOFF - 1e-12 <= t < TAU_TRIVIAL):
@@ -493,26 +562,57 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
             f"at gamma {optimum.gamma_star:.6f}); the search is expected to violate below 3/2",
             optimum,
         )
+    rate = _Rater(t)
     # pi/4 never violates on this domain: its cap, (1 - t) + (sqrt 2 - 1)/2,
     # is at most 1e-12 for t >= cutoff - 1e-12, far below the threshold.  So
-    # [gamma_star, pi/4] brackets the crossing.
-    rate = _Rater(t)
+    # [gamma_star, pi/4] brackets the crossing, and Newton narrows it to
+    # [a, b]: each rated angle becomes its violating end a or its other end b.
+    # It starts where the cap falls to the threshold, not at the cap's zero:
+    # at the cutoff that zero is pi/4 itself, where max F has a kink, and the
+    # crossing lies 3e-10 below it.  Where max F is concave, a Newton step from
+    # either side lands on the non-violating side, so each step aims a
+    # quarter of the tolerance past its root, away from the side of the angle
+    # it starts from.  A start or step outside (a, b), or one that follows a
+    # slope that does not fall, is replaced by the midpoint; so every rating
+    # shrinks [a, b].
+    a, b = optimum.gamma_star, math.pi / 4
+    x = _cap_root(t)
+    while b - a > _CROSSING_TOL:
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        values, thetas = rate([x])
+        excess = float(values[0]) - VIOLATION_THRESHOLD
+        if excess > 0.0:
+            a, aim = x, 0.25 * _CROSSING_TOL
+        else:
+            b, aim = x, -0.25 * _CROSSING_TOL
+        slope = _envelope_slope(x, t, *thetas[0])
+        x = x - excess / slope + aim if slope < 0.0 else math.nan
+    # The replay decides a midpoint by Newton's bracket only where max F
+    # differs from its value at the near end by more than rounding can
+    # reverse, which holds beyond ``margin`` of [a, b]; a midpoint nearer is
+    # rated, as the bisection rates it.  The margin is far below the spacing
+    # of the last midpoints except within about 1e-3 of 3/2, where max F
+    # falls so slowly that the bisection's verdicts there are rounding's.
+    margin = _MAX_F_ROUNDING / -slope if slope < 0.0 else math.inf
     lo, hi = optimum.gamma_star, math.pi / 4
-    f_lo, f_hi = optimum.s_q, None
     while hi - lo > GAMMA_BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        value = rate([mid])[0][0]
-        if value > VIOLATION_THRESHOLD:
-            lo, f_lo = mid, value
+        if mid <= a - margin or (mid < b + margin and rate([mid])[0][0] > VIOLATION_THRESHOLD):
+            lo = mid
         else:
-            hi, f_hi = mid, value
-    if f_hi is None:  # pi/4 itself is the upper end, rated only for the log line
-        f_hi = rate([hi])[0][0]
+            hi = mid
+    f_lo, f_hi = (float(v) for v in rate([lo, hi])[0])
     logger.debug(
         "critical angle at tau %.10g: %d angles rated, %d Newton steps, bracket [%.12g, %.12g] "
         "with max F %.6e and %.6e",
         t, rate.angles, rate.steps, lo, hi, f_lo, f_hi,
     )
+    if not f_lo > VIOLATION_THRESHOLD >= f_hi:
+        raise NumericFailure(
+            f"the critical-angle bracket [{lo!r}, {hi!r}] at tilt {t!r} has max F {f_lo!r} and "
+            f"{f_hi!r} at its ends, not a violation below a non-violation: max F is not single-crossing"
+        )
     return CriticalCurvePoint(tau=t, gamma_c=lo, c_cr=math.sin(2.0 * lo), optimum=optimum)
 
 

@@ -130,5 +130,26 @@ def quantum_value_off_by_1e9(monkeypatch):
 
 
 @pytest.fixture
+def max_f_reflected_at(monkeypatch):
+    """Reflect max F about the violation threshold at one Schmidt angle.
+
+    Returns the function that installs the reflection at the angle it is
+    given, at every tilt: there a violating angle stops violating and a
+    non-violating one violates, so max F is no longer single-crossing.
+    """
+    real = optimizer._schmidt_maxima
+
+    def install(angle):
+        def reflected(gammas, tau):
+            values, thetas, steps = real(gammas, tau)
+            flips = np.array([float(g) == angle for g in gammas])
+            return np.where(flips, 2.0 * optimizer.VIOLATION_THRESHOLD - values, values), thetas, steps
+
+        monkeypatch.setattr(optimizer, "_schmidt_maxima", reflected)
+
+    return install
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260808)

@@ -10,7 +10,17 @@ from pathlib import Path
 import pytest
 
 import bellbound
-from bellbound import ChSlice, bell_model, invariants, load, quantum_core, save, statistics_io, uniform_table
+from bellbound import (
+    ChSlice,
+    bell_model,
+    bounds_engine,
+    invariants,
+    load,
+    quantum_core,
+    save,
+    statistics_io,
+    uniform_table,
+)
 from bellbound.cli import (
     CSV_CONCURRENCE,
     CSV_VIOLATION,
@@ -136,6 +146,15 @@ class TestBoundCommand:
         code, out, err = run(capsys, "bound", "--input", str(path), "--projective", "--numeric-ub")
         assert code == EXIT_NUMERIC
         assert "differs from max F" in err and "lower bound" not in out
+
+    def test_bracket_end_contradicting_the_replay_exits_numeric(self, capsys, tmp_path, max_f_reflected_at):
+        path = tmp_path / "slice.json"
+        save(DEMO_SLICE, path)
+        gamma_c = bellbound.critical_gamma(bounds_engine.tau_obs(load(path))).gamma_c
+        max_f_reflected_at(gamma_c)
+        code, out, err = run(capsys, "bound", "--input", str(path), "--projective", "--numeric-ub")
+        assert code == EXIT_NUMERIC
+        assert "critical-angle bracket" in err and "lower bound" not in out
 
     def test_pr_box_slice_exits_validation(self, capsys, tmp_path):
         # CH value 1/2, far above the quantum maximum (sqrt(2) - 1)/2.

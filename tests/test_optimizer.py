@@ -78,8 +78,8 @@ def sequential_global_max_violation(tau):
     return gamma_star, max_f(gamma_star, tau)
 
 
-def bisection_from(lo, tau, value_at):
-    """Plain bisection for the last violating angle in [lo, pi/4]: the oracle."""
+def bisection_bracket_from(lo, tau, value_at):
+    """Plain bisection for the violation crossing in [lo, pi/4]: the oracle's final bracket."""
     hi = math.pi / 4
     while hi - lo > opt_module.GAMMA_BISECTION_TOL:
         mid = 0.5 * (lo + hi)
@@ -87,7 +87,16 @@ def bisection_from(lo, tau, value_at):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, hi
+
+
+def bisection_from(lo, tau, value_at):
+    """Plain bisection for the last violating angle in [lo, pi/4]: the oracle."""
+    return bisection_bracket_from(lo, tau, value_at)[0]
+
+
+# Tilts from the cutoff to 1.4998; above about 1.4996 no angle violates.
+BISECTION_TILTS = [float(t) for t in np.linspace(TAU_MAXENT_CUTOFF, 1.4998, 64)]
 
 
 def clipped_f(gamma, tau, t0, t1):
@@ -312,10 +321,49 @@ class TestDecidedStates:
         for tau in (*taus, math.nextafter(1.5, 0.0)):
             assert pure_state_value_cap(math.pi / 4, float(tau)) <= opt_module.VIOLATION_THRESHOLD / 2
 
-    @pytest.mark.parametrize("tau", [1.2236, 1.427])
+    # At the two tilts after 1.49 max F falls so slowly that rounding
+    # decides the last midpoints; deciding them by Newton's bracket alone
+    # contradicted the end ratings there.
+    @pytest.mark.parametrize(
+        "tau", [1.2236, 1.427, 1.2102, 1.49, 1.4995452261306532, 1.499664824120603, *BISECTION_TILTS]
+    )
     def test_critical_gamma_equals_plain_bisection(self, tau):
-        point = critical_gamma(tau)
+        # Newton's bracket decides the replayed midpoints; the angle must be
+        # bit for bit the one a bisection rating every midpoint reaches.
+        try:
+            point = critical_gamma(tau)
+        except NoViolationFound:
+            assert tau > 1.4996  # no crossing to bisect
+            return
         assert point.gamma_c == bisection_from(point.optimum.gamma_star, tau, lambda g: max_f(g, tau))
+
+    @pytest.mark.parametrize(
+        "gamma,tau",
+        [(0.3, 1.0), (0.6, 1.0), (0.35, 1.2236), (0.7, 1.2236), (0.2, 1.3), (0.5, 1.3), (0.05, 1.427), (0.2, 1.427)],
+    )
+    def test_envelope_slope_matches_finite_difference(self, gamma, tau):
+        # The first angle of each tilt lies below the peak, the second above.
+        _, thetas, _ = opt_module._schmidt_maxima([gamma], tau)
+        h = 1e-6
+        central = (max_f(gamma + h, tau) - max_f(gamma - h, tau)) / (2.0 * h)
+        assert opt_module._envelope_slope(gamma, tau, *thetas[0]) == pytest.approx(central, abs=1e-7)
+
+    def test_critical_angle_rates_few_angles(self, caplog):
+        # The counted work, not the time: Newton and the two end ratings
+        # replace a bisection of 26 ratings.
+        with caplog.at_level(logging.DEBUG, logger="bellbound"):
+            point = critical_gamma(1.3)
+        line = [r.getMessage() for r in caplog.records if r.getMessage().startswith("critical angle")][0]
+        match = re.fullmatch(
+            r"critical angle at tau 1\.3: (\d+) angles rated, \d+ Newton steps, "
+            r"bracket \[(\S+), (\S+)\] with max F (\S+) and (\S+)",
+            line,
+        )
+        angles, lo, hi, f_lo, f_hi = (float(g) for g in match.groups())
+        assert angles <= 14
+        assert lo == pytest.approx(point.gamma_c, abs=1e-11)
+        assert 0.0 < hi - lo <= opt_module.GAMMA_BISECTION_TOL + 1e-11
+        assert f_lo > opt_module.VIOLATION_THRESHOLD >= f_hi
 
 
 class TestGoldenSectionRounds:
@@ -532,6 +580,14 @@ class TestMaxentCutoffVerification:
 
 
 class TestAnalyticCaps:
+    def test_cap_root_is_where_the_cap_falls_to_the_threshold(self):
+        # Newton's start in critical_gamma: above the optimum, at most pi/4.
+        for tau in np.linspace(TAU_MAXENT_CUTOFF, 1.4996, 40):
+            gamma = opt_module._cap_root(float(tau))
+            assert global_max_violation(float(tau)).gamma_star < gamma <= math.pi / 4
+            cap = pure_state_value_cap(gamma, float(tau))
+            assert cap == pytest.approx(opt_module.VIOLATION_THRESHOLD, abs=1e-15)
+
     def test_untilted_cap_is_tsirelson(self):
         assert max_value_cap(1.0) == pytest.approx(TSIRELSON, abs=1e-15)
 
@@ -576,6 +632,18 @@ class TestNumericFailurePath:
         monkeypatch.setattr(opt_module, "global_max_violation", never_violates)
         with pytest.raises(NumericFailure, match="no violating"):
             critical_gamma(1.3)
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_bracket_end_contradicting_the_replay_is_refused(self, end, max_f_reflected_at):
+        # max F is made to cross the threshold again at one end of the final
+        # bracket, past the peak; the end ratings catch what the replay,
+        # deciding by Newton's bracket, cannot see.
+        tau = 1.3
+        bracket = bisection_bracket_from(global_max_violation(tau).gamma_star, tau, lambda g: max_f(g, tau))
+        max_f_reflected_at(bracket[end])
+        named = re.escape(f"bracket [{bracket[0]!r}, {bracket[1]!r}] at tilt 1.3")
+        with pytest.raises(NumericFailure, match=named):
+            critical_gamma(tau)
 
     def test_no_violation_carries_the_optimum(self):
         # Just below 3/2 even the optimum stays under the threshold; the
