@@ -27,7 +27,8 @@ TAU_MAXENT_CUTOFF = 0.5 + 1.0 / math.sqrt(2.0)
 def _validate_tau(tau: float, allow_trivial_regime: bool) -> float:
     t = float(tau)
     if not math.isfinite(t) or t < TAU_MIN:
-        raise ValueError(f"tilt parameter must be >= 1, got {tau!r}")
+        domain = "at least 1" if allow_trivial_regime else "in [1, 3/2)"
+        raise ValueError(f"tilt parameter must be a finite number {domain}, got {tau!r}")
     if t >= TAU_TRIVIAL and not allow_trivial_regime:
         raise ValueError(
             f"tilt parameter {tau!r} is outside [1, 3/2); the inequality is trivially "

@@ -17,7 +17,11 @@ Three layers:
   a 64-point coarse grid guards against multiple local maxima, then a
   golden section refines to 1e-8.  The grid is rated in decreasing order of
   :func:`pure_state_value_cap`, skipping every angle whose cap cannot reach
-  the best value already rated.
+  the best value already rated.  A safeguarded secant on the slope of max F
+  brackets the peak inside its coarse cell, and the golden section is
+  replayed from that bracket: a step whose two angles the bracket orders
+  beyond rounding's reach is decided without a rating, and every other step
+  rates both, so the angle is bit for bit the plain golden section's.
 * :func:`critical_gamma` -- for a tilt at which the maximally entangled state
   no longer violates, the largest Schmidt angle above the arg-max angle that
   still violates; its concurrence is the numeric upper bound on the
@@ -43,11 +47,14 @@ with A = s^2 (sin^2 t0 + sin^2 t1) + (cos t0 + cos t1 + 2 (1 - tau) c)^2,
 B = s^2 (sin^2 t0 + sin^2 t1) + (cos t0 - cos t1)^2 and
 X* = clip((B - A)/2, +/- 2 s^2 sin t0 sin t1).  Both searches rate each
 angle by max F, found to rounding by damped Newton from a coarse grid of
-(t0, t1), not by the see-saw's lower bound.  Each search logs its tilt, the
-angles it rated and the Newton steps of their maximizations at DEBUG level
-on the ``"bellbound"`` logger, which is silent unless the application
-configures logging (the CLI's ``--log-level``); the critical-angle search
-adds its final bracket with max F at both ends.
+(t0, t1), not by the see-saw's lower bound.  The slope of max F in the angle
+comes from the envelope theorem at the maximizer a rating returns, at no
+extra rating.  Each search logs its tilt, the angles it rated and the Newton
+steps of their maximizations at DEBUG level on the ``"bellbound"`` logger,
+which is silent unless the application configures logging (the CLI's
+``--log-level``); the optimum search adds its peak bracket with the slopes at
+both ends (or "none") and the golden steps decided and angles rated, the
+critical-angle search its final bracket with max F at both ends.
 
 :func:`pure_state_value_cap` / :func:`max_value_cap` give the closed-form
 analytic caps the search results are checked against.
@@ -117,6 +124,22 @@ _CROSSING_TOL = 1e-11
 # So two ratings can order two angles wrongly unless max F differs between
 # them by more than this allowance.
 _MAX_F_ROUNDING = 1e-15
+# The envelope slope of max F is fixed only to about this, absolute: Newton
+# fixes the maximizer (t0, t1) only to about the square root of rounding.
+# Slopes at 10 angles within 1e-7 of the peak scatter about a line by at most
+# 9e-10 (measured at tilts from 1.05 to 1.4999999), so a slope beyond this
+# tells on which side of the peak its angle lies.
+_SLOPE_FLOOR = 2e-9
+# The golden section settles a step without its ratings only where max F at
+# its two angles is predicted to differ by more than this: about 400 times the
+# 2.3e-16 scatter of the ratings, so a rating could not order them otherwise.
+_DECIDED_GAP = 1e-13
+# The peak secant aims each step this many slope floors past its root, so
+# that the next slope is certain of its sign and the bracket closes from both
+# sides; it stops once the bracket is four such aims wide, or after
+# _PEAK_STEPS ratings.
+_PEAK_AIM_FLOORS = 8.0
+_PEAK_STEPS = 12
 
 logger = logging.getLogger("bellbound")
 
@@ -408,21 +431,105 @@ class _Rater:
         return values, thetas
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
+def _golden_section_max(f, lo: float, hi: float, tol: float, decide=None) -> float:
     # Golden-section search for a maximum of f on [lo, hi], to width tol.
+    # Without ``decide`` each step rates its new angle at once, as the
+    # textbook search does.  With it, a step first asks decide(c, d): True
+    # settles it as f(c) >= f(d), False as f(c) < f(d), and None has both
+    # angles rated, each at most once; an angle no step needs is never rated.
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
+    eager = decide is None
+    fc, fd = (f(c), f(d)) if eager else (None, None)
     while hi - lo > tol:
-        if fc >= fd:
+        keep_left = None if eager else decide(c, d)
+        if keep_left is None:
+            fc = f(c) if fc is None else fc
+            fd = f(d) if fd is None else fd
+            keep_left = fc >= fd
+        if keep_left:
             hi, d, fd = d, c, fc
             c = hi - _INV_GOLDEN * (hi - lo)
-            fc = f(c)
+            fc = f(c) if eager else None
         else:
             lo, c, fc = c, d, fd
             d = lo + _INV_GOLDEN * (hi - lo)
-            fd = f(d)
+            fd = f(d) if eager else None
     return 0.5 * (lo + hi)
+
+
+class _PeakReplay:
+    # The decide(c, d) hook of the golden section, from a certified peak
+    # bracket [lo, hi]: its slopes are beyond the floor, positive at lo and
+    # negative at hi, so the peak p lies inside.  Near p, max F is
+    # f(p) - a (x - p)^2 / 2 + b (x - p)^3 / 6, so for c < d with midpoint m,
+    # f(d) - f(c) = (d - c) a (p' - m) with p' = p + b (d - c)^2 / (24 a).
+    # A step is settled by the side of the secant's estimate of p on which m
+    # lies, where m is farther from it than the bracket leaves p uncertain,
+    # plus four times the cubic shift, plus the distance at which the
+    # predicted difference falls to _DECIDED_GAP; every other step is rated.
+    # ``half_b`` estimates |b| / 2.
+    def __init__(self, lo, g_lo, hi, g_hi, half_b):
+        self.bracket = (lo, hi, g_lo, g_hi)
+        self.curvature = (g_lo - g_hi) / (hi - lo)
+        self.peak = lo + g_lo / self.curvature
+        self.uncertainty = max(self.peak - lo, hi - self.peak)
+        self.shift = 4.0 * half_b / (12.0 * self.curvature)
+        self.decided = 0
+
+    def __call__(self, c: float, d: float):
+        width = d - c
+        mid = 0.5 * (c + d)
+        reach = self.uncertainty + self.shift * width * width + _DECIDED_GAP / (self.curvature * width)
+        if abs(mid - self.peak) <= reach:
+            return None
+        self.decided += 1
+        return mid > self.peak
+
+
+def _peak_replay(cell, slope_at) -> _PeakReplay | None:
+    # A safeguarded secant on the envelope slope for the peak of max F in
+    # the coarse cell, from the (angle, slope) pairs of its three grid angles.
+    # The bracket [a, b] holds the innermost angles whose slopes are beyond
+    # the floor, positive at a and negative at b.  Each step takes the secant
+    # root of the last two slopes (regula falsi on [a, b] where that root
+    # leaves it or the slopes do not fall) and aims _PEAK_AIM_FLOORS slope
+    # floors past it, away from the side of the last angle.  A slope within
+    # the floor sits in rounding's noise and ends the search, which otherwise
+    # stops once [a, b] is four aims wide.  Without a bracket, as when the
+    # peak is at a grid end or the slopes are lost in noise, nothing is
+    # replayed.  The cell's second divided difference of the slope gives the
+    # cubic term of max F.
+    (x0, g0), (x1, g1), (x2, g2) = cell
+    rising = [p for p in cell if p[1] > _SLOPE_FLOOR]
+    falling = [p for p in cell if p[1] < -_SLOPE_FLOOR]
+    if not rising or not falling or rising[-1][0] > falling[0][0]:
+        return None
+    half_b = abs(((g2 - g1) / (x2 - x1) - (g1 - g0) / (x1 - x0)) / (x2 - x0))
+    (a, g_a), (b, g_b) = rising[-1], falling[0]
+    previous, last = (a, g_a), (b, g_b)
+    for _ in range(_PEAK_STEPS):
+        (x_previous, g_previous), (x_last, g_last) = previous, last
+        curvature = (g_last - g_previous) / (x_last - x_previous)
+        root = x_last - g_last / curvature if curvature < 0.0 else math.nan
+        if not a < root < b:
+            curvature = (g_b - g_a) / (b - a)
+            root = a - g_a / curvature
+        aim = _PEAK_AIM_FLOORS * _SLOPE_FLOOR / -curvature
+        if b - a <= 4.0 * aim:
+            break
+        x = root + aim if g_last > 0.0 else root - aim
+        if not a < x < b:
+            x = root
+        g = slope_at(x)
+        if abs(g) <= _SLOPE_FLOOR:
+            break
+        if g > 0.0:
+            a, g_a = x, g
+        else:
+            b, g_b = x, g
+        previous, last = last, (x, g)
+    return _PeakReplay(a, g_a, b, g_b, half_b)
 
 
 def _optimum_point(gamma: float, tau: float, rate: _Rater) -> OptimumPoint:
@@ -462,6 +569,26 @@ def global_max_violation(tau: float) -> OptimumPoint:
     first one, on ties) is that of the full grid.  ``s_q`` is the quantum
     value at the returned measurements, which reproduces max F to 1e-12 or
     the search raises :class:`~bellbound.errors.NumericFailure`.
+
+    The golden section ends bit for bit where one rating every step ends,
+    but rates far fewer angles:
+
+    1. A safeguarded secant on the envelope slope of max F (see
+       :func:`critical_gamma`) brackets the peak inside the coarse cell,
+       from the slopes at the cell's three grid angles, which the scan has
+       already rated.  Each step aims a few noise floors of the slope (2e-9:
+       Newton fixes the maximizer only to about the square root of
+       rounding) past its root, so that the bracket closes from both sides
+       with slopes of certain sign at its ends.
+    2. The golden section asks the bracket at each step.  Where the bracket
+       and a quadratic model of max F, with an allowance for its cubic term,
+       put the two angles more than 1e-13 apart in max F (about 400 times
+       the rating scatter), the step is decided without a rating; every
+       other step rates both angles, as the plain search does.
+
+    Where no bracket can be certified, as when the peak is at a grid end
+    (tilt 1) or the slopes are lost in noise, nothing is decided and every
+    step is rated.  At tilt 1.3 the search rates 35 angles instead of 52.
     """
     coefficients(tau)
     t = float(tau)
@@ -469,19 +596,38 @@ def global_max_violation(tau: float) -> OptimumPoint:
     grid = np.linspace(0.0, math.pi / 4, COARSE_GAMMA_POINTS)
     caps = np.array([pure_state_value_cap(float(g), t) for g in grid])
     values = np.full(COARSE_GAMMA_POINTS, -np.inf)
+    thetas = [None] * COARSE_GAMMA_POINTS
     order = np.argsort(-caps, kind="stable")
     for start in range(0, COARSE_GAMMA_POINTS, _ANGLE_CHUNK):
         chunk = order[start : start + _ANGLE_CHUNK]
         chunk = chunk[caps[chunk] + _CAP_TOLERANCE >= values.max()]
         if chunk.size == 0:  # caps only fall from here, so no later angle passes
             break
-        values[chunk] = rate(grid[chunk])[0]
+        values[chunk], chunk_thetas = rate(grid[chunk])
+        for i, theta in zip(chunk, chunk_thetas):
+            thetas[i] = theta
     peak = int(np.argmax(values))
     lo = float(grid[max(peak - 1, 0)])
     hi = float(grid[min(peak + 1, COARSE_GAMMA_POINTS - 1)])
-    gamma_star = _golden_section_max(lambda g: rate([g])[0][0], lo, hi, 1e-8)
+
+    def slope_at(gamma, theta=None):
+        return _envelope_slope(gamma, t, *(theta or rate([gamma])[1][0]))
+
+    replay = None
+    if 0 < peak < COARSE_GAMMA_POINTS - 1:
+        # The scan's maximizers give the cell's slopes without a rating.
+        cell = [(float(grid[i]), slope_at(float(grid[i]), thetas[i])) for i in (peak - 1, peak, peak + 1)]
+        replay = _peak_replay(cell, slope_at)
+    golden = rate.angles
+    gamma_star = _golden_section_max(lambda g: rate([g])[0][0], lo, hi, 1e-8, replay)
+    golden = rate.angles - golden
     optimum = _optimum_point(gamma_star, t, rate)
-    logger.debug("Schmidt optimum at tau %.10g: %d angles rated, %d Newton steps", t, rate.angles, rate.steps)
+    bracket = "none" if replay is None else "[%.12g, %.12g] with slopes %.6e and %.6e" % replay.bracket
+    logger.debug(
+        "Schmidt optimum at tau %.10g: %d angles rated, %d Newton steps, peak bracket %s, "
+        "golden section %d steps decided and %d angles rated",
+        t, rate.angles, rate.steps, bracket, replay.decided if replay else 0, golden,
+    )
     return optimum
 
 
@@ -546,6 +692,12 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     3. Both ends of the final bracket are rated.  If the lower end does not
        violate or the upper one does, the replay cannot vouch for the bracket
        and :class:`~bellbound.errors.NumericFailure` is raised.
+
+    Above a tilt of about 1.4988 the angle is the bisection's, bit for bit,
+    but fixed only to rounding: max F falls so slowly at the crossing (its
+    slope is 8e-6 at 1.4988 and 3e-8 at 1.49966) that the 2e-16 rounding of
+    its ratings decides the last bisection steps, to about 7e-9 in the angle
+    at 1.49966.
 
     Raises :class:`~bellbound.errors.NoViolationFound`, carrying the optimum,
     when even the optimum does not violate, as happens just below 3/2.

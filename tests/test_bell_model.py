@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             coefficients(1.6)
         assert coefficients(1.6, allow_trivial_regime=True).tau == 1.6
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tilt_is_refused(self, tau):
+        with pytest.raises(ValueError, match=re.escape(f"must be a finite number in [1, 3/2), got {tau!r}")):
+            coefficients(tau)
+        with pytest.raises(ValueError, match=re.escape(f"must be a finite number at least 1, got {tau!r}")):
+            coefficients(tau, allow_trivial_regime=True)
 
 
 class TestEvaluateClassical:

@@ -215,6 +215,12 @@ class TestOptimizeCommand:
         code, _, _ = run(capsys, "optimize", "--tau", "0.5")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+    def test_non_finite_tilt_exits_parse(self, capsys, tau):
+        code, out, err = run(capsys, "optimize", f"--tau={tau}")
+        assert code == EXIT_PARSE and out == ""
+        assert f"tilt parameter must be a finite number in [1, 3/2), got {float(tau)!r}" in err
+
 
 class TestCurvesCommand:
     def test_files_and_dominance(self, capsys, tmp_path):
@@ -313,7 +319,11 @@ class TestLogLevel:
         debug_out, debug_err, debug_files = curves("--log-level", "DEBUG")
         assert (debug_out, debug_files) == (out, files)
         assert err == ""
-        assert "DEBUG bellbound: Schmidt optimum at tau 1.49: 42 angles rated" in debug_err
+        assert re.search(
+            r"DEBUG bellbound: Schmidt optimum at tau 1\.49: 33 angles rated, \d+ Newton steps, "
+            r"peak bracket \[\S+, \S+\] with slopes \S+ and \S+, golden section \d+ steps decided and \d+ angles rated",
+            debug_err,
+        )
         assert "DEBUG bellbound: critical angle at tau 1.49: " in debug_err
         assert "bracket [" in debug_err
         assert (log.handlers, log.level) == (handlers, level)

@@ -97,6 +97,26 @@ def bisection_from(lo, tau, value_at):
 
 # Tilts from the cutoff to 1.4998; above about 1.4996 no angle violates.
 BISECTION_TILTS = [float(t) for t in np.linspace(TAU_MAXENT_CUTOFF, 1.4998, 64)]
+# Tilts from 1 up to the cutoff, where the optimum moves off pi/4.
+UNTILTED_SIDE_TILTS = [float(t) for t in np.linspace(1.0, TAU_MAXENT_CUTOFF, 64, endpoint=False)]
+
+
+def optimum_log(caplog, tau):
+    """The optimum at a tilt and its DEBUG line's numbers: the angles rated, the
+    peak bracket (lo, hi, slope at lo, slope at hi) or None, the golden steps
+    decided and the golden section's angles rated."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="bellbound"):
+        optimum = global_max_violation(tau)
+    match = re.fullmatch(
+        r"Schmidt optimum at tau \S+: (\d+) angles rated, \d+ Newton steps, peak bracket "
+        r"(?:none|\[(\S+), (\S+)\] with slopes (\S+) and (\S+)), "
+        r"golden section (\d+) steps decided and (\d+) angles rated",
+        caplog.records[0].getMessage(),
+    )
+    angles, *bracket, decided, golden = match.groups()
+    bracket = None if bracket[0] is None else tuple(float(x) for x in bracket)
+    return optimum, int(angles), bracket, int(decided), int(golden)
 
 
 def clipped_f(gamma, tau, t0, t1):
@@ -379,7 +399,7 @@ class TestGoldenSectionRounds:
 
     def check(self, f, lo, hi, tol=1e-8):
         calls = []
-        got = opt_module._golden_section_max(self.counted(f, calls), lo, hi, tol)
+        got = opt_module._golden_section_max(self.counted(f, calls), lo, hi, tol, decide=None)
         assert got == sequential_golden_section_max(f, lo, hi, tol)
         return got, calls
 
@@ -412,12 +432,103 @@ class TestGoldenSectionRounds:
         _, calls = self.check(lambda x: x, 0.3, 0.3 + 5e-9)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("tau", [1.0, 1.1736, TAU_MAXENT_CUTOFF, 1.3, 1.427, 1.49, 1.4999])
+    def test_a_hook_that_decides_nothing_rates_each_needed_angle_once(self):
+        # The same loop, asked at every step: the steps are today's, and only
+        # the last step's new angle, which no step needs, goes unrated.
+        width = 2.0 * (math.pi / 4) / (opt_module.COARSE_GAMMA_POINTS - 1)
+        for peak in (0.4, 0.41, 0.4 + width):
+            f, calls, asked = (lambda x: -((x - peak) ** 2)), [], []
+            got = opt_module._golden_section_max(
+                self.counted(f, calls), 0.4, 0.4 + width, 1e-8, lambda c, d: asked.append((c, d))
+            )
+            assert got == sequential_golden_section_max(f, 0.4, 0.4 + width, 1e-8)
+            assert len(asked) == 31 and len(calls) == len(set(calls)) == 32
+
+    def test_a_truthful_hook_replaces_ratings(self):
+        # A hook that settles each clear step as the ratings would: the same
+        # end, and only the steps it leaves open are rated.
+        width = 2.0 * (math.pi / 4) / (opt_module.COARSE_GAMMA_POINTS - 1)
+
+        def f(x):
+            return -((x - 0.41) ** 2) + (x - 0.41) ** 3
+
+        def decide(c, d):
+            return f(c) >= f(d) if abs(f(c) - f(d)) > 1e-13 else None
+
+        calls = []
+        got = opt_module._golden_section_max(self.counted(f, calls), 0.4, 0.4 + width, 1e-8, decide)
+        assert got == sequential_golden_section_max(f, 0.4, 0.4 + width, 1e-8)
+        assert 0 < len(calls) < 20
+
+    @pytest.mark.parametrize(
+        "tau",
+        # Each tilt once: the cutoff and 1 head both lists of tilts.
+        dict.fromkeys(
+            [1.0, 1.1736, TAU_MAXENT_CUTOFF, 1.3, 1.427, 1.49, 1.4999, 1.4999999, *BISECTION_TILTS, *UNTILTED_SIDE_TILTS]
+        ),
+    )
     def test_global_optimum_matches_sequential_search(self, tau):
+        # The replayed golden section must end bit for bit where the one
+        # rating every step ends.
         gamma_star, value = sequential_global_max_violation(tau)
         opt = global_max_violation(tau)
         assert opt.gamma_star == gamma_star
         assert opt.s_q == pytest.approx(value, abs=1e-12)
+
+
+class TestPeakReplay:
+    """The optimum's golden section replayed from the envelope-slope peak, and
+    the premises of the replay."""
+
+    @pytest.mark.parametrize("tau", [1.05, 1.25, 1.4, 1.49, 1.4999999])
+    def test_slope_noise_stays_within_the_floor(self, tau):
+        # The secant's stop rule: within 1e-7 of the peak the slope is linear
+        # in the angle, and its ratings scatter about that line by at most
+        # the floor (9e-10 was the most seen, at 1.4).
+        peak = global_max_violation(tau).gamma_star
+        offsets = np.linspace(-1e-7, 1e-7, 10)
+        slopes = []
+        for gamma in peak + offsets:
+            _, thetas, _ = opt_module._schmidt_maxima([float(gamma)], tau)
+            slopes.append(opt_module._envelope_slope(float(gamma), tau, *thetas[0]))
+        line = np.polyval(np.polyfit(offsets, slopes, 1), offsets)
+        assert np.max(np.abs(np.array(slopes) - line)) <= opt_module._SLOPE_FLOOR
+
+    @pytest.mark.parametrize("tau", [1.1736, 1.3, 1.427, 1.49])
+    def test_secant_brackets_the_peak_beyond_the_floor(self, caplog, tau):
+        optimum, _, bracket, decided, _ = optimum_log(caplog, tau)
+        lo, hi, slope_lo, slope_hi = bracket
+        assert slope_lo > opt_module._SLOPE_FLOOR and slope_hi < -opt_module._SLOPE_FLOOR
+        assert 0.0 < hi - lo <= 2e-6
+        assert lo - 1e-8 <= optimum.gamma_star <= hi + 1e-8
+        assert decided > 0
+
+    def test_slopes_lost_in_noise_decide_nothing(self, caplog, monkeypatch):
+        # Slopes within the floor certify no bracket: every golden step is
+        # rated, as in the plain search, and the optimum is the same.
+        rng = np.random.default_rng(5)
+        floor = opt_module._SLOPE_FLOOR
+        monkeypatch.setattr(opt_module, "_envelope_slope", lambda *args: float(rng.uniform(-floor, floor)))
+        optimum, _, bracket, decided, golden = optimum_log(caplog, 1.3)
+        assert (bracket, decided, golden) == (None, 0, 33)
+        assert optimum.gamma_star == sequential_global_max_violation(1.3)[0]
+
+    def test_peak_at_the_grid_end_rates_every_golden_step(self, caplog):
+        # At tilt 1 the peak is pi/4, the last grid angle, so its cell is one
+        # grid step wide: 30 golden steps on 32 angles, as without the replay.
+        _, angles, bracket, decided, golden = optimum_log(caplog, 1.0)
+        assert (angles, bracket, decided, golden) == (41, None, 0, 32)
+
+    def test_rates_a_third_fewer_angles(self, caplog):
+        # The counted work, not the time: 52 angles for the optimum at 1.3
+        # and 60 for the critical angle in all, before the replay.
+        _, angles, _, _, _ = optimum_log(caplog, 1.3)
+        assert angles <= 38
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="bellbound"):
+            critical_gamma(1.3)
+        counts = [int(re.search(r": (\d+) angles rated", r.getMessage()).group(1)) for r in caplog.records]
+        assert sum(counts) <= 46
 
 
 class TestExactSchmidtMaximum:
@@ -486,7 +597,11 @@ class TestExactSchmidtMaximum:
             critical_gamma(1.3)
         messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
         assert len(messages) == 2
-        assert re.fullmatch(r"Schmidt optimum at tau 1\.3: 52 angles rated, \d+ Newton steps", messages[0])
+        assert re.fullmatch(
+            r"Schmidt optimum at tau 1\.3: 35 angles rated, \d+ Newton steps, peak bracket \[\S+, \S+\] "
+            r"with slopes \S+ and \S+, golden section \d+ steps decided and \d+ angles rated",
+            messages[0],
+        )
         assert re.fullmatch(
             r"critical angle at tau 1\.3: \d+ angles rated, \d+ Newton steps, "
             r"bracket \[\S+, \S+\] with max F \S+ and \S+",
