@@ -1,7 +1,8 @@
 """Command-line surface: certify bounds, simulate, optimize, emit curve CSVs, verify.
 
-Exit-code contract: 0 success, 2 parse/usage error (malformed files or
-out-of-range parameters), 3 validation failure, 4 numeric failure.  All
+Exit-code contract: 0 success, 2 parse/usage error (malformed files,
+out-of-range parameters or an ``--output`` that cannot be written),
+3 validation failure, 4 numeric failure.  All
 commands are deterministic: only ``verify`` draws random numbers, from its
 ``--seed``, and repeated runs produce byte-identical output files.
 ``--log-level`` sends the ``"bellbound"`` logger to stderr for one command,
@@ -41,10 +42,13 @@ def _g9(value: float) -> str:
 
 
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"--angles needs four comma-separated radians, got {text!r}")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    try:
+        angles = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        angles = ()
+    if len(angles) != 4 or not all(math.isfinite(a) for a in angles):
+        raise ValueError(f"--angles needs four comma-separated finite radians, got {text!r}")
+    return angles  # type: ignore[return-value]
 
 
 def _cmd_bound(args) -> int:
@@ -278,6 +282,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:  # every file read goes through statistics_io.load, which raises ParseError
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -17,21 +17,23 @@ Three layers:
   a 64-point coarse grid guards against multiple local maxima, then a
   golden section refines to 1e-8.  The grid is rated in decreasing order of
   :func:`pure_state_value_cap`, skipping every angle whose cap cannot reach
-  the best value already rated.  A safeguarded secant on the slope of max F
-  brackets the peak inside its coarse cell, and the golden section is
-  replayed from that bracket: a step whose two angles the bracket orders
-  beyond rounding's reach is decided without a rating, and every other step
-  rates both, so the angle is bit for bit the plain golden section's.
+  the best value already rated.
 * :func:`critical_gamma` -- for a tilt at which the maximally entangled state
   no longer violates, the largest Schmidt angle above the arg-max angle that
-  still violates; its concurrence is the numeric upper bound on the
-  concurrence of any violating state.  A safeguarded Newton iteration, with
-  the slope of max F from the envelope theorem, brackets the crossing to
-  1e-11; a bisection to 1e-8 is then replayed on its own midpoints, each
-  decided by its side of that bracket, so the angle is bit for bit the
-  bisection's while only Newton's angles, the rare midpoint within rounding's
-  reach of that bracket and the final bracket's two ends are rated.  The
-  optimum the search started from is returned with it.
+  still violates, to 1e-8 by bisection; its concurrence is the numeric upper
+  bound on the concurrence of any violating state.  The optimum the search
+  started from is returned with it.
+
+Both searches replay a textbook search, bit for bit, from one bracket.  A
+safeguarded root finder closes a bracket on the root of a falling function of
+the angle: the slope of max F for the optimum's peak, max F - 1e-10 for the
+crossing.  It takes Newton steps where the function has a slope and secant
+steps otherwise, with regula falsi or the midpoint as the fallback, and aims
+each step a few noise floors past its root, so that both ends are certain of
+their sign.  The golden section or the bisection is then replayed, and one
+rule settles each step: a step whose point lies beyond the bracket by more
+than rounding could reverse is decided by its side of the bracket, and every
+other step is rated, as the textbook search rates it.
 
 Neither Schmidt-angle search runs the see-saw.  For the state
 cos(g)|00> + sin(g)|11>, write c = cos 2g and s = sin 2g.  Alice's best
@@ -115,10 +117,6 @@ _ANGLE_CHUNK = 8
 # contract), so the coarse scan skips an angle whose cap plus this is below
 # the best max F already rated: it cannot be the scan's peak.
 _CAP_TOLERANCE = 1e-12
-# Width to which Newton brackets the crossing before the bisection is
-# replayed: far below the last bisection steps' spacing, so a replayed
-# midpoint almost never falls inside and needs a rating.
-_CROSSING_TOL = 1e-11
 # max F is rated to rounding: over 1e-8-wide windows its ratings scatter about
 # a smooth curve by at most 2.3e-16 (measured at tilts from 1.21 to 1.4997).
 # So two ratings can order two angles wrongly unless max F differs between
@@ -134,12 +132,12 @@ _SLOPE_FLOOR = 2e-9
 # its two angles is predicted to differ by more than this: about 400 times the
 # 2.3e-16 scatter of the ratings, so a rating could not order them otherwise.
 _DECIDED_GAP = 1e-13
-# The peak secant aims each step this many slope floors past its root, so
-# that the next slope is certain of its sign and the bracket closes from both
-# sides; it stops once the bracket is four such aims wide, or after
-# _PEAK_STEPS ratings.
-_PEAK_AIM_FLOORS = 8.0
-_PEAK_STEPS = 12
+# The bracket closer aims each step this many noise floors of its function
+# past the step's root, so that the next value is certain of its sign and the
+# bracket closes from both sides; it stops once the bracket is four such aims
+# wide, or after _CLOSE_STEPS values.
+_AIM_FLOORS = 8.0
+_CLOSE_STEPS = 16
 
 logger = logging.getLogger("bellbound")
 
@@ -431,105 +429,75 @@ class _Rater:
         return values, thetas
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float, decide=None) -> float:
+def _golden_section_max(f, lo: float, hi: float, tol: float, decide) -> float:
     # Golden-section search for a maximum of f on [lo, hi], to width tol.
-    # Without ``decide`` each step rates its new angle at once, as the
-    # textbook search does.  With it, a step first asks decide(c, d): True
-    # settles it as f(c) >= f(d), False as f(c) < f(d), and None has both
-    # angles rated, each at most once; an angle no step needs is never rated.
+    # Each step first asks decide(c, d): True settles it as f(c) >= f(d),
+    # False as f(c) < f(d), and None has both angles rated, each at most once.
+    # An angle no step needs is never rated, so a decide that always answers
+    # None takes the textbook search's steps with one rating fewer.
     c = hi - _INV_GOLDEN * (hi - lo)
     d = lo + _INV_GOLDEN * (hi - lo)
-    eager = decide is None
-    fc, fd = (f(c), f(d)) if eager else (None, None)
+    fc = fd = None
     while hi - lo > tol:
-        keep_left = None if eager else decide(c, d)
+        keep_left = decide(c, d)
         if keep_left is None:
             fc = f(c) if fc is None else fc
             fd = f(d) if fd is None else fd
             keep_left = fc >= fd
         if keep_left:
             hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = f(c) if eager else None
+            c, fc = hi - _INV_GOLDEN * (hi - lo), None
         else:
             lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = f(d) if eager else None
+            d, fd = lo + _INV_GOLDEN * (hi - lo), None
     return 0.5 * (lo + hi)
 
 
-class _PeakReplay:
-    # The decide(c, d) hook of the golden section, from a certified peak
-    # bracket [lo, hi]: its slopes are beyond the floor, positive at lo and
-    # negative at hi, so the peak p lies inside.  Near p, max F is
-    # f(p) - a (x - p)^2 / 2 + b (x - p)^3 / 6, so for c < d with midpoint m,
-    # f(d) - f(c) = (d - c) a (p' - m) with p' = p + b (d - c)^2 / (24 a).
-    # A step is settled by the side of the secant's estimate of p on which m
-    # lies, where m is farther from it than the bracket leaves p uncertain,
-    # plus four times the cubic shift, plus the distance at which the
-    # predicted difference falls to _DECIDED_GAP; every other step is rated.
-    # ``half_b`` estimates |b| / 2.
-    def __init__(self, lo, g_lo, hi, g_hi, half_b):
-        self.bracket = (lo, hi, g_lo, g_hi)
-        self.curvature = (g_lo - g_hi) / (hi - lo)
-        self.peak = lo + g_lo / self.curvature
-        self.uncertainty = max(self.peak - lo, hi - self.peak)
-        self.shift = 4.0 * half_b / (12.0 * self.curvature)
-        self.decided = 0
-
-    def __call__(self, c: float, d: float):
-        width = d - c
-        mid = 0.5 * (c + d)
-        reach = self.uncertainty + self.shift * width * width + _DECIDED_GAP / (self.curvature * width)
-        if abs(mid - self.peak) <= reach:
-            return None
-        self.decided += 1
-        return mid > self.peak
+def _side(x: float, lo: float, hi: float, margin: float):
+    # The one rule by which both replays settle a step without a rating: True
+    # where x lies above the bracket [lo, hi] by more than margin, False where
+    # it lies below it by more, and None, so that the step is rated, nearer.
+    return True if x > hi + margin else False if x < lo - margin else None
 
 
-def _peak_replay(cell, slope_at) -> _PeakReplay | None:
-    # A safeguarded secant on the envelope slope for the peak of max F in
-    # the coarse cell, from the (angle, slope) pairs of its three grid angles.
-    # The bracket [a, b] holds the innermost angles whose slopes are beyond
-    # the floor, positive at a and negative at b.  Each step takes the secant
-    # root of the last two slopes (regula falsi on [a, b] where that root
-    # leaves it or the slopes do not fall) and aims _PEAK_AIM_FLOORS slope
-    # floors past it, away from the side of the last angle.  A slope within
-    # the floor sits in rounding's noise and ends the search, which otherwise
-    # stops once [a, b] is four aims wide.  Without a bracket, as when the
-    # peak is at a grid end or the slopes are lost in noise, nothing is
-    # replayed.  The cell's second divided difference of the slope gives the
-    # cubic term of max F.
-    (x0, g0), (x1, g1), (x2, g2) = cell
-    rising = [p for p in cell if p[1] > _SLOPE_FLOOR]
-    falling = [p for p in cell if p[1] < -_SLOPE_FLOOR]
-    if not rising or not falling or rising[-1][0] > falling[0][0]:
-        return None
-    half_b = abs(((g2 - g1) / (x2 - x1) - (g1 - g0) / (x1 - x0)) / (x2 - x0))
-    (a, g_a), (b, g_b) = rising[-1], falling[0]
-    previous, last = (a, g_a), (b, g_b)
-    for _ in range(_PEAK_STEPS):
-        (x_previous, g_previous), (x_last, g_last) = previous, last
-        curvature = (g_last - g_previous) / (x_last - x_previous)
-        root = x_last - g_last / curvature if curvature < 0.0 else math.nan
-        if not a < root < b:
-            curvature = (g_b - g_a) / (b - a)
-            root = a - g_a / curvature
-        aim = _PEAK_AIM_FLOORS * _SLOPE_FLOOR / -curvature
+def _close_bracket(h, a, h_a, b, h_b, floor: float, x: float = math.nan):
+    # Safeguarded root finder for a falling function h, certain of its sign at
+    # the bracket's ends: h(a) > floor and h(b) < -floor, where floor is the
+    # noise of its values.  h(x) returns its value and its slope, or None for
+    # the slope, when the secant through the last two values stands in; where
+    # h returns slopes, an end's value may be unknown (None).  Each Newton or
+    # secant step aims _AIM_FLOORS floors past its root, away from the side of
+    # the value it starts from, so that the next value is certain of its sign
+    # and the bracket closes from both sides.  A value within the floor
+    # belongs to neither end; the next step is aimed from it toward the wider
+    # side, so it never leaves a wide bracket.  A step outside (a, b), or one
+    # after a slope that does not fall, is replaced by regula falsi on [a, b],
+    # or by the midpoint while an end's value is unknown or where regula falsi
+    # would repeat the last value.  Stops once [a, b] is four aims wide, or
+    # after _CLOSE_STEPS values.  Returns a, h(a), b, h(b).
+    last = (b, h_b)
+    for _ in range(_CLOSE_STEPS):
+        if not a < x < b and None not in (h_a, h_b):
+            x = a + h_a * (b - a) / (h_a - h_b)
+        if not a < x < b or x == last[0]:
+            x = 0.5 * (a + b)
+        value, slope = h(x)
+        if slope is None:
+            slope = (value - last[1]) / (x - last[0])
+        last = (x, value)
+        if value > floor:
+            a, h_a = x, value
+        elif value < -floor:
+            b, h_b = x, value
+        if not slope < 0.0:
+            x = math.nan
+            continue
+        aim = _AIM_FLOORS * floor / -slope
         if b - a <= 4.0 * aim:
             break
-        x = root + aim if g_last > 0.0 else root - aim
-        if not a < x < b:
-            x = root
-        g = slope_at(x)
-        if abs(g) <= _SLOPE_FLOOR:
-            break
-        if g > 0.0:
-            a, g_a = x, g
-        else:
-            b, g_b = x, g
-        previous, last = last, (x, g)
-    return _PeakReplay(a, g_a, b, g_b, half_b)
+        x -= value / slope
+        x += aim if value > floor or (value >= -floor and b - x > x - a) else -aim
+    return a, h_a, b, h_b
 
 
 def _optimum_point(gamma: float, tau: float, rate: _Rater) -> OptimumPoint:
@@ -573,18 +541,17 @@ def global_max_violation(tau: float) -> OptimumPoint:
     The golden section ends bit for bit where one rating every step ends,
     but rates far fewer angles:
 
-    1. A safeguarded secant on the envelope slope of max F (see
-       :func:`critical_gamma`) brackets the peak inside the coarse cell,
-       from the slopes at the cell's three grid angles, which the scan has
-       already rated.  Each step aims a few noise floors of the slope (2e-9:
-       Newton fixes the maximizer only to about the square root of
-       rounding) past its root, so that the bracket closes from both sides
-       with slopes of certain sign at its ends.
-    2. The golden section asks the bracket at each step.  Where the bracket
-       and a quadratic model of max F, with an allowance for its cubic term,
-       put the two angles more than 1e-13 apart in max F (about 400 times
-       the rating scatter), the step is decided without a rating; every
-       other step rates both angles, as the plain search does.
+    1. The bracket closer of the module docstring brackets the peak inside
+       the coarse cell by secant steps on the envelope slope of max F, from
+       the slopes at the cell's three grid angles, which the scan has
+       already rated.  The slope's noise floor is 2e-9: Newton fixes the
+       maximizer only to about the square root of rounding.
+    2. Each golden step is settled by the side of the bracket on which the
+       midpoint of its two angles lies, where it lies beyond the bracket by
+       more than a quadratic model of max F, with an allowance for its cubic
+       term, needs to put the two angles 1e-13 apart in max F (about 400
+       times the rating scatter).  Every other step rates both angles, as
+       the plain search does.
 
     Where no bracket can be certified, as when the peak is at a grid end
     (tilt 1) or the slopes are lost in noise, nothing is decided and every
@@ -613,20 +580,41 @@ def global_max_violation(tau: float) -> OptimumPoint:
     def slope_at(gamma, theta=None):
         return _envelope_slope(gamma, t, *(theta or rate([gamma])[1][0]))
 
-    replay = None
+    # Near the peak p, max F is f(p) - k (x - p)^2 / 2 + j (x - p)^3 / 6, so for
+    # c < d with midpoint m, f(d) - f(c) = (d - c) k (p + j (d - c)^2 / (24 k) - m).
+    # A golden step is settled where m lies beyond the peak bracket by more
+    # than four times that cubic shift plus the distance at which the
+    # difference falls to _DECIDED_GAP.  Without a bracket, the whole line
+    # stands in and every step is rated.
+    bracket, a, b, k, shift = None, -math.inf, math.inf, 1.0, 0.0
     if 0 < peak < COARSE_GAMMA_POINTS - 1:
         # The scan's maximizers give the cell's slopes without a rating.
         cell = [(float(grid[i]), slope_at(float(grid[i]), thetas[i])) for i in (peak - 1, peak, peak + 1)]
-        replay = _peak_replay(cell, slope_at)
+        rising = [p for p in cell if p[1] > _SLOPE_FLOOR]
+        falling = [p for p in cell if p[1] < -_SLOPE_FLOOR]
+        if rising and falling and rising[-1][0] < falling[0][0]:
+            bracket = _close_bracket(lambda x: (slope_at(x), None), *rising[-1], *falling[0], _SLOPE_FLOOR)
+            a, g_a, b, g_b = bracket
+            k = (g_a - g_b) / (b - a)
+            # |j| / 2 from the cell's second divided difference of the slope.
+            (x0, g0), (x1, g1), (x2, g2) = cell
+            shift = abs(((g2 - g1) / (x2 - x1) - (g1 - g0) / (x1 - x0)) / (x2 - x0)) / (3.0 * k)
+    decided = []
+
+    def decide(c, d):
+        side = _side(0.5 * (c + d), a, b, shift * (d - c) ** 2 + _DECIDED_GAP / (k * (d - c)))
+        decided.append(side is not None)
+        return side
+
     golden = rate.angles
-    gamma_star = _golden_section_max(lambda g: rate([g])[0][0], lo, hi, 1e-8, replay)
+    gamma_star = _golden_section_max(lambda g: rate([g])[0][0], lo, hi, 1e-8, decide)
     golden = rate.angles - golden
     optimum = _optimum_point(gamma_star, t, rate)
-    bracket = "none" if replay is None else "[%.12g, %.12g] with slopes %.6e and %.6e" % replay.bracket
+    ends = "none" if bracket is None else "[%.12g, %.12g] with slopes %.6e and %.6e" % (a, b, *bracket[1::2])
     logger.debug(
         "Schmidt optimum at tau %.10g: %d angles rated, %d Newton steps, peak bracket %s, "
         "golden section %d steps decided and %d angles rated",
-        t, rate.angles, rate.steps, bracket, replay.decided if replay else 0, golden,
+        t, rate.angles, rate.steps, ends, sum(decided), golden,
     )
     return optimum
 
@@ -679,16 +667,19 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     (see the module docstring); that optimum is returned too.  The search
     runs in three steps:
 
-    1. A safeguarded Newton iteration on max F - 1e-10 brackets the crossing
-       to 1e-11, starting where :func:`pure_state_value_cap` falls to 1e-10.
-       The slope of max F comes from the envelope theorem, at no extra
-       rating.
-    2. The bisection is replayed on its own midpoints.  A midpoint below
-       Newton's bracket violates and one above it does not; only one inside
-       it, or so near it that rounding could reverse the verdict, is rated.
-       The violating angles above the optimum form one interval, as the
-       bisection itself assumes, so every step is decided as a rating would
-       decide it and the angle is bit for bit the bisection's.
+    1. The bracket closer of the module docstring brackets the crossing by
+       Newton steps on max F - 1e-10, starting where
+       :func:`pure_state_value_cap` falls to 1e-10.  The slope of max F
+       comes from the envelope theorem, at no extra rating.  Each step aims
+       eight rounding allowances of max F (1e-15 each) past its root, so the
+       bracket is about 1e-13 wide at tilt 1.3.
+    2. The bisection is replayed on its own midpoints, by the rule the
+       golden section uses.  A midpoint below Newton's bracket violates and
+       one above it does not; only one inside it, or so near it that
+       rounding could reverse the verdict, is rated.  The violating angles
+       above the optimum form one interval, as the bisection itself assumes,
+       so every step is decided as a rating would decide it and the angle is
+       bit for bit the bisection's.
     3. Both ends of the final bracket are rated.  If the lower end does not
        violate or the upper one does, the replay cannot vouch for the bracket
        and :class:`~bellbound.errors.NumericFailure` is raised.
@@ -715,45 +706,34 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
             optimum,
         )
     rate = _Rater(t)
+
+    def excess(x):
+        values, thetas = rate([x])
+        return float(values[0]) - VIOLATION_THRESHOLD, _envelope_slope(x, t, *thetas[0])
+
     # pi/4 never violates on this domain: its cap, (1 - t) + (sqrt 2 - 1)/2,
     # is at most 1e-12 for t >= cutoff - 1e-12, far below the threshold.  So
-    # [gamma_star, pi/4] brackets the crossing, and Newton narrows it to
-    # [a, b]: each rated angle becomes its violating end a or its other end b.
-    # It starts where the cap falls to the threshold, not at the cap's zero:
-    # at the cutoff that zero is pi/4 itself, where max F has a kink, and the
-    # crossing lies 3e-10 below it.  Where max F is concave, a Newton step from
-    # either side lands on the non-violating side, so each step aims a
-    # quarter of the tolerance past its root, away from the side of the angle
-    # it starts from.  A start or step outside (a, b), or one that follows a
-    # slope that does not fall, is replaced by the midpoint; so every rating
-    # shrinks [a, b].
-    a, b = optimum.gamma_star, math.pi / 4
-    x = _cap_root(t)
-    while b - a > _CROSSING_TOL:
-        if not a < x < b:
-            x = 0.5 * (a + b)
-        values, thetas = rate([x])
-        excess = float(values[0]) - VIOLATION_THRESHOLD
-        if excess > 0.0:
-            a, aim = x, 0.25 * _CROSSING_TOL
-        else:
-            b, aim = x, -0.25 * _CROSSING_TOL
-        slope = _envelope_slope(x, t, *thetas[0])
-        x = x - excess / slope + aim if slope < 0.0 else math.nan
-    # The replay decides a midpoint by Newton's bracket only where max F
-    # differs from its value at the near end by more than rounding can
-    # reverse, which holds beyond ``margin`` of [a, b]; a midpoint nearer is
-    # rated, as the bisection rates it.  The margin is far below the spacing
-    # of the last midpoints except within about 1e-3 of 3/2, where max F
-    # falls so slowly that the bisection's verdicts there are rounding's.
-    margin = _MAX_F_ROUNDING / -slope if slope < 0.0 else math.inf
+    # [gamma_star, pi/4] brackets the crossing.  Newton starts where the cap
+    # falls to the threshold, not at the cap's zero: at the cutoff that zero
+    # is pi/4 itself, where max F has a kink, and the crossing lies 3e-10
+    # below it.
+    a, h_a, b, h_b = _close_bracket(
+        excess, optimum.gamma_star, optimum.s_q - VIOLATION_THRESHOLD, math.pi / 4, None, _MAX_F_ROUNDING, _cap_root(t)
+    )
+    # A midpoint is decided by its side of [a, b] only where max F differs
+    # from its value at the near end by more than rounding can reverse, which
+    # holds beyond ``margin``; a midpoint nearer is rated, as the bisection
+    # rates it.  The margin is far below the spacing of the last midpoints
+    # except within about 1e-3 of 3/2, where max F falls so slowly that the
+    # bisection's verdicts there are rounding's.
+    margin = math.inf if h_b is None else _MAX_F_ROUNDING * (b - a) / (h_a - h_b)
     lo, hi = optimum.gamma_star, math.pi / 4
     while hi - lo > GAMMA_BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if mid <= a - margin or (mid < b + margin and rate([mid])[0][0] > VIOLATION_THRESHOLD):
-            lo = mid
-        else:
-            hi = mid
+        above = _side(mid, a, b, margin)
+        if above is None:
+            above = rate([mid])[0][0] <= VIOLATION_THRESHOLD
+        lo, hi = (lo, mid) if above else (mid, hi)
     f_lo, f_hi = (float(v) for v in rate([lo, hi])[0])
     logger.debug(
         "critical angle at tau %.10g: %d angles rated, %d Newton steps, bracket [%.12g, %.12g] "

@@ -321,7 +321,13 @@ def load_demo_slice() -> ChSlice:
 
 
 def save(stats: ProbabilityTable | ChSlice, path, *, description: str | None = None) -> None:
-    """Write a statistics file; round-trips probabilities bit-exactly."""
+    """Write a statistics file; round-trips probabilities bit-exactly.
+
+    A ``description`` that is not a string is refused before anything is
+    written, since :func:`load` would refuse the file.
+    """
+    if description is not None and not isinstance(description, str):
+        raise TypeError(f"description must be a string, got {type(description).__name__}")
     if isinstance(stats, ProbabilityTable):
         payload: dict = {"format": "full", "p": stats.flat()}
     elif isinstance(stats, ChSlice):

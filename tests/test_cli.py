@@ -199,6 +199,15 @@ class TestSimulateCommand:
         assert code == EXIT_PARSE
 
 
+    @pytest.mark.parametrize("angles", ["inf,0,0,0", "0,nan,0,0", "0,0,0,-inf", "x,0,0,0", "1,2,3"])
+    def test_non_finite_or_malformed_angles_exit_parse(self, capsys, tmp_path, angles):
+        out = tmp_path / "t.json"
+        code, text, err = run(capsys, "simulate", "--gamma", "0.5", f"--angles={angles}", "--output", str(out))
+        assert (code, text) == (EXIT_PARSE, "")
+        assert err == f"parameter error: --angles needs four comma-separated finite radians, got {angles!r}\n"
+        assert not out.exists()
+
+
 class TestOptimizeCommand:
     def test_untilted_optimum(self, capsys, tmp_path):
         out = tmp_path / "opt.json"
@@ -303,6 +312,35 @@ class TestCurvesCommand:
             capsys, "curves", "--tau-min", "1.2", "--tau-max", "1.6", "--output", str(tmp_path)
         )
         assert code == EXIT_PARSE
+
+
+class TestUnwritableOutput:
+    """An ``--output`` that cannot be written ends in one ``output error`` line and exit 2."""
+
+    ARGV = {
+        "bound": ["--input", "{slice}"],
+        "demo": [],
+        "simulate": ["--gamma", "0.3"],
+        "optimize": ["--tau", "1.3"],
+        "curves": ["--tau-min", "1.0", "--tau-max", "1.1", "--grid", "2"],
+    }
+
+    @pytest.mark.parametrize("kind", ["under a missing directory", "of the wrong kind"])
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_exits_parse_with_one_line(self, capsys, tmp_path, command, kind):
+        slice_path = tmp_path / "slice.json"
+        save(DEMO_SLICE, slice_path)
+        if command == "curves":
+            # curves makes missing directories, so both cases put a file where it needs one.
+            output = slice_path / "curves" if kind.startswith("under") else slice_path
+        else:
+            output = tmp_path / "missing" / "out.json" if kind.startswith("under") else tmp_path
+        argv = [a.format(slice=slice_path) for a in self.ARGV[command]]
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = run(capsys, command, *argv, "--output", str(output))
+        assert code == EXIT_PARSE
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestLogLevel:

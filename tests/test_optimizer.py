@@ -399,7 +399,7 @@ class TestGoldenSectionRounds:
 
     def check(self, f, lo, hi, tol=1e-8):
         calls = []
-        got = opt_module._golden_section_max(self.counted(f, calls), lo, hi, tol, decide=None)
+        got = opt_module._golden_section_max(self.counted(f, calls), lo, hi, tol, lambda c, d: None)
         assert got == sequential_golden_section_max(f, lo, hi, tol)
         return got, calls
 
@@ -411,10 +411,11 @@ class TestGoldenSectionRounds:
 
     def test_call_count_on_a_coarse_bracket(self):
         # The width of two coarse-grid cells takes 31 golden-section steps to
-        # shrink below 1e-8: 33 evaluations.
+        # shrink below 1e-8: 32 evaluations, since the last step's new angle
+        # is never needed.
         width = 2.0 * (math.pi / 4) / (opt_module.COARSE_GAMMA_POINTS - 1)
         _, calls = self.check(lambda x: -((x - 0.41) ** 2), 0.4, 0.4 + width)
-        assert len(calls) == 33
+        assert len(calls) == 32
 
     def test_exact_ties(self):
         # Values on a coarse lattice tie fc == fd on many steps.
@@ -430,7 +431,7 @@ class TestGoldenSectionRounds:
 
     def test_interval_already_within_tolerance(self):
         _, calls = self.check(lambda x: x, 0.3, 0.3 + 5e-9)
-        assert len(calls) == 2
+        assert len(calls) == 0
 
     def test_a_hook_that_decides_nothing_rates_each_needed_angle_once(self):
         # The same loop, asked at every step: the steps are today's, and only
@@ -510,14 +511,14 @@ class TestPeakReplay:
         floor = opt_module._SLOPE_FLOOR
         monkeypatch.setattr(opt_module, "_envelope_slope", lambda *args: float(rng.uniform(-floor, floor)))
         optimum, _, bracket, decided, golden = optimum_log(caplog, 1.3)
-        assert (bracket, decided, golden) == (None, 0, 33)
+        assert (bracket, decided, golden) == (None, 0, 32)
         assert optimum.gamma_star == sequential_global_max_violation(1.3)[0]
 
     def test_peak_at_the_grid_end_rates_every_golden_step(self, caplog):
         # At tilt 1 the peak is pi/4, the last grid angle, so its cell is one
-        # grid step wide: 30 golden steps on 32 angles, as without the replay.
+        # grid step wide: 30 golden steps on 31 angles, every step rated.
         _, angles, bracket, decided, golden = optimum_log(caplog, 1.0)
-        assert (angles, bracket, decided, golden) == (41, None, 0, 32)
+        assert (angles, bracket, decided, golden) == (40, None, 0, 31)
 
     def test_rates_a_third_fewer_angles(self, caplog):
         # The counted work, not the time: 52 angles for the optimum at 1.3
@@ -529,6 +530,122 @@ class TestPeakReplay:
             critical_gamma(1.3)
         counts = [int(re.search(r": (\d+) angles rated", r.getMessage()).group(1)) for r in caplog.records]
         assert sum(counts) <= 46
+
+
+class TestCloseBracket:
+    """The one bracket closer on synthetic falling functions: the ends keep a
+    value of certain sign, and the bracket closes to four aims."""
+
+    FLOOR = 1e-9
+
+    @staticmethod
+    def linear(x):
+        return 0.3 - 2.0 * x, -2.0
+
+    @staticmethod
+    def concave(x):
+        return 0.5 - x * x, -2.0 * x
+
+    def close(self, h, a, b, *, slopes=True, far_end_known=True, floor=FLOOR):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            value, slope = h(x)
+            return value, slope if slopes else None
+
+        h_b = h(b)[0] if far_end_known else None
+        lo, h_lo, hi, h_hi = opt_module._close_bracket(counted, a, h(a)[0], b, h_b, floor)
+        assert h_lo == h(lo)[0] > floor and h_hi == h(hi)[0] < -floor
+        return lo, hi, calls
+
+    def aim(self, slope):
+        return opt_module._AIM_FLOORS * self.FLOOR / abs(slope)
+
+    @pytest.mark.parametrize("slopes", [True, False], ids=["newton", "secant"])
+    @pytest.mark.parametrize("shape,root", [("linear", 0.15), ("concave", math.sqrt(0.5))])
+    def test_closes_to_four_aims_round_the_root(self, shape, root, slopes):
+        h = getattr(self, shape)
+        lo, hi, calls = self.close(h, 0.0, 1.0, slopes=slopes)
+        assert lo < root < hi
+        assert hi - lo <= 4.0 * self.aim(h(root)[1]) * 1.01
+        assert len(calls) < opt_module._CLOSE_STEPS
+
+    @pytest.mark.parametrize("slopes", [True, False], ids=["newton", "secant"])
+    def test_values_within_the_floor_leave_no_wide_bracket(self, slopes):
+        # Regula falsi lands on the root first, where h is flat within the
+        # floor; the closer steps round it instead of stopping there.
+        def h(x):
+            return (0.0 if abs(x - 0.5) < 2.0 * self.FLOOR else 0.5 - x), -1.0
+
+        lo, hi, calls = self.close(h, 0.0, 1.0, slopes=slopes)
+        assert calls[0] == 0.5
+        assert lo < 0.5 < hi and hi - lo <= 4.0 * self.aim(1.0)
+
+    def test_unknown_far_end_is_halved_until_its_value_is_known(self):
+        lo, hi, calls = self.close(self.linear, 0.0, 1.0, far_end_known=False)
+        assert calls[0] == 0.5
+        assert lo < 0.15 < hi and hi - lo <= 4.0 * self.aim(2.0)
+
+    def test_a_slope_that_never_falls_still_narrows_the_bracket(self):
+        # Every step falls back: the midpoint while the far end is unknown,
+        # then regula falsi, which lands on the root within the floor; where
+        # it would rate that angle again, the midpoint is taken instead.
+        lo, hi, calls = self.close(lambda x: (0.3 - 2.0 * x, 1.0), 0.0, 1.0, far_end_known=False)
+        assert calls[:4] == [0.5, 0.15, 0.25, 0.15]
+        assert all(x != y for x, y in zip(calls, calls[1:]))
+        assert lo < 0.15 < hi
+
+    def test_step_cap(self):
+        # Four aims of a floor far below rounding are narrower than any
+        # bracket of floats, so only the cap stops the closer.
+        lo, hi, calls = self.close(self.concave, 0.0, 1.0, floor=1e-300)
+        assert len(calls) == opt_module._CLOSE_STEPS
+        assert 0.0 < hi - lo < 1e-15  # the ends keep their signs (see close)
+
+
+class TestReplayAudit:
+    """Every step the side-of-bracket rule decides agrees with the ratings it
+    skips, in the golden section and in the bisection."""
+
+    @pytest.mark.parametrize("tau", [float(t) for t in np.linspace(1.0, 1.4999, 50)])
+    def test_no_decision_disagrees_with_the_ratings(self, monkeypatch, tau):
+        golden, midpoints, in_golden = [], [], []
+        real_golden, real_side = opt_module._golden_section_max, opt_module._side
+
+        def audited_golden(f, lo, hi, tol, decide):
+            def recorded(c, d):
+                keep_left = decide(c, d)
+                if keep_left is not None:
+                    golden.append((c, d, keep_left))
+                return keep_left
+
+            in_golden.append(True)
+            try:
+                return real_golden(f, lo, hi, tol, recorded)
+            finally:
+                in_golden.pop()
+
+        def audited_side(x, lo, hi, margin):
+            above = real_side(x, lo, hi, margin)
+            if above is not None and not in_golden:
+                midpoints.append((x, above))
+            return above
+
+        monkeypatch.setattr(opt_module, "_golden_section_max", audited_golden)
+        monkeypatch.setattr(opt_module, "_side", audited_side)
+        if tau < TAU_MAXENT_CUTOFF:
+            global_max_violation(tau)
+        else:
+            try:
+                critical_gamma(tau)
+                assert midpoints
+            except NoViolationFound:
+                assert tau > 1.4996
+        for c, d, keep_left in golden:
+            assert keep_left == (max_f(c, tau) >= max_f(d, tau))
+        for mid, above in midpoints:
+            assert above == (max_f(mid, tau) <= opt_module.VIOLATION_THRESHOLD)
 
 
 class TestExactSchmidtMaximum:

@@ -266,6 +266,13 @@ class TestLoadSave:
         with pytest.raises(SchemaError, match='"description" must be a string'):
             load(path)
 
+    @pytest.mark.parametrize("description", [123, ["white", "noise"]], ids=["int", "list"])
+    def test_non_string_description_refused_before_writing(self, tmp_path, description):
+        path = tmp_path / "desc.json"
+        with pytest.raises(TypeError, match="description must be a string, got"):
+            save(uniform_table(), path, description=description)
+        assert not path.exists()
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "fmt.json"
         path.write_text(json.dumps({"format": "csv"}), encoding="utf-8")
