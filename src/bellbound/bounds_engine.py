@@ -105,12 +105,14 @@ def upper_bound_analytic(tau: float) -> float:
 def upper_bound_numeric(tau: float) -> float | None:
     """Critical-curve concurrence at tilt ``tau`` (numeric).
 
-    The concurrence sin(2 gamma_c) of the largest violating Schmidt angle,
-    which :func:`~bellbound.optimizer.critical_gamma` finds by Newton on the
-    envelope slope of max F and a replay of the 1e-8 bisection.  None when no
-    Schmidt angle violates above the search threshold at ``tau``, as happens
-    just below 3/2: the search then has no crossing to locate, and the
-    analytic bound is the one that holds.
+    The concurrence sin(2 gamma_c) at the critical angle, which
+    :func:`~bellbound.optimizer.critical_gamma` brackets by Newton on max F
+    with its envelope slope.  A state violates where max F >= 0, and the
+    bracket's end it reports is rated non-violating (below -1e-15), so it lies
+    above every violating angle the search assumes.  None when even the
+    optimum stays below 1e-10 at ``tau``, as happens just below 3/2: the
+    search then has no crossing to locate, and the analytic bound is the one
+    that holds.
     """
     # The search runs over pure Schmidt states, yet the bound holds for mixed
     # states too.  Wootters' decomposition writes rho as a mixture of pure

@@ -110,9 +110,12 @@ def _cmd_curves(args) -> int:
         )
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
+    try:
+        taus = np.linspace(args.tau_min, args.tau_max, args.grid)
+    except MemoryError:
+        raise ValueError(f"--grid {args.grid} is too large: its tilts do not fit in memory") from None
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    taus = np.linspace(args.tau_min, args.tau_max, args.grid)
     violation_rows = []
     concurrence_rows = []
     for tau in taus:

@@ -14,26 +14,24 @@ Three layers:
   stops once every restart has converged, or after 500 iterations.  Only the
   random starts are settable, through :class:`SeesawConfig`'s seed.
 * :func:`global_max_violation` -- outer scalar search over the Schmidt angle:
-  a 64-point coarse grid guards against multiple local maxima, then a
-  golden section refines to 1e-8.  The grid is rated in decreasing order of
-  :func:`pure_state_value_cap`, skipping every angle whose cap cannot reach
-  the best value already rated.
+  a 64-point coarse grid guards against multiple local maxima, then the peak
+  is bracketed inside the grid's best cell.  The grid is rated in decreasing
+  order of :func:`pure_state_value_cap`, skipping every angle whose cap
+  cannot reach the best value already rated.
 * :func:`critical_gamma` -- for a tilt at which the maximally entangled state
-  no longer violates, the largest Schmidt angle above the arg-max angle that
-  still violates, to 1e-8 by bisection; its concurrence is the numeric upper
-  bound on the concurrence of any violating state.  The optimum the search
-  started from is returned with it.
+  no longer violates, an angle above the largest Schmidt angle that still
+  violates (max F >= 0), rated not to violate; its concurrence is the numeric
+  upper bound on the concurrence of any violating state.  The optimum the
+  search started from is returned with it.
 
-Both searches replay a textbook search, bit for bit, from one bracket.  A
-safeguarded root finder closes a bracket on the root of a falling function of
-the angle: the slope of max F for the optimum's peak, max F - 1e-10 for the
-crossing.  It takes Newton steps where the function has a slope and secant
-steps otherwise, with regula falsi or the midpoint as the fallback, and aims
-each step a few noise floors past its root, so that both ends are certain of
-their sign.  The golden section or the bisection is then replayed, and one
-rule settles each step: a step whose point lies beyond the bracket by more
-than rounding could reverse is decided by its side of the bracket, and every
-other step is rated, as the textbook search rates it.
+Each search reports the bracket it closes.  A safeguarded root finder closes
+a bracket on the root of a falling function of the angle: the slope of max F
+for the optimum's peak, max F itself for the crossing.  It takes Newton steps
+where the function has a slope and secant steps otherwise, with regula falsi
+or the midpoint as the fallback, and aims each step a few noise floors past
+its root, so that both ends are certain of their sign.  The optimum is the
+secant root of its slope bracket; the critical angle is the crossing
+bracket's non-violating end.
 
 Neither Schmidt-angle search runs the see-saw.  For the state
 cos(g)|00> + sin(g)|11>, write c = cos 2g and s = sin 2g.  Alice's best
@@ -55,8 +53,8 @@ extra rating.  Each search logs its tilt, the angles it rated and the Newton
 steps of their maximizations at DEBUG level on the ``"bellbound"`` logger,
 which is silent unless the application configures logging (the CLI's
 ``--log-level``); the optimum search adds its peak bracket with the slopes at
-both ends (or "none") and the golden steps decided and angles rated, the
-critical-angle search its final bracket with max F at both ends.
+both ends (or "none", where the grid's peak is taken), the critical-angle
+search its bracket with max F at both ends (or "none" for pi/4, unrated).
 
 :func:`pure_state_value_cap` / :func:`max_value_cap` give the closed-form
 analytic caps the search results are checked against.
@@ -89,11 +87,14 @@ from .quantum_core import (
     schmidt_state,
 )
 
+# critical_gamma brackets no crossing at a tilt whose optimum's max F is at
+# most this, and starts its search where the analytic cap falls to it.
 VIOLATION_THRESHOLD = 1e-10
+# The width at which a plain bisection for the critical angle stops; no
+# search here bisects, but the benchmark's tolerances and the tests' oracle
+# read it.
 GAMMA_BISECTION_TOL = 1e-8
 COARSE_GAMMA_POINTS = 64
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Starts of the maximizer of F: t0 at half steps in (0, pi), t1 at whole
 # steps round the circle, so that no start has t1 = +/- t0, where a norm of
@@ -119,19 +120,17 @@ _ANGLE_CHUNK = 8
 _CAP_TOLERANCE = 1e-12
 # max F is rated to rounding: over 1e-8-wide windows its ratings scatter about
 # a smooth curve by at most 2.3e-16 (measured at tilts from 1.21 to 1.4997).
-# So two ratings can order two angles wrongly unless max F differs between
-# them by more than this allowance.
+# So a rating is certain of its sign only beyond this allowance: the
+# critical-angle search counts an angle as non-violating only below minus it.
 _MAX_F_ROUNDING = 1e-15
 # The envelope slope of max F is fixed only to about this, absolute: Newton
 # fixes the maximizer (t0, t1) only to about the square root of rounding.
 # Slopes at 10 angles within 1e-7 of the peak scatter about a line by at most
 # 9e-10 (measured at tilts from 1.05 to 1.4999999), so a slope beyond this
-# tells on which side of the peak its angle lies.
+# tells on which side of the peak its angle lies.  Denser windows show rare
+# outliers up to 5.8e-9, where Newton stopped short along a flat direction
+# or wandered to angles near 1e9 rad, which floats resolve to 1e-7.
 _SLOPE_FLOOR = 2e-9
-# The golden section settles a step without its ratings only where max F at
-# its two angles is predicted to differ by more than this: about 400 times the
-# 2.3e-16 scatter of the ratings, so a rating could not order them otherwise.
-_DECIDED_GAP = 1e-13
 # The bracket closer aims each step this many noise floors of its function
 # past the step's root, so that the next value is certain of its sign and the
 # bracket closes from both sides; it stops once the bracket is four such aims
@@ -188,7 +187,10 @@ class OptimumPoint:
 
 @dataclass(frozen=True)
 class CriticalCurvePoint:
-    """Largest violating Schmidt angle at a tilt, and its concurrence sin(2 gamma_c).
+    """Critical Schmidt angle at a tilt, and its concurrence sin(2 gamma_c).
+
+    ``gamma_c`` is rated not to violate and lies just above the largest
+    violating angle, so ``c_cr`` errs on the conservative side.
 
     ``optimum`` is the maximal violation at the same tilt, from which the
     search started.
@@ -429,37 +431,6 @@ class _Rater:
         return values, thetas
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float, decide) -> float:
-    # Golden-section search for a maximum of f on [lo, hi], to width tol.
-    # Each step first asks decide(c, d): True settles it as f(c) >= f(d),
-    # False as f(c) < f(d), and None has both angles rated, each at most once.
-    # An angle no step needs is never rated, so a decide that always answers
-    # None takes the textbook search's steps with one rating fewer.
-    c = hi - _INV_GOLDEN * (hi - lo)
-    d = lo + _INV_GOLDEN * (hi - lo)
-    fc = fd = None
-    while hi - lo > tol:
-        keep_left = decide(c, d)
-        if keep_left is None:
-            fc = f(c) if fc is None else fc
-            fd = f(d) if fd is None else fd
-            keep_left = fc >= fd
-        if keep_left:
-            hi, d, fd = d, c, fc
-            c, fc = hi - _INV_GOLDEN * (hi - lo), None
-        else:
-            lo, c, fc = c, d, fd
-            d, fd = lo + _INV_GOLDEN * (hi - lo), None
-    return 0.5 * (lo + hi)
-
-
-def _side(x: float, lo: float, hi: float, margin: float):
-    # The one rule by which both replays settle a step without a rating: True
-    # where x lies above the bracket [lo, hi] by more than margin, False where
-    # it lies below it by more, and None, so that the step is rated, nearer.
-    return True if x > hi + margin else False if x < lo - margin else None
-
-
 def _close_bracket(h, a, h_a, b, h_b, floor: float, x: float = math.nan):
     # Safeguarded root finder for a falling function h, certain of its sign at
     # the bracket's ends: h(a) > floor and h(b) < -floor, where floor is the
@@ -527,9 +498,9 @@ def global_max_violation(tau: float) -> OptimumPoint:
     By convexity the optimum is attained on pure states, parametrized in the
     Schmidt basis by a single angle.  Each angle is rated by the exact
     maximum over measurements, max F (see the module docstring).  The scan
-    assumes no unimodality: a coarse 64-point grid first, then a golden
-    section to 1e-8 in the angle.  The grid is rated eight angles at a time
-    in decreasing order of :func:`pure_state_value_cap`, and an angle is
+    assumes no unimodality: a coarse 64-point grid first, then a bracket on
+    the peak inside the grid's best cell.  The grid is rated eight angles at
+    a time in decreasing order of :func:`pure_state_value_cap`, and an angle is
     rated only if its cap + 1e-12 reaches the best max F rated so far; the
     scan stops at the first group with none left.  Since max F never exceeds
     the cap by more than 1e-12, a skipped angle lies strictly below the
@@ -538,24 +509,21 @@ def global_max_violation(tau: float) -> OptimumPoint:
     value at the returned measurements, which reproduces max F to 1e-12 or
     the search raises :class:`~bellbound.errors.NumericFailure`.
 
-    The golden section ends bit for bit where one rating every step ends,
-    but rates far fewer angles:
+    The bracket closer of the module docstring brackets the peak inside the
+    coarse cell by secant steps on the envelope slope of max F, from the
+    slopes at the cell's grid angles, which the scan has already rated, and
+    the optimum is the secant root of that bracket.  The slope's noise floor
+    is 2e-9: Newton fixes the maximizer only to about the square root of
+    rounding.  Two cells end at the grid:
 
-    1. The bracket closer of the module docstring brackets the peak inside
-       the coarse cell by secant steps on the envelope slope of max F, from
-       the slopes at the cell's three grid angles, which the scan has
-       already rated.  The slope's noise floor is 2e-9: Newton fixes the
-       maximizer only to about the square root of rounding.
-    2. Each golden step is settled by the side of the bracket on which the
-       midpoint of its two angles lies, where it lies beyond the bracket by
-       more than a quadratic model of max F, with an allowance for its cubic
-       term, needs to put the two angles 1e-13 apart in max F (about 400
-       times the rating scatter).  Every other step rates both angles, as
-       the plain search does.
+    * at pi/4 the slope enters as minus its size, the slope from the left;
+    * at 0 the slope is exactly 0, as max F is even in the angle, so that end
+      enters unknown, with the midpoint as the closer's fallback there; if it
+      stays unknown, the secant root is 0 itself.
 
-    Where no bracket can be certified, as when the peak is at a grid end
-    (tilt 1) or the slopes are lost in noise, nothing is decided and every
-    step is rated.  At tilt 1.3 the search rates 35 angles instead of 52.
+    Where the cell has no rising end below a falling one, the grid's peak is
+    flat within the floor, as pi/4 is at tilt 1, and is returned.  At tilt
+    1.3 the search rates 23 angles.
     """
     coefficients(tau)
     t = float(tau)
@@ -574,47 +542,37 @@ def global_max_violation(tau: float) -> OptimumPoint:
         for i, theta in zip(chunk, chunk_thetas):
             thetas[i] = theta
     peak = int(np.argmax(values))
-    lo = float(grid[max(peak - 1, 0)])
-    hi = float(grid[min(peak + 1, COARSE_GAMMA_POINTS - 1)])
+    gamma_star, ends = float(grid[peak]), "none"
 
     def slope_at(gamma, theta=None):
         return _envelope_slope(gamma, t, *(theta or rate([gamma])[1][0]))
 
-    # Near the peak p, max F is f(p) - k (x - p)^2 / 2 + j (x - p)^3 / 6, so for
-    # c < d with midpoint m, f(d) - f(c) = (d - c) k (p + j (d - c)^2 / (24 k) - m).
-    # A golden step is settled where m lies beyond the peak bracket by more
-    # than four times that cubic shift plus the distance at which the
-    # difference falls to _DECIDED_GAP.  Without a bracket, the whole line
-    # stands in and every step is rated.
-    bracket, a, b, k, shift = None, -math.inf, math.inf, 1.0, 0.0
-    if 0 < peak < COARSE_GAMMA_POINTS - 1:
-        # The scan's maximizers give the cell's slopes without a rating.
-        cell = [(float(grid[i]), slope_at(float(grid[i]), thetas[i])) for i in (peak - 1, peak, peak + 1)]
-        rising = [p for p in cell if p[1] > _SLOPE_FLOOR]
-        falling = [p for p in cell if p[1] < -_SLOPE_FLOOR]
-        if rising and falling and rising[-1][0] < falling[0][0]:
-            bracket = _close_bracket(lambda x: (slope_at(x), None), *rising[-1], *falling[0], _SLOPE_FLOOR)
-            a, g_a, b, g_b = bracket
-            k = (g_a - g_b) / (b - a)
-            # |j| / 2 from the cell's second divided difference of the slope.
-            (x0, g0), (x1, g1), (x2, g2) = cell
-            shift = abs(((g2 - g1) / (x2 - x1) - (g1 - g0) / (x1 - x0)) / (x2 - x0)) / (3.0 * k)
-    decided = []
+    def cell_slope(i):
+        # The scan's maximizers give the cell's slopes without a rating.  max F
+        # is even in the angle, so its slope at 0 is exactly 0 and tells no
+        # side: that end enters unknown.  At pi/4, (t0, t1) and
+        # (pi - t0, pi - t1) tie in max F with opposite slopes, and the slope
+        # from the left is the falling one.
+        if i == 0:
+            return None
+        slope = slope_at(float(grid[i]), thetas[i])
+        return -abs(slope) if i == COARSE_GAMMA_POINTS - 1 else slope
 
-    def decide(c, d):
-        side = _side(0.5 * (c + d), a, b, shift * (d - c) ** 2 + _DECIDED_GAP / (k * (d - c)))
-        decided.append(side is not None)
-        return side
-
-    golden = rate.angles
-    gamma_star = _golden_section_max(lambda g: rate([g])[0][0], lo, hi, 1e-8, decide)
-    golden = rate.angles - golden
+    cell = [(float(grid[i]), cell_slope(i)) for i in range(max(peak - 1, 0), min(peak + 2, COARSE_GAMMA_POINTS))]
+    rising = [p for p in cell if p[1] is None or p[1] > _SLOPE_FLOOR]
+    falling = [p for p in cell if p[1] is not None and p[1] < -_SLOPE_FLOOR]
+    # Without a rising end below a falling one the scan's peak is flat within
+    # the floor, as pi/4 is at tilt 1, and is itself the peak.
+    if rising and falling and rising[-1][0] < falling[0][0]:
+        a, g_a, b, g_b = _close_bracket(lambda x: (slope_at(x), None), *rising[-1], *falling[0], _SLOPE_FLOOR)
+        # An end left unknown is 0, whose slope is 0: the secant root is 0.
+        g_a = 0.0 if g_a is None else g_a
+        gamma_star = a + g_a * (b - a) / (g_a - g_b)
+        ends = "[%.12g, %.12g] with slopes %.6e and %.6e" % (a, b, g_a, g_b)
     optimum = _optimum_point(gamma_star, t, rate)
-    ends = "none" if bracket is None else "[%.12g, %.12g] with slopes %.6e and %.6e" % (a, b, *bracket[1::2])
     logger.debug(
-        "Schmidt optimum at tau %.10g: %d angles rated, %d Newton steps, peak bracket %s, "
-        "golden section %d steps decided and %d angles rated",
-        t, rate.angles, rate.steps, ends, sum(decided), golden,
+        "Schmidt optimum at tau %.10g: %d angles rated, %d Newton steps, peak bracket %s",
+        t, rate.angles, rate.steps, ends,
     )
     return optimum
 
@@ -658,37 +616,22 @@ def _cap_root(tau: float) -> float:
 
 
 def critical_gamma(tau: float) -> CriticalCurvePoint:
-    """Largest Schmidt angle whose state still violates at tilt ``tau``.
+    """Critical Schmidt angle at tilt ``tau``: just above the last violating angle.
 
     Defined for tilts from the maximally-entangled cutoff up to (not including)
-    3/2.  The angle is the one a bisection, to 1e-8 in the angle, finds for
-    the violation/no-violation crossing above the arg-max angle of
-    :func:`global_max_violation`, with "violates" meaning max F above 1e-10
-    (see the module docstring); that optimum is returned too.  The search
-    runs in three steps:
-
-    1. The bracket closer of the module docstring brackets the crossing by
-       Newton steps on max F - 1e-10, starting where
-       :func:`pure_state_value_cap` falls to 1e-10.  The slope of max F
-       comes from the envelope theorem, at no extra rating.  Each step aims
-       eight rounding allowances of max F (1e-15 each) past its root, so the
-       bracket is about 1e-13 wide at tilt 1.3.
-    2. The bisection is replayed on its own midpoints, by the rule the
-       golden section uses.  A midpoint below Newton's bracket violates and
-       one above it does not; only one inside it, or so near it that
-       rounding could reverse the verdict, is rated.  The violating angles
-       above the optimum form one interval, as the bisection itself assumes,
-       so every step is decided as a rating would decide it and the angle is
-       bit for bit the bisection's.
-    3. Both ends of the final bracket are rated.  If the lower end does not
-       violate or the upper one does, the replay cannot vouch for the bracket
-       and :class:`~bellbound.errors.NumericFailure` is raised.
-
-    Above a tilt of about 1.4988 the angle is the bisection's, bit for bit,
-    but fixed only to rounding: max F falls so slowly at the crossing (its
-    slope is 8e-6 at 1.4988 and 3e-8 at 1.49966) that the 2e-16 rounding of
-    its ratings decides the last bisection steps, to about 7e-9 in the angle
-    at 1.49966.
+    3/2.  A state violates where max F >= 0 (see the module docstring), since
+    tau is where the observed value is 0.  The bracket closer of the module
+    docstring brackets the crossing above the arg-max angle of
+    :func:`global_max_violation` by Newton steps on max F, with the slope from
+    the envelope theorem at no extra rating, starting where
+    :func:`pure_state_value_cap` falls to 1e-10.  Each step aims eight
+    rounding allowances of max F (1e-15 each) past its root.  The angle
+    returned is the bracket's upper end, which the closer rated below -1e-15,
+    so it errs on the conservative side; at the cutoff, where the crossing is
+    pi/4 itself, that end stays pi/4.  The bracket is about 1e-13 wide at
+    tilt 1.3 and widens as max F flattens toward 3/2 (its slope is 8e-6 at
+    1.4988 and 3e-8 at 1.49966), to about 3e-8 at 1.49966.  The violating
+    angles above the optimum are assumed to form one interval.
 
     Raises :class:`~bellbound.errors.NoViolationFound`, carrying the optimum,
     when even the optimum does not violate, as happens just below 3/2.
@@ -707,45 +650,23 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
         )
     rate = _Rater(t)
 
-    def excess(x):
+    def max_f(x):
         values, thetas = rate([x])
-        return float(values[0]) - VIOLATION_THRESHOLD, _envelope_slope(x, t, *thetas[0])
+        return float(values[0]), _envelope_slope(x, t, *thetas[0])
 
-    # pi/4 never violates on this domain: its cap, (1 - t) + (sqrt 2 - 1)/2,
-    # is at most 1e-12 for t >= cutoff - 1e-12, far below the threshold.  So
-    # [gamma_star, pi/4] brackets the crossing.  Newton starts where the cap
-    # falls to the threshold, not at the cap's zero: at the cutoff that zero
-    # is pi/4 itself, where max F has a kink, and the crossing lies 3e-10
-    # below it.
-    a, h_a, b, h_b = _close_bracket(
-        excess, optimum.gamma_star, optimum.s_q - VIOLATION_THRESHOLD, math.pi / 4, None, _MAX_F_ROUNDING, _cap_root(t)
+    # The crossing lies in [gamma_star, pi/4], and pi/4 (C = 1) is always a
+    # sound answer, so it enters unrated.  Newton starts where the cap falls
+    # to 1e-10, not at the cap's zero, which at the cutoff is pi/4 itself,
+    # where max F has a kink.
+    a, f_a, b, f_b = _close_bracket(
+        max_f, optimum.gamma_star, optimum.s_q, math.pi / 4, None, _MAX_F_ROUNDING, _cap_root(t)
     )
-    # A midpoint is decided by its side of [a, b] only where max F differs
-    # from its value at the near end by more than rounding can reverse, which
-    # holds beyond ``margin``; a midpoint nearer is rated, as the bisection
-    # rates it.  The margin is far below the spacing of the last midpoints
-    # except within about 1e-3 of 3/2, where max F falls so slowly that the
-    # bisection's verdicts there are rounding's.
-    margin = math.inf if h_b is None else _MAX_F_ROUNDING * (b - a) / (h_a - h_b)
-    lo, hi = optimum.gamma_star, math.pi / 4
-    while hi - lo > GAMMA_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        above = _side(mid, a, b, margin)
-        if above is None:
-            above = rate([mid])[0][0] <= VIOLATION_THRESHOLD
-        lo, hi = (lo, mid) if above else (mid, hi)
-    f_lo, f_hi = (float(v) for v in rate([lo, hi])[0])
     logger.debug(
-        "critical angle at tau %.10g: %d angles rated, %d Newton steps, bracket [%.12g, %.12g] "
-        "with max F %.6e and %.6e",
-        t, rate.angles, rate.steps, lo, hi, f_lo, f_hi,
+        "critical angle at tau %.10g: %d angles rated, %d Newton steps, bracket [%.17g, %.17g] "
+        "with max F %.6e and %s",
+        t, rate.angles, rate.steps, a, b, f_a, "none" if f_b is None else "%.6e" % f_b,
     )
-    if not f_lo > VIOLATION_THRESHOLD >= f_hi:
-        raise NumericFailure(
-            f"the critical-angle bracket [{lo!r}, {hi!r}] at tilt {t!r} has max F {f_lo!r} and "
-            f"{f_hi!r} at its ends, not a violation below a non-violation: max F is not single-crossing"
-        )
-    return CriticalCurvePoint(tau=t, gamma_c=lo, c_cr=math.sin(2.0 * lo), optimum=optimum)
+    return CriticalCurvePoint(tau=t, gamma_c=b, c_cr=math.sin(2.0 * b), optimum=optimum)
 
 
 def pure_state_value_cap(gamma: float, tau: float) -> float:

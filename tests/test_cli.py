@@ -13,11 +13,13 @@ import bellbound
 from bellbound import (
     ChSlice,
     bell_model,
-    bounds_engine,
     invariants,
     load,
+    optimizer,
     quantum_core,
     save,
+    schmidt_state,
+    simulate,
     statistics_io,
     uniform_table,
 )
@@ -41,6 +43,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def edge_of_violation_experiment(tau):
+    """The table of the Schmidt state whose max F at ``tau`` falls to 1e-13
+    above the optimum, measured with the settings that attain max F there,
+    and that state's concurrence."""
+    rate = optimizer._Rater(tau)
+    lo, hi = optimizer.global_max_violation(tau).gamma_star, math.pi / 4
+    for _ in range(45):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rate([mid])[0][0] > 1e-13 else (lo, mid)
+    measurements = optimizer._optimum_point(lo, tau, rate).measurements
+    return simulate(schmidt_state(lo), measurements), math.sin(2.0 * lo)
 
 
 def grab(label: str, text: str) -> float:
@@ -147,14 +162,20 @@ class TestBoundCommand:
         assert code == EXIT_NUMERIC
         assert "differs from max F" in err and "lower bound" not in out
 
-    def test_bracket_end_contradicting_the_replay_exits_numeric(self, capsys, tmp_path, max_f_reflected_at):
-        path = tmp_path / "slice.json"
-        save(DEMO_SLICE, path)
-        gamma_c = bellbound.critical_gamma(bounds_engine.tau_obs(load(path))).gamma_c
-        max_f_reflected_at(gamma_c)
-        code, out, err = run(capsys, "bound", "--input", str(path), "--projective", "--numeric-ub")
-        assert code == EXIT_NUMERIC
-        assert "critical-angle bracket" in err and "lower bound" not in out
+    @pytest.mark.parametrize("tau", [1.45, 1.49, 1.498, 1.499])
+    def test_numeric_bound_contains_a_state_at_the_edge_of_violation(self, capsys, tmp_path, tau):
+        # Noise-free data from the Schmidt state whose max F at tau is 1e-13,
+        # just above the crossing, so its tilt threshold lies just above tau:
+        # the numeric bound, found at that threshold, must not fall below the
+        # state's concurrence.
+        table, concurrence = edge_of_violation_experiment(tau)
+        path, report_path = tmp_path / "table.json", tmp_path / "report.json"
+        save(table, path)
+        code, _, err = run(capsys, "bound", "--input", str(path), "--numeric-ub", "--output", str(report_path))
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert report["lower_bound"] <= concurrence <= report["upper_bound_numeric"]
+        assert concurrence <= report["upper_bound_analytic"]
 
     def test_pr_box_slice_exits_validation(self, capsys, tmp_path):
         # CH value 1/2, far above the quantum maximum (sqrt(2) - 1)/2.
@@ -307,6 +328,15 @@ class TestCurvesCommand:
         violation = (tmp_path / CSV_VIOLATION).read_text(encoding="utf-8").strip().splitlines()
         assert float(violation[-1].split(",")[1]) <= 1e-10
 
+    def test_grid_too_large_to_allocate_exits_parse(self, capsys, tmp_path):
+        # 1e15 tilts would take 7 PiB: the allocation fails at once, and
+        # nothing is written.
+        out = tmp_path / "curves"
+        code, text, err = run(capsys, "curves", "--grid", "1000000000000000", "--output", str(out))
+        assert (code, text) == (EXIT_PARSE, "")
+        assert err.startswith("parameter error: --grid 1000000000000000") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_range_exits_parse(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "curves", "--tau-min", "1.2", "--tau-max", "1.6", "--output", str(tmp_path)
@@ -358,8 +388,8 @@ class TestLogLevel:
         assert (debug_out, debug_files) == (out, files)
         assert err == ""
         assert re.search(
-            r"DEBUG bellbound: Schmidt optimum at tau 1\.49: 33 angles rated, \d+ Newton steps, "
-            r"peak bracket \[\S+, \S+\] with slopes \S+ and \S+, golden section \d+ steps decided and \d+ angles rated",
+            r"(?m)DEBUG bellbound: Schmidt optimum at tau 1\.49: 15 angles rated, \d+ Newton steps, "
+            r"peak bracket \[\S+, \S+\] with slopes \S+ and \S+$",
             debug_err,
         )
         assert "DEBUG bellbound: critical angle at tau 1.49: " in debug_err
