@@ -397,7 +397,60 @@ class TestDecidedStates:
 
 
 class TestGoldenSectionRounds:
-    """The optimum against the plain golden section, kept as the test oracle."""
+    """The plain golden section, kept as the test oracle, on functions whose
+    peak is known, and the optimum against it."""
+
+    @staticmethod
+    def counted(f, calls):
+        def value(x):
+            calls.append(x)
+            return f(x)
+
+        return value
+
+    def check(self, f, lo, hi, tol=1e-8):
+        calls = []
+        got = sequential_golden_section_max(self.counted(f, calls), lo, hi, tol)
+        assert lo <= got <= hi
+        return got, calls
+
+    def test_unimodal_functions(self):
+        for peak in (0.0, 0.1234567, 0.3, 0.5, 0.77, 1.0):
+            for f in (
+                lambda x: -((x - peak) ** 2),
+                lambda x: -abs(x - peak),
+                lambda x: math.exp(-40.0 * (x - peak) ** 2),
+            ):
+                got, _ = self.check(f, 0.0, 1.0)
+                assert abs(got - peak) <= 1e-8
+
+    def test_call_count_on_a_coarse_bracket(self):
+        # The width of two coarse-grid cells takes 31 golden-section steps to
+        # shrink below 1e-8: 33 evaluations, the two first angles and one per
+        # step.
+        width = 2.0 * (math.pi / 4) / (opt_module.COARSE_GAMMA_POINTS - 1)
+        got, calls = self.check(lambda x: -((x - 0.41) ** 2), 0.4, 0.4 + width)
+        assert abs(got - 0.41) <= 1e-8 and len(calls) == len(set(calls)) == 33
+
+    def test_exact_ties(self):
+        # Values on a coarse lattice tie fc == fd on many steps.  Ties keep
+        # the left end, so the search ends within the tolerance of the top
+        # plateau, |x - 0.4| <= 0.025, at its left edge.
+        def f(x):
+            return -float(round(abs(x - 0.4) * 20.0))
+
+        got, calls = self.check(f, 0.0, 1.0)
+        assert -0.025 - 1e-8 <= got - 0.4 <= 0.025 and len(calls) > 2
+
+    def test_flat_plateau(self):
+        self.check(lambda x: 1.0, 0.0, 1.0)
+        got, _ = self.check(lambda x: min(1.0, 5.0 - 20.0 * abs(x - 0.6)), 0.0, 1.0)
+        assert abs(got - 0.6) <= 0.2
+
+    def test_interval_already_within_tolerance(self):
+        # No step is taken: the midpoint, with only the two first angles rated.
+        got, calls = self.check(lambda x: x, 0.3, 0.3 + 5e-9)
+        assert got == 0.5 * (0.3 + (0.3 + 5e-9)) and len(calls) == 2
 
     @pytest.mark.parametrize(
         "tau",
@@ -450,9 +503,9 @@ class TestPeakReplay:
         assert 0.0 < hi - lo <= 2e-6
         assert lo <= optimum.gamma_star <= hi
 
-    def test_slopes_lost_in_noise_take_the_grid_peak(self, caplog, monkeypatch):
-        # Slopes within the floor certify no bracket, so the grid's peak is
-        # taken, rated once more for its measurements.
+    def test_slopes_lost_in_noise_decide_nothing(self, caplog, monkeypatch):
+        # Slopes within the floor decide nothing and certify no bracket, so
+        # the grid's peak is taken, rated once more for its measurements.
         rng = np.random.default_rng(5)
         floor = opt_module._SLOPE_FLOOR
         monkeypatch.setattr(opt_module, "_envelope_slope", lambda *args: float(rng.uniform(-floor, floor)))
