@@ -48,13 +48,15 @@ B = s^2 (sin^2 t0 + sin^2 t1) + (cos t0 - cos t1)^2 and
 X* = clip((B - A)/2, +/- 2 s^2 sin t0 sin t1).  Both searches rate each
 angle by max F, found to rounding by damped Newton from a coarse grid of
 (t0, t1), not by the see-saw's lower bound.  The slope of max F in the angle
-comes from the envelope theorem at the maximizer a rating returns, at no
-extra rating.  Each search logs its tilt, the angles it rated and the Newton
-steps of their maximizations at DEBUG level on the ``"bellbound"`` logger,
-which is silent unless the application configures logging (the CLI's
-``--log-level``); the optimum search adds its peak bracket with the slopes at
-both ends (or "none", where the grid's peak is taken), the critical-angle
-search its bracket with max F at both ends (or "none" for pi/4, unrated).
+comes from the envelope theorem at the maximizer a rating returns, polished
+by Newton steps on the gradient of the in-plane form, at no extra rating.
+Each search logs its tilt, the angles it rated and the Newton steps of their
+maximizations at DEBUG level on the ``"bellbound"`` logger, which is silent
+unless the application configures logging (the CLI's ``--log-level``); the
+optimum search adds its peak bracket with the slopes at both ends ("unknown"
+for 0, unrated, or "none" for the bracket, where the grid's peak is taken),
+the critical-angle search its bracket with max F at both ends (or "none" for
+pi/4, unrated).
 
 :func:`pure_state_value_cap` / :func:`max_value_cap` give the closed-form
 analytic caps the search results are checked against.
@@ -123,20 +125,22 @@ _CAP_TOLERANCE = 1e-12
 # So a rating is certain of its sign only beyond this allowance: the
 # critical-angle search counts an angle as non-violating only below minus it.
 _MAX_F_ROUNDING = 1e-15
-# The envelope slope of max F is fixed only to about this, absolute: Newton
-# fixes the maximizer (t0, t1) only to about the square root of rounding.
-# Slopes at 10 angles within 1e-7 of the peak scatter about a line by at most
-# 9e-10 (measured at tilts from 1.05 to 1.4999999), so a slope beyond this
-# tells on which side of the peak its angle lies.  Denser windows show rare
-# outliers up to 5.8e-9, where Newton stopped short along a flat direction
-# or wandered to angles near 1e9 rad, which floats resolve to 1e-7.
-_SLOPE_FLOOR = 2e-9
+# The envelope slope of max F, read at a maximizer polished to rounding (see
+# _envelope_slope), is fixed to about this, absolute: slopes at 21 angles
+# within 1e-7 of the peak, and 1e-3 to either side, scatter about a parabola
+# by at most 3.1e-16 (measured at 100 tilts from 1 to 1.4999999, away from the
+# tilt-1 kink at pi/4, where no bracket is closed).  So a slope beyond this
+# tells on which side of the peak its angle lies.
+_SLOPE_FLOOR = 2e-15
 # The bracket closer aims each step this many noise floors of its function
 # past the step's root, so that the next value is certain of its sign and the
 # bracket closes from both sides; it stops once the bracket is four such aims
-# wide, or after _CLOSE_STEPS values.
+# wide, or after _CLOSE_STEPS values.  The most a bracket has needed is 25
+# values: at tilt 1.4999999 the slope is cubic in the angle down to the peak
+# at 2e-7, so secant steps from the grid's 0.0125 close in on it by a factor
+# of about 0.6 each.
 _AIM_FLOORS = 8.0
-_CLOSE_STEPS = 16
+_CLOSE_STEPS = 32
 
 logger = logging.getLogger("bellbound")
 
@@ -445,7 +449,8 @@ def _close_bracket(h, a, h_a, b, h_b, floor: float, x: float = math.nan):
     # after a slope that does not fall, is replaced by regula falsi on [a, b],
     # or by the midpoint while an end's value is unknown or where regula falsi
     # would repeat the last value.  Stops once [a, b] is four aims wide, or
-    # after _CLOSE_STEPS values.  Returns a, h(a), b, h(b).
+    # after _CLOSE_STEPS values.  Returns a, h(a), b, h(b) and whether the
+    # bracket closed to four aims.
     last = (b, h_b)
     for _ in range(_CLOSE_STEPS):
         if not a < x < b and None not in (h_a, h_b):
@@ -465,10 +470,10 @@ def _close_bracket(h, a, h_a, b, h_b, floor: float, x: float = math.nan):
             continue
         aim = _AIM_FLOORS * floor / -slope
         if b - a <= 4.0 * aim:
-            break
+            return a, h_a, b, h_b, True
         x -= value / slope
         x += aim if value > floor or (value >= -floor and b - x > x - a) else -aim
-    return a, h_a, b, h_b
+    return a, h_a, b, h_b, False
 
 
 def _optimum_point(gamma: float, tau: float, rate: _Rater) -> OptimumPoint:
@@ -512,18 +517,19 @@ def global_max_violation(tau: float) -> OptimumPoint:
     The bracket closer of the module docstring brackets the peak inside the
     coarse cell by secant steps on the envelope slope of max F, from the
     slopes at the cell's grid angles, which the scan has already rated, and
-    the optimum is the secant root of that bracket.  The slope's noise floor
-    is 2e-9: Newton fixes the maximizer only to about the square root of
-    rounding.  Two cells end at the grid:
+    the optimum is the secant root of that bracket.  Each slope is read at
+    the rating's maximizer polished by Newton, and its noise floor is 2e-15.
+    Two cells end at the grid:
 
     * at pi/4 the slope enters as minus its size, the slope from the left;
     * at 0 the slope is exactly 0, as max F is even in the angle, so that end
       enters unknown, with the midpoint as the closer's fallback there; if it
-      stays unknown, the secant root is 0 itself.
+      stays unknown, the bracket's midpoint is returned.
 
     Where the cell has no rising end below a falling one, the grid's peak is
-    flat within the floor, as pi/4 is at tilt 1, and is returned.  At tilt
-    1.3 the search rates 23 angles.
+    flat within the floor, as pi/4 is at tilt 1, and is returned.  The peak
+    is found to about 1e-9 in the angle up to tilt 1.4999999, where it lies at
+    2e-7.  At tilt 1.3 the search rates 24 angles.
     """
     coefficients(tau)
     t = float(tau)
@@ -564,11 +570,11 @@ def global_max_violation(tau: float) -> OptimumPoint:
     # Without a rising end below a falling one the scan's peak is flat within
     # the floor, as pi/4 is at tilt 1, and is itself the peak.
     if rising and falling and rising[-1][0] < falling[0][0]:
-        a, g_a, b, g_b = _close_bracket(lambda x: (slope_at(x), None), *rising[-1], *falling[0], _SLOPE_FLOOR)
-        # An end left unknown is 0, whose slope is 0: the secant root is 0.
-        g_a = 0.0 if g_a is None else g_a
-        gamma_star = a + g_a * (b - a) / (g_a - g_b)
-        ends = "[%.12g, %.12g] with slopes %.6e and %.6e" % (a, b, g_a, g_b)
+        a, g_a, b, g_b, _ = _close_bracket(lambda x: (slope_at(x), None), *rising[-1], *falling[0], _SLOPE_FLOOR)
+        # An end left unknown is 0, never rated below the peak: the bracket's
+        # midpoint stands in for the secant root.
+        gamma_star = 0.5 * (a + b) if g_a is None else a + g_a * (b - a) / (g_a - g_b)
+        ends = "[%.17g, %.17g] with slopes %s and %.6e" % (a, b, "unknown" if g_a is None else "%.6e" % g_a, g_b)
     optimum = _optimum_point(gamma_star, t, rate)
     logger.debug(
         "Schmidt optimum at tau %.10g: %d angles rated, %d Newton steps, peak bracket %s",
@@ -578,17 +584,36 @@ def global_max_violation(tau: float) -> OptimumPoint:
 
 
 def _envelope_slope(gamma: float, tau: float, t0: float, t1: float) -> float:
-    # d max F / d gamma at an angle whose in-plane form peaks at (t0, t1).
-    # There the gradient in (t0, t1) vanishes, so by Danskin's envelope
+    # d max F / d gamma at an angle whose in-plane form peaks near (t0, t1).
+    # A rating fixes the maximizer only to about the square root of rounding,
+    # which leaves the slope off by up to 6e-9.  So the angles are wrapped to
+    # [-pi, pi] and polished by Newton steps on the gradient, which resolves
+    # the peak far below the rounding of F, the Hessian shifted wherever it is
+    # not negative definite, until a step is below 1e-12 or the Hessian is
+    # singular to rounding.  It is at pi/4, where s = 1 and c = 0 leave F a
+    # function of t0 - t1 alone, so that its maximizers form a line.  At the
+    # maximizer the gradient in (t0, t1) vanishes, so by Danskin's envelope
     # theorem the slope is the partial derivative of F in gamma.  F sees gamma
     # only through s = sin 2g and k = (1 - tau) c, with c = cos 2g, so the
     # slope is 2 c dF/ds - 2 (1 - tau) s dF/dk.  In the terms of _in_plane_f,
     # dF/ds = 1/4 sum x (sin t0 +/- sin t1) / r over both norms, and
     # dF/dk = cos(t0)/2 + z/(2 r) of the "+" norm, the one that holds 2k.
     c, s = math.cos(2.0 * gamma), math.sin(2.0 * gamma)
+    t0, t1, k = math.remainder(t0, 2.0 * math.pi), math.remainder(t1, 2.0 * math.pi), (1.0 - tau) * c
+    for _ in range(_NEWTON_MAX_STEPS):
+        _, g0, g1, h00, h01, h11 = _in_plane_f(math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1), s, k, True)
+        if abs(h00 * h11 - h01 * h01) <= 1e-15 * (h00 + h11) ** 2:
+            break
+        mu = 2.0 * max(0.5 * (h00 + h11) + math.hypot(0.5 * (h00 - h11), h01), 0.0)
+        a, d = h00 - mu, h11 - mu
+        det = a * d - h01 * h01
+        d0, d1 = (h01 * g1 - d * g0) / det, (h01 * g0 - a * g1) / det
+        t0, t1 = t0 + d0, t1 + d1
+        if abs(d0) + abs(d1) <= 1e-12:
+            break
     sin0, cos0, sin1, cos1 = math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1)
     d_s, d_k = 0.0, 0.5 * cos0
-    for sign, shift in ((1.0, 2.0 * (1.0 - tau) * c), (-1.0, 0.0)):
+    for sign, shift in ((1.0, 2.0 * k), (-1.0, 0.0)):
         u = sin0 + sign * sin1
         x = s * u
         z = cos0 + sign * cos1 + shift
@@ -629,12 +654,15 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     returned is the bracket's upper end, which the closer rated below -1e-15,
     so it errs on the conservative side; at the cutoff, where the crossing is
     pi/4 itself, that end stays pi/4.  The bracket is about 1e-13 wide at
-    tilt 1.3 and widens as max F flattens toward 3/2 (its slope is 8e-6 at
-    1.4988 and 3e-8 at 1.49966), to about 3e-8 at 1.49966.  The violating
-    angles above the optimum are assumed to form one interval.
+    tilt 1.3 and widens as max F flattens toward 3/2 (its slope at the
+    crossing is 8.7e-6 at 1.4988, 1.2e-6 at 1.4995 and 6.7e-7 at 1.49966),
+    to about 2e-9, 1e-8 and 3e-8 there.  The violating angles above the
+    optimum are assumed to form one interval.
 
     Raises :class:`~bellbound.errors.NoViolationFound`, carrying the optimum,
-    when even the optimum does not violate, as happens just below 3/2.
+    when even the optimum does not violate, as happens just below 3/2, and
+    :class:`~bellbound.errors.NumericFailure` when the closer stops on its
+    step cap before the bracket is four aims wide.
     """
     t = float(tau)
     if not (TAU_MAXENT_CUTOFF - 1e-12 <= t < TAU_TRIVIAL):
@@ -658,9 +686,11 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     # sound answer, so it enters unrated.  Newton starts where the cap falls
     # to 1e-10, not at the cap's zero, which at the cutoff is pi/4 itself,
     # where max F has a kink.
-    a, f_a, b, f_b = _close_bracket(
+    a, f_a, b, f_b, closed = _close_bracket(
         max_f, optimum.gamma_star, optimum.s_q, math.pi / 4, None, _MAX_F_ROUNDING, _cap_root(t)
     )
+    if not closed:
+        raise NumericFailure(f"crossing bracket [{a!r}, {b!r}] at tilt {t!r} open after {_CLOSE_STEPS} ratings")
     logger.debug(
         "critical angle at tau %.10g: %d angles rated, %d Newton steps, bracket [%.17g, %.17g] "
         "with max F %.6e and %s",

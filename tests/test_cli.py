@@ -388,7 +388,7 @@ class TestLogLevel:
         assert (debug_out, debug_files) == (out, files)
         assert err == ""
         assert re.search(
-            r"(?m)DEBUG bellbound: Schmidt optimum at tau 1\.49: 15 angles rated, \d+ Newton steps, "
+            r"(?m)DEBUG bellbound: Schmidt optimum at tau 1\.49: 16 angles rated, \d+ Newton steps, "
             r"peak bracket \[\S+, \S+\] with slopes \S+ and \S+$",
             debug_err,
         )

@@ -96,6 +96,19 @@ def bisection_bracket_from(lo, value_at, threshold=0.0):
 BISECTION_TILTS = [float(t) for t in np.linspace(TAU_MAXENT_CUTOFF, 1.4998, 64)]
 # Tilts from 1 up to the cutoff, where the optimum moves off pi/4.
 UNTILTED_SIDE_TILTS = [float(t) for t in np.linspace(1.0, TAU_MAXENT_CUTOFF, 64, endpoint=False)]
+# The crossing's bracket at the two tilts after 1.4995, where the slope of
+# max F there is 1.2e-6 and 6.7e-7: each aim of eight rounding allowances
+# past the crossing is 6e-9 and 1.2e-8 wide, and the bracket (the README's
+# near-3/2 contract) about 1e-8 and 3e-8.  The critical angle, its upper end,
+# lies above the crossing by at most that.
+CROSSING_WIDTH_NEAR_THREE_HALVES = {1.4995452261306532: 1e-8, 1.499664824120603: 3e-8}
+# Concurrence sin(2 gamma) of the optimum near 3/2, where the peak of max F is
+# 2.7e-12 high at tilt 1.4999 and 2.7e-21 at 1.4999999: a golden section on
+# double-precision ratings, whose rounding is 2e-16, places it only to about
+# 1e-6 and 1e-5 in the angle.  Computed with mpmath at 50 digits: the in-plane
+# maximizer by Newton from the double one, the peak by golden section to a
+# relative 1e-12.
+REFERENCE_PEAK_CONCURRENCE = {1.4999: 3.9996444602315520e-4, 1.4999999: 3.9999996467788739e-7}
 
 
 def optimum_log(caplog, tau):
@@ -337,34 +350,38 @@ class TestDecidedStates:
         for tau in (*taus, math.nextafter(1.5, 0.0)):
             assert pure_state_value_cap(math.pi / 4, float(tau)) <= opt_module.VIOLATION_THRESHOLD / 2
 
-    # At the two tilts after 1.49 max F falls so slowly that the crossing's
-    # bracket is widest, about 1e-8 and 3e-8, and the critical angle lies
-    # above the bisection's bracket by 5e-9 and 1.7e-8.
     @pytest.mark.parametrize(
         "tau", [1.2236, 1.427, 1.2102, 1.49, 1.4995452261306532, 1.499664824120603, *BISECTION_TILTS]
     )
-    def test_critical_gamma_equals_plain_bisection(self, caplog, tau):
+    def test_critical_gamma_equals_plain_bisection(self, tau):
         # The critical angle lies in the final bracket of a plain bisection on
-        # max F > 0, or above it by at most the width of its own bracket.
-        # Rated fresh it does not violate, unless it is pi/4 (at the cutoff,
-        # where max F falls to 0 at pi/4 itself).  Its concurrence is at least
-        # that of the last angle above 1e-10 which a bisection from the
+        # max F > 0, at the width GAMMA_BISECTION_TOL.  Only at the two tilts
+        # after 1.4995, where max F falls slowest, may it lie above, by the
+        # near-3/2 contract (see CROSSING_WIDTH_NEAR_THREE_HALVES).  Rated
+        # fresh it does not violate, unless it is pi/4 (at the cutoff, where
+        # max F falls to 0 at pi/4 itself).  Its concurrence is at least that
+        # of the last angle above 1e-10 which a bisection from the
         # golden-section optimum reaches, the critical angle's earlier
         # definition.
         try:
-            with caplog.at_level(logging.DEBUG, logger="bellbound"):
-                point = critical_gamma(tau)
+            point = critical_gamma(tau)
         except NoViolationFound:
             assert tau > 1.4996  # no crossing to bisect
             return
-        a, b = (float(x) for x in re.search(r"bracket \[(\S+), (\S+)\]", caplog.records[-1].getMessage()).groups())
         lo, hi = bisection_bracket_from(point.optimum.gamma_star, lambda g: max_f(g, tau))
-        assert lo <= point.gamma_c <= hi + (b - a)
+        assert lo <= point.gamma_c <= hi + CROSSING_WIDTH_NEAR_THREE_HALVES.get(tau, 0.0)
         assert point.gamma_c == math.pi / 4 or max_f(point.gamma_c, tau) < -opt_module._MAX_F_ROUNDING
         earlier, _ = bisection_bracket_from(
             sequential_global_max_violation(tau)[0], lambda g: max_f(g, tau), opt_module.VIOLATION_THRESHOLD
         )
         assert point.c_cr >= math.sin(2.0 * earlier)
+
+    def test_critical_gamma_refuses_a_bracket_left_open(self, monkeypatch):
+        # Stopped on its step cap before the bracket is four aims wide, the
+        # closer leaves an upper end that may lie far above the crossing.
+        monkeypatch.setattr(opt_module, "_CLOSE_STEPS", 2)
+        with pytest.raises(NumericFailure, match="open after 2 ratings"):
+            critical_gamma(1.3)
 
     @pytest.mark.parametrize(
         "gamma,tau",
@@ -464,16 +481,17 @@ class TestGoldenSectionRounds:
     )
     def test_global_optimum_matches_sequential_search(self, tau):
         # The optimum is at least as high as the plain golden section's, and
-        # at the same concurrence to 1e-6.  Only where max F is flat to
-        # rounding between the two angles, so that neither search can place
-        # the peak to 1e-6 (at 1.4999 and 1.4999999), may they lie further
-        # apart.
+        # at the same concurrence to 1e-6: the golden section's, or, at the
+        # two tilts where max F is too flat for it to place the peak, that of
+        # a 50-digit reference.
         gamma_star, value = sequential_global_max_violation(tau)
         opt = global_max_violation(tau)
         assert opt.s_q >= value - 1e-15
-        if abs(math.sin(2.0 * opt.gamma_star) - math.sin(2.0 * gamma_star)) > 1e-6:
-            between = np.linspace(opt.gamma_star, gamma_star, 9)
-            assert min(max_f(float(g), tau) for g in between) >= value - 1e-15
+        c_reference = math.sin(2.0 * gamma_star)
+        if tau in REFERENCE_PEAK_CONCURRENCE:
+            assert abs(c_reference - REFERENCE_PEAK_CONCURRENCE[tau]) > 1e-6
+            c_reference = REFERENCE_PEAK_CONCURRENCE[tau]
+        assert abs(math.sin(2.0 * opt.gamma_star) - c_reference) <= 1e-6
 
 
 class TestPeakReplay:
@@ -482,18 +500,19 @@ class TestPeakReplay:
 
     @pytest.mark.parametrize("tau", [1.05, 1.25, 1.4, 1.49, 1.4999999])
     def test_slope_noise_stays_within_the_floor(self, tau):
-        # The secant's stop rule: within 1e-7 of the peak the slope is linear
-        # in the angle, and its ratings scatter about that line by at most
-        # the floor (9e-10 was the most seen, at 1.4).  The peak is the plain
-        # golden section's, the oracle's.
-        peak = sequential_global_max_violation(tau)[0]
+        # The closer's premise: within 1e-7 of the peak the slope is smooth in
+        # the angle, and its values scatter about a parabola by at most the
+        # floor (at most 1.7e-16 here, at 1.49; at 1.4999999 the peak lies at
+        # 2e-7).  A line would leave the slope's curvature, about 1e-14 over
+        # the window, in the scatter.
+        peak = global_max_violation(tau).gamma_star
         offsets = np.linspace(-1e-7, 1e-7, 10)
         slopes = []
         for gamma in peak + offsets:
             _, thetas, _ = opt_module._schmidt_maxima([float(gamma)], tau)
             slopes.append(opt_module._envelope_slope(float(gamma), tau, *thetas[0]))
-        line = np.polyval(np.polyfit(offsets, slopes, 1), offsets)
-        assert np.max(np.abs(np.array(slopes) - line)) <= opt_module._SLOPE_FLOOR
+        smooth = np.polyval(np.polyfit(offsets / 1e-7, slopes, 2), offsets / 1e-7)
+        assert np.max(np.abs(np.array(slopes) - smooth)) <= opt_module._SLOPE_FLOOR
 
     @pytest.mark.parametrize("tau", [1.1736, 1.3, 1.427, 1.49])
     def test_secant_brackets_the_peak_beyond_the_floor(self, caplog, tau):
@@ -542,14 +561,15 @@ class TestPeakReplay:
     def test_rates_a_third_fewer_angles(self, caplog):
         # The counted work, not the time: 52 angles for the optimum at 1.3
         # and 60 for the critical angle in all before the envelope slope;
-        # 35 and 43 with the golden section and bisection replayed.
+        # 35 and 43 with the golden section and bisection replayed; 24 and 30
+        # with each search reporting its own bracket.
         _, angles, _ = optimum_log(caplog, 1.3)
-        assert angles == 23
+        assert angles == 24
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="bellbound"):
             critical_gamma(1.3)
         counts = [int(re.search(r": (\d+) angles rated", r.getMessage()).group(1)) for r in caplog.records]
-        assert counts == [23, 6]
+        assert counts == [24, 6]
 
 
 class TestCloseBracket:
@@ -575,9 +595,9 @@ class TestCloseBracket:
             return value, slope if slopes else None
 
         h_b = h(b)[0] if far_end_known else None
-        lo, h_lo, hi, h_hi = opt_module._close_bracket(counted, a, h(a)[0], b, h_b, floor)
+        lo, h_lo, hi, h_hi, closed = opt_module._close_bracket(counted, a, h(a)[0], b, h_b, floor)
         assert h_lo == h(lo)[0] > floor and h_hi == h(hi)[0] < -floor
-        return lo, hi, calls
+        return lo, hi, calls, closed
 
     def aim(self, slope):
         return opt_module._AIM_FLOORS * self.FLOOR / abs(slope)
@@ -586,10 +606,10 @@ class TestCloseBracket:
     @pytest.mark.parametrize("shape,root", [("linear", 0.15), ("concave", math.sqrt(0.5))])
     def test_closes_to_four_aims_round_the_root(self, shape, root, slopes):
         h = getattr(self, shape)
-        lo, hi, calls = self.close(h, 0.0, 1.0, slopes=slopes)
+        lo, hi, calls, closed = self.close(h, 0.0, 1.0, slopes=slopes)
         assert lo < root < hi
         assert hi - lo <= 4.0 * self.aim(h(root)[1]) * 1.01
-        assert len(calls) < opt_module._CLOSE_STEPS
+        assert closed and len(calls) < opt_module._CLOSE_STEPS
 
     @pytest.mark.parametrize("slopes", [True, False], ids=["newton", "secant"])
     def test_values_within_the_floor_leave_no_wide_bracket(self, slopes):
@@ -598,29 +618,32 @@ class TestCloseBracket:
         def h(x):
             return (0.0 if abs(x - 0.5) < 2.0 * self.FLOOR else 0.5 - x), -1.0
 
-        lo, hi, calls = self.close(h, 0.0, 1.0, slopes=slopes)
+        lo, hi, calls, closed = self.close(h, 0.0, 1.0, slopes=slopes)
         assert calls[0] == 0.5
-        assert lo < 0.5 < hi and hi - lo <= 4.0 * self.aim(1.0)
+        assert closed and lo < 0.5 < hi and hi - lo <= 4.0 * self.aim(1.0)
 
     def test_unknown_far_end_is_halved_until_its_value_is_known(self):
-        lo, hi, calls = self.close(self.linear, 0.0, 1.0, far_end_known=False)
+        lo, hi, calls, closed = self.close(self.linear, 0.0, 1.0, far_end_known=False)
         assert calls[0] == 0.5
-        assert lo < 0.15 < hi and hi - lo <= 4.0 * self.aim(2.0)
+        assert closed and lo < 0.15 < hi and hi - lo <= 4.0 * self.aim(2.0)
 
     def test_a_slope_that_never_falls_still_narrows_the_bracket(self):
         # Every step falls back: the midpoint while the far end is unknown,
         # then regula falsi, which lands on the root within the floor; where
         # it would rate that angle again, the midpoint is taken instead.
-        lo, hi, calls = self.close(lambda x: (0.3 - 2.0 * x, 1.0), 0.0, 1.0, far_end_known=False)
+        # Without a falling slope there is no aim, so the bracket is never
+        # called closed.
+        lo, hi, calls, closed = self.close(lambda x: (0.3 - 2.0 * x, 1.0), 0.0, 1.0, far_end_known=False)
         assert calls[:4] == [0.5, 0.15, 0.25, 0.15]
         assert all(x != y for x, y in zip(calls, calls[1:]))
-        assert lo < 0.15 < hi
+        assert lo < 0.15 < hi and not closed
 
     def test_step_cap(self):
         # Four aims of a floor far below rounding are narrower than any
-        # bracket of floats, so only the cap stops the closer.
-        lo, hi, calls = self.close(self.concave, 0.0, 1.0, floor=1e-300)
-        assert len(calls) == opt_module._CLOSE_STEPS
+        # bracket of floats, so only the cap stops the closer, which reports
+        # the bracket open.
+        lo, hi, calls, closed = self.close(self.concave, 0.0, 1.0, floor=1e-300)
+        assert len(calls) == opt_module._CLOSE_STEPS and not closed
         assert 0.0 < hi - lo < 1e-15  # the ends keep their signs (see close)
 
 
@@ -689,7 +712,7 @@ class TestExactSchmidtMaximum:
         messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
         assert len(messages) == 2
         assert re.fullmatch(
-            r"Schmidt optimum at tau 1\.3: 23 angles rated, \d+ Newton steps, peak bracket \[\S+, \S+\] "
+            r"Schmidt optimum at tau 1\.3: 24 angles rated, \d+ Newton steps, peak bracket \[\S+, \S+\] "
             r"with slopes \S+ and \S+",
             messages[0],
         )
