@@ -2,8 +2,8 @@
 
 For each tilt: the entanglement of the state violating maximally (which drops
 below maximal as soon as the tilt exceeds 1) and the largest entanglement that
-can violate at all (the critical curve, defined past the maximally-entangled
-cutoff), with its closed-form cap.  Run with:
+can violate at all (the critical curve, 1 up to the maximally-entangled
+cutoff), with its closed-form cap past the cutoff.  Run with:
 python demos/04_critical_curve.py
 """
 
@@ -19,17 +19,11 @@ print()
 print(f"{'tilt':>7} {'S_q':>10} {'cap':>10} {'C(opt)':>8} {'C_cr':>8} {'C_cr cap':>9}")
 for tau in np.linspace(1.0, 1.49, 8):
     t = float(tau)
-    cap = bb.max_value_cap(t)
-    if t >= cutoff:
-        point = bb.critical_gamma(t)  # carries the optimum it started from
-        optimum = point.optimum
-        c_cr = f"{point.c_cr:8.5f}"
-        c_cap = f"{bb.upper_bound_analytic(t):9.5f}"
-    else:
-        optimum = bb.global_max_violation(t)
-        c_cr, c_cap = f"{'(all)':>8}", f"{'-':>9}"
-    print(f"{t:7.4f} {optimum.s_q:10.6f} {cap:10.6f} "
-          f"{math.sin(2.0 * optimum.gamma_star):8.5f} {c_cr} {c_cap}")
+    point = bb.critical_gamma(t)  # carries the optimum at the tilt
+    optimum = point.optimum
+    c_cap = f"{bb.upper_bound_analytic(t):9.5f}" if t >= cutoff else f"{'-':>9}"
+    print(f"{t:7.4f} {optimum.s_q:10.6f} {bb.max_value_cap(t):10.6f} "
+          f"{math.sin(2.0 * optimum.gamma_star):8.5f} {point.c_cr:8.5f} {c_cap}")
 
 print()
 print("The same curves are emitted as CSV by:  bellbound curves --grid 25 --output out/")

@@ -38,7 +38,6 @@ from .bounds_engine import (
     upper_bound_numeric,
 )
 from .errors import (
-    NoViolationFound,
     NumericFailure,
     ParseError,
     RangeError,
@@ -92,7 +91,6 @@ __all__ = [
     "ChSlice",
     "CriticalCurvePoint",
     "MeasurementSet",
-    "NoViolationFound",
     "NumericFailure",
     "OptimumPoint",
     "ParseError",

@@ -31,8 +31,7 @@ def _validate_tau(tau: float, allow_trivial_regime: bool) -> float:
         raise ValueError(f"tilt parameter must be a finite number {domain}, got {tau!r}")
     if t >= TAU_TRIVIAL and not allow_trivial_regime:
         raise ValueError(
-            f"tilt parameter {tau!r} is outside [1, 3/2); the inequality is trivially "
-            "satisfied there (pass allow_trivial_regime=True to evaluate it anyway)"
+            f"tilt parameter {tau!r} is outside [1, 3/2); the inequality is trivially satisfied there"
         )
     return t
 

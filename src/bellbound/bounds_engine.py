@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bell_model import TAU_MAXENT_CUTOFF, TAU_TRIVIAL, ch_value
-from .errors import NoViolationFound, NumericFailure, ValidationFailure
+from .errors import NumericFailure, ValidationFailure
 from .optimizer import critical_gamma
 from .statistics_io import (
     HARD_VALIDATION_TOL,
@@ -105,14 +105,14 @@ def upper_bound_analytic(tau: float) -> float:
 def upper_bound_numeric(tau: float) -> float | None:
     """Critical-curve concurrence at tilt ``tau`` (numeric).
 
-    The concurrence sin(2 gamma_c) at the critical angle, which
-    :func:`~bellbound.optimizer.critical_gamma` brackets by Newton on max F
-    with its envelope slope.  A state violates where max F >= 0, and the
-    bracket's end it reports is rated non-violating (below -1e-15), so it lies
-    above every violating angle the search assumes.  None when even the
-    optimum stays below 1e-10 at ``tau``, as happens just below 3/2: the
-    search then has no crossing to locate, and the analytic bound is the one
-    that holds.
+    ``c_cr`` of :func:`~bellbound.optimizer.critical_gamma`: the concurrence
+    sin(2 gamma_c) at the critical angle, which the search brackets by Newton
+    on max F with its envelope slope.  A state violates where max F >= 0, and
+    the bracket's end it reports is rated non-violating (below -1e-15), so it
+    lies above every violating angle the search assumes.  1 below the
+    maximally-entangled cutoff.  None when even the optimum stays at or below
+    1e-10 at ``tau``, as happens just below 3/2: there is then no crossing to
+    locate, and the analytic bound is the one that holds.
     """
     # The search runs over pure Schmidt states, yet the bound holds for mixed
     # states too.  Wootters' decomposition writes rho as a mixture of pure
@@ -122,10 +122,7 @@ def upper_bound_numeric(tau: float) -> float | None:
     # pure states violates too.  Its Schmidt angle then lies at or below the
     # critical angle, so C(rho) <= c_cr at every such tilt, and at tau_obs by
     # the continuity of c_cr in the tilt.
-    try:
-        return critical_gamma(tau).c_cr
-    except NoViolationFound:
-        return None
+    return critical_gamma(tau).c_cr
 
 
 def upper_bound_marginal(slc: ChSlice, projective: bool = True) -> float | None:

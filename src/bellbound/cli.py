@@ -9,6 +9,9 @@ commands are deterministic: only ``verify`` draws random numbers, from its
 so search diagnostics never reach standard output or the files written.
 ``demo`` is ``bound --projective`` on the bundled slice, and ``verify`` runs
 the registry of :mod:`bellbound.invariants`, which it alone imports.
+``curves`` writes each tilt's rows from one call of
+:func:`~bellbound.optimizer.critical_gamma`, with ``nan`` as the critical
+concurrence where no angle violates.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bell_model, bounds_engine, optimizer, quantum_core, statistics_io
-from .errors import NoViolationFound, NumericFailure, StatisticsFormatError, ValidationFailure
+from .errors import NumericFailure, StatisticsFormatError, ValidationFailure
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -119,16 +122,9 @@ def _cmd_curves(args) -> int:
     violation_rows = []
     concurrence_rows = []
     for tau in taus:
-        t = float(tau)
-        if t >= bell_model.TAU_MAXENT_CUTOFF:
-            try:
-                point = optimizer.critical_gamma(t)
-                optimum, critical = point.optimum, point.c_cr
-            except NoViolationFound as exc:  # no violating angle, so no critical curve
-                optimum, critical = exc.optimum, math.nan
-        else:
-            optimum = optimizer.global_max_violation(t)
-            critical = 1.0  # below the cutoff even the maximally entangled state violates
+        point = optimizer.critical_gamma(float(tau))
+        t, optimum = point.tau, point.optimum
+        critical = math.nan if point.c_cr is None else point.c_cr  # nan: no angle violates
         violation_rows.append((t, optimum.s_q, optimizer.max_value_cap(t)))
         concurrence_rows.append((t, math.sin(2.0 * optimum.gamma_star), critical))
     violation_path = out_dir / CSV_VIOLATION

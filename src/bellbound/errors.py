@@ -33,16 +33,3 @@ class ValidationFailure(RuntimeError):
 
 class NumericFailure(RuntimeError):
     """A numerical routine could not produce a trustworthy result."""
-
-
-class NoViolationFound(NumericFailure):
-    """No Schmidt angle violates above the search threshold at the requested tilt.
-
-    Carries the search's ``optimum`` (an
-    :class:`~bellbound.optimizer.OptimumPoint`), which is still the maximal
-    violation at that tilt.
-    """
-
-    def __init__(self, message: str, optimum=None):
-        self.optimum = optimum
-        super().__init__(message)

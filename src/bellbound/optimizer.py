@@ -18,11 +18,12 @@ Three layers:
   is bracketed inside the grid's best cell.  The grid is rated in decreasing
   order of :func:`pure_state_value_cap`, skipping every angle whose cap
   cannot reach the best value already rated.
-* :func:`critical_gamma` -- for a tilt at which the maximally entangled state
-  no longer violates, an angle above the largest Schmidt angle that still
-  violates (max F >= 0), rated not to violate; its concurrence is the numeric
-  upper bound on the concurrence of any violating state.  The optimum the
-  search started from is returned with it.
+* :func:`critical_gamma` -- at any tilt in [1, 3/2), an angle above the
+  largest Schmidt angle that still violates (max F >= 0), rated not to
+  violate; its concurrence is the numeric upper bound on the concurrence of
+  any violating state.  It is pi/4 below the maximally-entangled cutoff,
+  with no search, and None where no angle violates above 1e-10.  The optimum
+  at the tilt is returned with it.
 
 Each search reports the bracket it closes.  A safeguarded root finder closes
 a bracket on the root of a falling function of the angle: the slope of max F
@@ -46,17 +47,19 @@ maximum over (t0, t1) of
 with A = s^2 (sin^2 t0 + sin^2 t1) + (cos t0 + cos t1 + 2 (1 - tau) c)^2,
 B = s^2 (sin^2 t0 + sin^2 t1) + (cos t0 - cos t1)^2 and
 X* = clip((B - A)/2, +/- 2 s^2 sin t0 sin t1).  Both searches rate each
-angle by max F, found to rounding by damped Newton from a coarse grid of
-(t0, t1), not by the see-saw's lower bound.  The slope of max F in the angle
-comes from the envelope theorem at the maximizer a rating returns, polished
-by Newton steps on the gradient of the in-plane form, at no extra rating.
+angle by max F, not by the see-saw's lower bound.  max F is found to
+rounding by damped Newton from a coarse grid of (t0, t1); where the best run
+stops on its step cap, as it does at some angles for tilts just above 1, its
+end is polished by Newton steps on the gradient of the in-plane form.  The
+slope of max F in the angle comes from the envelope theorem at the maximizer
+a rating returns, polished the same way, at no extra rating.
 Each search logs its tilt, the angles it rated and the Newton steps of their
 maximizations at DEBUG level on the ``"bellbound"`` logger, which is silent
 unless the application configures logging (the CLI's ``--log-level``); the
 optimum search adds its peak bracket with the slopes at both ends ("unknown"
 for 0, unrated, or "none" for the bracket, where the grid's peak is taken),
 the critical-angle search its bracket with max F at both ends (or "none" for
-pi/4, unrated).
+pi/4, unrated), or the optimum's peak value and angle where no angle violates.
 
 :func:`pure_state_value_cap` / :func:`max_value_cap` give the closed-form
 analytic caps the search results are checked against.
@@ -74,12 +77,11 @@ import numpy as np
 
 from .bell_model import (
     TAU_MAXENT_CUTOFF,
-    TAU_TRIVIAL,
     BellValue,
     coefficients,
     quantum_value,
 )
-from .errors import NoViolationFound, NumericFailure
+from .errors import NumericFailure
 from .quantum_core import (
     BlochVector,
     MeasurementSet,
@@ -101,8 +103,8 @@ COARSE_GAMMA_POINTS = 64
 # Starts of the maximizer of F: t0 at half steps in (0, pi), t1 at whole
 # steps round the circle, so that no start has t1 = +/- t0, where a norm of
 # the in-plane form vanishes.  Newton runs from the best _NEWTON_STARTS of
-# them at each angle; the grid is rated _ANGLE_CHUNK angles at a time to keep
-# its temporaries small.
+# them at each angle.  The coarse scan rates its angles _ANGLE_CHUNK at a
+# time, which keeps the grid's temporaries small.
 _GRID_STEPS = 12
 _GRID_T0, _GRID_T1 = (
     g.ravel().tolist()
@@ -126,7 +128,7 @@ _CAP_TOLERANCE = 1e-12
 # critical-angle search counts an angle as non-violating only below minus it.
 _MAX_F_ROUNDING = 1e-15
 # The envelope slope of max F, read at a maximizer polished to rounding (see
-# _envelope_slope), is fixed to about this, absolute: slopes at 21 angles
+# _polish), is fixed to about this, absolute: slopes at 21 angles
 # within 1e-7 of the peak, and 1e-3 to either side, scatter about a parabola
 # by at most 3.1e-16 (measured at 100 tilts from 1 to 1.4999999, away from the
 # tilt-1 kink at pi/4, where no bracket is closed).  So a slope beyond this
@@ -194,20 +196,17 @@ class CriticalCurvePoint:
     """Critical Schmidt angle at a tilt, and its concurrence sin(2 gamma_c).
 
     ``gamma_c`` is rated not to violate and lies just above the largest
-    violating angle, so ``c_cr`` errs on the conservative side.
+    violating angle, so ``c_cr`` errs on the conservative side.  Below the
+    maximally-entangled cutoff they are pi/4 and 1; both are None where no
+    angle violates above 1e-10.
 
-    ``optimum`` is the maximal violation at the same tilt, from which the
-    search started.
+    ``optimum`` is the maximal violation at the same tilt.
     """
 
     tau: float
-    gamma_c: float
-    c_cr: float
+    gamma_c: float | None
+    c_cr: float | None
     optimum: OptimumPoint
-
-    @property
-    def s_at_peak(self) -> float:
-        return self.optimum.s_q
 
 
 def _renormalize_rows(candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -403,22 +402,50 @@ def _newton_max(t0: float, t1: float, s: float, k: float):
     return current[0], t0, t1, steps
 
 
+def _polish(t0: float, t1: float, s: float, k: float) -> tuple[float, float]:
+    # The maximizer of the in-plane form near (t0, t1), resolved far below the
+    # rounding of F: the angles are wrapped to [-pi, pi] and take Newton steps
+    # on the gradient, the Hessian shifted wherever it is not negative
+    # definite, until a step is below 1e-12 or the Hessian is singular to
+    # rounding.  It is at pi/4, where s = 1 and c = 0 leave F a function of
+    # t0 - t1 alone, so that its maximizers form a line.
+    t0, t1 = math.remainder(t0, 2.0 * math.pi), math.remainder(t1, 2.0 * math.pi)
+    for _ in range(_NEWTON_MAX_STEPS):
+        _, g0, g1, h00, h01, h11 = _in_plane_f(math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1), s, k, True)
+        if abs(h00 * h11 - h01 * h01) <= 1e-15 * (h00 + h11) ** 2:
+            break
+        mu = 2.0 * max(0.5 * (h00 + h11) + math.hypot(0.5 * (h00 - h11), h01), 0.0)
+        a, d = h00 - mu, h11 - mu
+        det = a * d - h01 * h01
+        d0, d1 = (h01 * g1 - d * g0) / det, (h01 * g0 - a * g1) / det
+        t0, t1 = t0 + d0, t1 + d1
+        if abs(d0) + abs(d1) <= 1e-12:
+            break
+    return t0, t1
+
+
 def _schmidt_maxima(gammas, tau: float):
     # max F at each Schmidt angle, the maximizing (t0, t1) of the in-plane
-    # form, and the Newton steps taken: the grid is rated a chunk of angles
-    # at a time, and Newton runs from each angle's best starts.
+    # form, and the Newton steps taken.  Newton runs from each angle's best
+    # grid starts.  Where the best run stopped on its step cap, as it does
+    # at some angles for tilts just above 1, its end is polished and the
+    # polished value kept if it is higher.
+    gammas = [float(g) for g in gammas]
+    s = [math.sin(2.0 * g) for g in gammas]
+    k = [(1.0 - tau) * math.cos(2.0 * g) for g in gammas]
+    grid = _in_plane_f(*_GRID_TRIG, np.array(s)[:, None], np.array(k)[:, None])
     values, thetas, steps = [], [], 0
-    for lo in range(0, len(gammas), _ANGLE_CHUNK):
-        chunk = [float(g) for g in gammas[lo : lo + _ANGLE_CHUNK]]
-        s = [math.sin(2.0 * g) for g in chunk]
-        k = [(1.0 - tau) * math.cos(2.0 * g) for g in chunk]
-        grid = _in_plane_f(*_GRID_TRIG, np.array(s)[:, None], np.array(k)[:, None])
-        for row, s_row, k_row in zip(np.argsort(grid, axis=1)[:, -_NEWTON_STARTS:], s, k):
-            runs = [_newton_max(_GRID_T0[i], _GRID_T1[i], s_row, k_row) for i in row]
-            value, t0, t1, _ = max(runs)
-            values.append(0.5 - tau + value)
-            thetas.append((t0, t1))
-            steps += sum(run[3] for run in runs)
+    for row, s_row, k_row in zip(np.argsort(grid, axis=1)[:, -_NEWTON_STARTS:], s, k):
+        runs = [_newton_max(_GRID_T0[i], _GRID_T1[i], s_row, k_row) for i in row]
+        value, t0, t1, run_steps = max(runs)
+        if run_steps == _NEWTON_MAX_STEPS:
+            p0, p1 = _polish(t0, t1, s_row, k_row)
+            polished = _in_plane_f(math.sin(p0), math.cos(p0), math.sin(p1), math.cos(p1), s_row, k_row)
+            if polished > value:
+                value, t0, t1 = polished, p0, p1
+        values.append(0.5 - tau + value)
+        thetas.append((t0, t1))
+        steps += sum(run[3] for run in runs)
     return np.array(values), thetas, steps
 
 
@@ -586,31 +613,17 @@ def global_max_violation(tau: float) -> OptimumPoint:
 def _envelope_slope(gamma: float, tau: float, t0: float, t1: float) -> float:
     # d max F / d gamma at an angle whose in-plane form peaks near (t0, t1).
     # A rating fixes the maximizer only to about the square root of rounding,
-    # which leaves the slope off by up to 6e-9.  So the angles are wrapped to
-    # [-pi, pi] and polished by Newton steps on the gradient, which resolves
-    # the peak far below the rounding of F, the Hessian shifted wherever it is
-    # not negative definite, until a step is below 1e-12 or the Hessian is
-    # singular to rounding.  It is at pi/4, where s = 1 and c = 0 leave F a
-    # function of t0 - t1 alone, so that its maximizers form a line.  At the
-    # maximizer the gradient in (t0, t1) vanishes, so by Danskin's envelope
-    # theorem the slope is the partial derivative of F in gamma.  F sees gamma
-    # only through s = sin 2g and k = (1 - tau) c, with c = cos 2g, so the
-    # slope is 2 c dF/ds - 2 (1 - tau) s dF/dk.  In the terms of _in_plane_f,
-    # dF/ds = 1/4 sum x (sin t0 +/- sin t1) / r over both norms, and
-    # dF/dk = cos(t0)/2 + z/(2 r) of the "+" norm, the one that holds 2k.
+    # which leaves the slope off by up to 6e-9, so the slope is read at the
+    # maximizer polished by _polish.  There the gradient in (t0, t1) vanishes,
+    # so by Danskin's envelope theorem the slope is the partial derivative of
+    # F in gamma.  F sees gamma only through s = sin 2g and k = (1 - tau) c,
+    # with c = cos 2g, so the slope is 2 c dF/ds - 2 (1 - tau) s dF/dk.  In
+    # the terms of _in_plane_f, dF/ds = 1/4 sum x (sin t0 +/- sin t1) / r over
+    # both norms, and dF/dk = cos(t0)/2 + z/(2 r) of the "+" norm, the one
+    # that holds 2k.
     c, s = math.cos(2.0 * gamma), math.sin(2.0 * gamma)
-    t0, t1, k = math.remainder(t0, 2.0 * math.pi), math.remainder(t1, 2.0 * math.pi), (1.0 - tau) * c
-    for _ in range(_NEWTON_MAX_STEPS):
-        _, g0, g1, h00, h01, h11 = _in_plane_f(math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1), s, k, True)
-        if abs(h00 * h11 - h01 * h01) <= 1e-15 * (h00 + h11) ** 2:
-            break
-        mu = 2.0 * max(0.5 * (h00 + h11) + math.hypot(0.5 * (h00 - h11), h01), 0.0)
-        a, d = h00 - mu, h11 - mu
-        det = a * d - h01 * h01
-        d0, d1 = (h01 * g1 - d * g0) / det, (h01 * g0 - a * g1) / det
-        t0, t1 = t0 + d0, t1 + d1
-        if abs(d0) + abs(d1) <= 1e-12:
-            break
+    k = (1.0 - tau) * c
+    t0, t1 = _polish(t0, t1, s, k)
     sin0, cos0, sin1, cos1 = math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1)
     d_s, d_k = 0.0, 0.5 * cos0
     for sign, shift in ((1.0, 2.0 * k), (-1.0, 0.0)):
@@ -643,12 +656,18 @@ def _cap_root(tau: float) -> float:
 def critical_gamma(tau: float) -> CriticalCurvePoint:
     """Critical Schmidt angle at tilt ``tau``: just above the last violating angle.
 
-    Defined for tilts from the maximally-entangled cutoff up to (not including)
-    3/2.  A state violates where max F >= 0 (see the module docstring), since
-    tau is where the observed value is 0.  The bracket closer of the module
-    docstring brackets the crossing above the arg-max angle of
-    :func:`global_max_violation` by Newton steps on max F, with the slope from
-    the envelope theorem at no extra rating, starting where
+    Answers every tilt in [1, 3/2), with the optimum of
+    :func:`global_max_violation` at that tilt.  A state violates where
+    max F >= 0 (see the module docstring), since tau is where the observed
+    value is 0.  Below the maximally-entangled cutoff even pi/4 violates, so
+    the critical angle is pi/4 (``c_cr`` 1), with no search.  Where even the
+    optimum's max F is at most 1e-10, as happens just below 3/2, no angle
+    violates: ``gamma_c`` and ``c_cr`` are None, and the peak value and angle
+    are logged at DEBUG level.
+
+    Otherwise the bracket closer of the module docstring brackets the
+    crossing above the arg-max angle by Newton steps on max F, with the slope
+    from the envelope theorem at no extra rating, starting where
     :func:`pure_state_value_cap` falls to 1e-10.  Each step aims eight
     rounding allowances of max F (1e-15 each) past its root.  The angle
     returned is the bracket's upper end, which the closer rated below -1e-15,
@@ -659,23 +678,20 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     to about 2e-9, 1e-8 and 3e-8 there.  The violating angles above the
     optimum are assumed to form one interval.
 
-    Raises :class:`~bellbound.errors.NoViolationFound`, carrying the optimum,
-    when even the optimum does not violate, as happens just below 3/2, and
+    Raises ``ValueError`` for a tilt outside [1, 3/2), and
     :class:`~bellbound.errors.NumericFailure` when the closer stops on its
     step cap before the bracket is four aims wide.
     """
-    t = float(tau)
-    if not (TAU_MAXENT_CUTOFF - 1e-12 <= t < TAU_TRIVIAL):
-        raise ValueError(
-            f"critical angle is defined for tilts in [{TAU_MAXENT_CUTOFF:.10f}, 1.5), got {tau!r}"
-        )
-    optimum = global_max_violation(t)
+    optimum = global_max_violation(tau)
+    t = optimum.tau
+    if t < TAU_MAXENT_CUTOFF:
+        return CriticalCurvePoint(tau=t, gamma_c=math.pi / 4, c_cr=1.0, optimum=optimum)
     if optimum.s_q <= VIOLATION_THRESHOLD:
-        raise NoViolationFound(
-            f"no violating Schmidt angle found at tilt {t!r} (peak value {optimum.s_q:.3e} "
-            f"at gamma {optimum.gamma_star:.6f}); the search is expected to violate below 3/2",
-            optimum,
+        logger.debug(
+            "critical angle at tau %.10g: no violating Schmidt angle, peak value %.3e at gamma %.6f",
+            t, optimum.s_q, optimum.gamma_star,
         )
+        return CriticalCurvePoint(tau=t, gamma_c=None, c_cr=None, optimum=optimum)
     rate = _Rater(t)
 
     def max_f(x):

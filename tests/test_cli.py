@@ -245,6 +245,17 @@ class TestOptimizeCommand:
         code, _, _ = run(capsys, "optimize", "--tau", "0.5")
         assert code == EXIT_PARSE
 
+    def test_trivial_tilt_names_the_range_without_a_hint(self, capsys):
+        # No command or search takes the argument coefficients() does, so the
+        # message gives the range and the reason only.
+        code, out, err = run(capsys, "optimize", "--tau", "1.5")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == (
+            "parameter error: tilt parameter 1.5 is outside [1, 3/2); "
+            "the inequality is trivially satisfied there\n"
+        )
+        assert "allow_trivial_regime" not in err
+
     @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
     def test_non_finite_tilt_exits_parse(self, capsys, tau):
         code, out, err = run(capsys, "optimize", f"--tau={tau}")

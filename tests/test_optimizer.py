@@ -10,7 +10,6 @@ import pytest
 from bellbound import (
     TAU_MAXENT_CUTOFF,
     MeasurementSet,
-    NoViolationFound,
     NumericFailure,
     SeesawConfig,
     TwoQubitState,
@@ -126,6 +125,15 @@ def optimum_log(caplog, tau):
     angles, *bracket = match.groups()
     bracket = None if bracket[0] is None else tuple(float(x) for x in bracket)
     return optimum, int(angles), bracket
+
+
+def newton_runs(gamma, tau):
+    """The Newton runs a rating makes at one angle, from its best grid starts:
+    (value, t0, t1, steps) each, the value without the constant 1/2 - tau."""
+    s, k = math.sin(2.0 * gamma), (1.0 - tau) * math.cos(2.0 * gamma)
+    grid = opt_module._in_plane_f(*opt_module._GRID_TRIG, s, k)
+    starts = np.argsort(grid)[-opt_module._NEWTON_STARTS:]
+    return [opt_module._newton_max(opt_module._GRID_T0[i], opt_module._GRID_T1[i], s, k) for i in starts]
 
 
 def clipped_f(gamma, tau, t0, t1):
@@ -363,10 +371,10 @@ class TestDecidedStates:
         # of the last angle above 1e-10 which a bisection from the
         # golden-section optimum reaches, the critical angle's earlier
         # definition.
-        try:
-            point = critical_gamma(tau)
-        except NoViolationFound:
+        point = critical_gamma(tau)
+        if point.gamma_c is None:
             assert tau > 1.4996  # no crossing to bisect
+            assert point.c_cr is None and point.optimum.s_q <= opt_module.VIOLATION_THRESHOLD
             return
         lo, hi = bisection_bracket_from(point.optimum.gamma_star, lambda g: max_f(g, tau))
         assert lo <= point.gamma_c <= hi + CROSSING_WIDTH_NEAR_THREE_HALVES.get(tau, 0.0)
@@ -675,6 +683,25 @@ class TestExactSchmidtMaximum:
         assert max_f(gamma, tau) >= oracle - 1e-12
         assert max_f(gamma, tau) == pytest.approx(oracle, abs=1e-7)
 
+    @pytest.mark.parametrize("tau", [1.00001, 1.0001, 1.001])
+    def test_ratings_just_above_tilt_1_reach_the_long_run(self, monkeypatch, tau):
+        # Just above tilt 1 the best of the Newton runs stops on its step cap
+        # at some angles, short of the same run given 5,000 steps by up to
+        # 3e-7.  Its end is polished, and the rating reaches the long run.
+        gammas = np.linspace(0.0, math.pi / 4, 150)
+        ratings, _, _ = opt_module._schmidt_maxima(gammas, tau)
+        capped, shortfall = 0, 0.0
+        for gamma, rating in zip(gammas, ratings):
+            short = max(newton_runs(float(gamma), tau))
+            with monkeypatch.context() as patch:
+                patch.setattr(opt_module, "_NEWTON_MAX_STEPS", 5000)
+                long = max(newton_runs(float(gamma), tau))
+            assert long[3] < 5000
+            assert rating >= 0.5 - tau + long[0] - 1e-14
+            capped += short[3] == opt_module._NEWTON_MAX_STEPS
+            shortfall = max(shortfall, long[0] - short[0])
+        assert capped > 0 and shortfall > 1e-9  # the runs the polish mends
+
     def test_clipped_form_never_exceeds_the_maximum(self):
         # The maximizer runs on the in-plane form; F with the clipped best X
         # over all polar angles never rises above its maximum, and reaches it.
@@ -764,7 +791,7 @@ class TestCriticalGamma:
     def test_concurrence_consistent_with_angle(self):
         point = critical_gamma(1.3)
         assert point.c_cr == pytest.approx(math.sin(2.0 * point.gamma_c), abs=1e-12)
-        assert point.s_at_peak > 0.0
+        assert point.optimum.s_q > 0.0
 
     def test_returns_the_optimum_it_started_from(self):
         point = critical_gamma(1.3)
@@ -773,13 +800,36 @@ class TestCriticalGamma:
         assert point.optimum.gamma_star == optimum.gamma_star
         assert point.optimum.s_q == optimum.s_q
         assert point.optimum.measurements == optimum.measurements
-        assert point.s_at_peak == optimum.s_q
+
+    @pytest.mark.parametrize("tau", [1.1, TAU_MAXENT_CUTOFF, 1.3, 1.4999])
+    def test_answers_every_tilt_with_its_optimum(self, tau):
+        point = critical_gamma(tau)
+        assert point.tau == tau
+        assert point.optimum == global_max_violation(tau)
+        if tau == 1.1:
+            assert (point.gamma_c, point.c_cr) == (math.pi / 4, 1.0)
+        elif tau == 1.4999:
+            assert (point.gamma_c, point.c_cr) == (None, None)
+        else:
+            assert 0.0 < point.gamma_c <= math.pi / 4
+            assert point.c_cr == math.sin(2.0 * point.gamma_c)
+
+    def test_below_the_cutoff_no_crossing_is_searched(self, caplog):
+        # Even pi/4 violates there: only the optimum's search logs its line.
+        for tau in (1.0, 1.1, 1.2, math.nextafter(TAU_MAXENT_CUTOFF, 0.0)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="bellbound"):
+                point = critical_gamma(tau)
+            assert (point.gamma_c, point.c_cr) == (math.pi / 4, 1.0)
+            assert [r.getMessage().split(" at ")[0] for r in caplog.records] == ["Schmidt optimum"]
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            critical_gamma(1.1)
-        with pytest.raises(ValueError):
-            critical_gamma(1.5)
+        # The tilt range is global_max_violation's: [1, 3/2).  Below the
+        # cutoff, where the search used to refuse, the answer is pi/4.
+        assert critical_gamma(1.1).c_cr == 1.0
+        for tau in (1.5, 1.6, math.nextafter(1.0, 0.0), math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"\[1, 3/2\)"):
+                critical_gamma(tau)
 
     def test_nonincreasing_on_small_grid(self):
         values = [critical_gamma(t).c_cr for t in (1.21, 1.28, 1.35, 1.42, 1.49)]
@@ -852,20 +902,27 @@ class TestInPlaneOracle:
 
 
 class TestNumericFailurePath:
-    def test_critical_gamma_reports_diagnostics_when_search_finds_nothing(self, monkeypatch):
+    """Where no angle violates, critical_gamma answers without a critical angle, not with an error."""
+
+    def test_critical_gamma_reports_diagnostics_when_search_finds_nothing(self, monkeypatch, caplog):
         real = opt_module.global_max_violation
 
         def never_violates(tau):
             return dataclasses.replace(real(tau), s_q=-1.0)
 
         monkeypatch.setattr(opt_module, "global_max_violation", never_violates)
-        with pytest.raises(NumericFailure, match="no violating"):
-            critical_gamma(1.3)
+        with caplog.at_level(logging.DEBUG, logger="bellbound"):
+            point = critical_gamma(1.3)
+        assert (point.gamma_c, point.c_cr) == (None, None)
+        assert [r.getMessage() for r in caplog.records][1:] == [
+            "critical angle at tau 1.3: no violating Schmidt angle, peak value -1.000e+00 "
+            f"at gamma {point.optimum.gamma_star:.6f}"
+        ]
 
     def test_no_violation_carries_the_optimum(self):
         # Just below 3/2 even the optimum stays under the threshold; the
-        # error hands it on, equal to the one the search itself finds.
-        with pytest.raises(NoViolationFound) as caught:
-            critical_gamma(1.4999)
-        assert caught.value.optimum == global_max_violation(1.4999)
-        assert caught.value.optimum.s_q <= opt_module.VIOLATION_THRESHOLD
+        # point hands it on, equal to the one the search itself finds.
+        point = critical_gamma(1.4999)
+        assert (point.gamma_c, point.c_cr) == (None, None)
+        assert point.optimum == global_max_violation(1.4999)
+        assert point.optimum.s_q <= opt_module.VIOLATION_THRESHOLD
