@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -187,7 +188,9 @@ def _add_common(parser, *, tol=True, output=False):
         parser.add_argument("--output", type=str, default=None, help="output file path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process and shared: parsing leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="bellbound",
         description="Bound two-qubit entanglement from 2-setting/2-outcome statistics.",

@@ -47,19 +47,25 @@ maximum over (t0, t1) of
 with A = s^2 (sin^2 t0 + sin^2 t1) + (cos t0 + cos t1 + 2 (1 - tau) c)^2,
 B = s^2 (sin^2 t0 + sin^2 t1) + (cos t0 - cos t1)^2 and
 X* = clip((B - A)/2, +/- 2 s^2 sin t0 sin t1).  Both searches rate each
-angle by max F, not by the see-saw's lower bound.  max F is found to
-rounding by damped Newton from a coarse grid of (t0, t1); where the best run
-stops on its step cap, as it does at some angles for tilts just above 1, its
-end is polished by Newton steps on the gradient of the in-plane form.  The
-slope of max F in the angle comes from the envelope theorem at the maximizer
-a rating returns, polished the same way, at no extra rating.
-Each search logs its tilt, the angles it rated and the Newton steps of their
-maximizations at DEBUG level on the ``"bellbound"`` logger, which is silent
-unless the application configures logging (the CLI's ``--log-level``); the
-optimum search adds its peak bracket with the slopes at both ends ("unknown"
-for 0, unrated, or "none" for the bracket, where the grid's peak is taken),
-the critical-angle search its bracket with max F at both ends (or "none" for
-pi/4, unrated), or the optimum's peak value and angle where no angle violates.
+angle by max F, not by the see-saw's lower bound.  A cold rating finds max F
+to rounding by damped Newton from a coarse grid of (t0, t1); a warm rating
+runs Newton once, from the maximizer of the nearest angle the search has
+already rated.  Where a run that decides the rating stops on its step cap, as
+it does at some angles for tilts just above 1, its end is polished by Newton
+steps on the gradient of the in-plane form.  A warm rating can only
+under-rate max F, so what a search returns rests on cold ratings: the coarse
+scan, the optimum's measurements and ``s_q``, and the critical angle; warm
+ratings only give the optimum's slopes and the crossing's steps after its
+first angle.  The slope of max F in the angle comes from the envelope theorem
+at the maximizer a rating returns, polished the same way, at no extra rating.
+Each search logs its tilt, the angles it rated cold and warm and the Newton
+steps of their maximizations at DEBUG level on the ``"bellbound"`` logger,
+which is silent unless the application configures logging (the CLI's
+``--log-level``); the optimum search adds its peak bracket with the slopes at
+both ends ("unknown" for 0, unrated, or "none" for the bracket, where the
+grid's peak is taken), the critical-angle search its bracket with max F at
+both ends, the upper end's from its cold rating (or "none" for pi/4,
+unrated), or the optimum's peak value and angle where no angle violates.
 
 :func:`pure_state_value_cap` / :func:`max_value_cap` give the closed-form
 analytic caps the search results are checked against.
@@ -424,12 +430,23 @@ def _polish(t0: float, t1: float, s: float, k: float) -> tuple[float, float]:
     return t0, t1
 
 
+def _finish(run, s: float, k: float):
+    # The value and maximizer of a Newton run.  Where the run stopped on its
+    # step cap, as the best run does at some angles for tilts just above 1,
+    # its end is polished and the polished value kept if it is higher.
+    value, t0, t1, steps = run
+    if steps == _NEWTON_MAX_STEPS:
+        p0, p1 = _polish(t0, t1, s, k)
+        polished = _in_plane_f(math.sin(p0), math.cos(p0), math.sin(p1), math.cos(p1), s, k)
+        if polished > value:
+            return polished, p0, p1
+    return value, t0, t1
+
+
 def _schmidt_maxima(gammas, tau: float):
     # max F at each Schmidt angle, the maximizing (t0, t1) of the in-plane
     # form, and the Newton steps taken.  Newton runs from each angle's best
-    # grid starts.  Where the best run stopped on its step cap, as it does
-    # at some angles for tilts just above 1, its end is polished and the
-    # polished value kept if it is higher.
+    # grid starts, and the best run is finished by _finish.
     gammas = [float(g) for g in gammas]
     s = [math.sin(2.0 * g) for g in gammas]
     k = [(1.0 - tau) * math.cos(2.0 * g) for g in gammas]
@@ -437,12 +454,7 @@ def _schmidt_maxima(gammas, tau: float):
     values, thetas, steps = [], [], 0
     for row, s_row, k_row in zip(np.argsort(grid, axis=1)[:, -_NEWTON_STARTS:], s, k):
         runs = [_newton_max(_GRID_T0[i], _GRID_T1[i], s_row, k_row) for i in row]
-        value, t0, t1, run_steps = max(runs)
-        if run_steps == _NEWTON_MAX_STEPS:
-            p0, p1 = _polish(t0, t1, s_row, k_row)
-            polished = _in_plane_f(math.sin(p0), math.cos(p0), math.sin(p1), math.cos(p1), s_row, k_row)
-            if polished > value:
-                value, t0, t1 = polished, p0, p1
+        value, t0, t1 = _finish(max(runs), s_row, k_row)
         values.append(0.5 - tau + value)
         thetas.append((t0, t1))
         steps += sum(run[3] for run in runs)
@@ -450,16 +462,32 @@ def _schmidt_maxima(gammas, tau: float):
 
 
 class _Rater:
-    # max F for one search at one tilt, counting the angles rated and the
-    # Newton steps for the search's log line.
+    # max F for one search at one tilt.  Calling the rater rates angles cold,
+    # by _schmidt_maxima; warm() rates one angle by a single Newton run from
+    # the maximizer of the nearest angle (in gamma) this rater has rated.  A
+    # warm rating may stop on a lower local maximum, so it can only under-rate
+    # max F.  Counts the cold and warm ratings and the Newton steps for the
+    # search's log line.
     def __init__(self, tau: float):
-        self.tau, self.angles, self.steps = tau, 0, 0
+        self.tau, self.cold, self.warmed, self.steps = tau, 0, 0, 0
+        self.maximizers = {}
 
     def __call__(self, gammas):
         values, thetas, steps = _schmidt_maxima(gammas, self.tau)
-        self.angles += len(values)
+        self.cold += len(values)
         self.steps += steps
+        self.maximizers.update(zip((float(g) for g in gammas), thetas))
         return values, thetas
+
+    def warm(self, gamma: float):
+        nearest = min(self.maximizers, key=lambda g: abs(g - gamma))
+        s, k = math.sin(2.0 * gamma), (1.0 - self.tau) * math.cos(2.0 * gamma)
+        run = _newton_max(*self.maximizers[nearest], s, k)
+        value, t0, t1 = _finish(run, s, k)
+        self.warmed += 1
+        self.steps += run[3]
+        self.maximizers[gamma] = (t0, t1)
+        return 0.5 - self.tau + value, (t0, t1)
 
 
 def _close_bracket(h, a, h_a, b, h_b, floor: float, x: float = math.nan):
@@ -544,9 +572,11 @@ def global_max_violation(tau: float) -> OptimumPoint:
     The bracket closer of the module docstring brackets the peak inside the
     coarse cell by secant steps on the envelope slope of max F, from the
     slopes at the cell's grid angles, which the scan has already rated, and
-    the optimum is the secant root of that bracket.  Each slope is read at
-    the rating's maximizer polished by Newton, and its noise floor is 2e-15.
-    Two cells end at the grid:
+    the optimum is the secant root of that bracket.  The angles the closer
+    steps to are rated warm, since only their slopes are read, and the
+    optimum itself cold, since its measurements and ``s_q`` are reported.
+    Each slope is read at the rating's maximizer polished by Newton, and its
+    noise floor is 2e-15.  Two cells end at the grid:
 
     * at pi/4 the slope enters as minus its size, the slope from the left;
     * at 0 the slope is exactly 0, as max F is even in the angle, so that end
@@ -556,7 +586,8 @@ def global_max_violation(tau: float) -> OptimumPoint:
     Where the cell has no rising end below a falling one, the grid's peak is
     flat within the floor, as pi/4 is at tilt 1, and is returned.  The peak
     is found to about 1e-9 in the angle up to tilt 1.4999999, where it lies at
-    2e-7.  At tilt 1.3 the search rates 24 angles.
+    2e-7.  At tilt 1.3 the search rates 19 angles cold (18 for the scan, 1
+    for the measurements) and 5 warm, in 284 Newton steps.
     """
     coefficients(tau)
     t = float(tau)
@@ -578,7 +609,7 @@ def global_max_violation(tau: float) -> OptimumPoint:
     gamma_star, ends = float(grid[peak]), "none"
 
     def slope_at(gamma, theta=None):
-        return _envelope_slope(gamma, t, *(theta or rate([gamma])[1][0]))
+        return _envelope_slope(gamma, t, *(theta or rate.warm(gamma)[1]))
 
     def cell_slope(i):
         # The scan's maximizers give the cell's slopes without a rating.  max F
@@ -604,8 +635,8 @@ def global_max_violation(tau: float) -> OptimumPoint:
         ends = "[%.17g, %.17g] with slopes %s and %.6e" % (a, b, "unknown" if g_a is None else "%.6e" % g_a, g_b)
     optimum = _optimum_point(gamma_star, t, rate)
     logger.debug(
-        "Schmidt optimum at tau %.10g: %d angles rated, %d Newton steps, peak bracket %s",
-        t, rate.angles, rate.steps, ends,
+        "Schmidt optimum at tau %.10g: %d angles rated cold and %d warm, %d Newton steps, peak bracket %s",
+        t, rate.cold, rate.warmed, rate.steps, ends,
     )
     return optimum
 
@@ -669,18 +700,22 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     crossing above the arg-max angle by Newton steps on max F, with the slope
     from the envelope theorem at no extra rating, starting where
     :func:`pure_state_value_cap` falls to 1e-10.  Each step aims eight
-    rounding allowances of max F (1e-15 each) past its root.  The angle
-    returned is the bracket's upper end, which the closer rated below -1e-15,
-    so it errs on the conservative side; at the cutoff, where the crossing is
-    pi/4 itself, that end stays pi/4.  The bracket is about 1e-13 wide at
-    tilt 1.3 and widens as max F flattens toward 3/2 (its slope at the
-    crossing is 8.7e-6 at 1.4988, 1.2e-6 at 1.4995 and 6.7e-7 at 1.49966),
-    to about 2e-9, 1e-8 and 3e-8 there.  The violating angles above the
-    optimum are assumed to form one interval.
+    rounding allowances of max F (1e-15 each) past its root.  The first angle
+    is rated cold and every later one warm.  The angle returned is the
+    bracket's upper end, which the closer rated below -1e-15; since a warm
+    rating can only under-rate max F, that end is rated again, cold, and must
+    again fall below -1e-15.  So it errs on the conservative side; at the
+    cutoff, where the crossing is pi/4 itself, that end stays pi/4, unrated.
+    At tilt 1.3 the search rates 2 angles cold and 5 warm, in 31 Newton
+    steps, and the bracket is about 1e-13 wide.  It widens as max F flattens
+    toward 3/2 (its slope at the crossing is 8.7e-6 at 1.4988, 1.2e-6 at
+    1.4995 and 6.7e-7 at 1.49966), to about 2e-9, 1e-8 and 3e-8 there.  The
+    violating angles above the optimum are assumed to form one interval.
 
     Raises ``ValueError`` for a tilt outside [1, 3/2), and
     :class:`~bellbound.errors.NumericFailure` when the closer stops on its
-    step cap before the bracket is four aims wide.
+    step cap before the bracket is four aims wide, or when the cold rating of
+    the angle returned does not fall below -1e-15.
     """
     optimum = global_max_violation(tau)
     t = optimum.tau
@@ -695,8 +730,13 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     rate = _Rater(t)
 
     def max_f(x):
-        values, thetas = rate([x])
-        return float(values[0]), _envelope_slope(x, t, *thetas[0])
+        # The first angle is rated cold, every later one warm.
+        if rate.maximizers:
+            value, theta = rate.warm(x)
+        else:
+            values, thetas = rate([x])
+            value, theta = float(values[0]), thetas[0]
+        return value, _envelope_slope(x, t, *theta)
 
     # The crossing lies in [gamma_star, pi/4], and pi/4 (C = 1) is always a
     # sound answer, so it enters unrated.  Newton starts where the cap falls
@@ -707,10 +747,20 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     )
     if not closed:
         raise NumericFailure(f"crossing bracket [{a!r}, {b!r}] at tilt {t!r} open after {_CLOSE_STEPS} ratings")
+    # A warm rating may under-rate max F, which on this end is the unsound
+    # side, so the end returned is rated afresh, cold.
+    if b < math.pi / 4:
+        cold = float(rate([b])[0][0])
+        if not cold < -_MAX_F_ROUNDING:
+            raise NumericFailure(
+                f"critical angle {b!r} at tilt {t!r} rated {f_b!r} in its bracket but {cold!r} cold, "
+                f"not below -{_MAX_F_ROUNDING!r}"
+            )
+        f_b = cold
     logger.debug(
-        "critical angle at tau %.10g: %d angles rated, %d Newton steps, bracket [%.17g, %.17g] "
-        "with max F %.6e and %s",
-        t, rate.angles, rate.steps, a, b, f_a, "none" if f_b is None else "%.6e" % f_b,
+        "critical angle at tau %.10g: %d angles rated cold and %d warm, %d Newton steps, "
+        "bracket [%.17g, %.17g] with max F %.6e and %s",
+        t, rate.cold, rate.warmed, rate.steps, a, b, f_a, "none" if f_b is None else "%.6e" % f_b,
     )
     return CriticalCurvePoint(tau=t, gamma_c=b, c_cr=math.sin(2.0 * b), optimum=optimum)
 

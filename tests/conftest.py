@@ -130,5 +130,17 @@ def quantum_value_off_by_1e9(monkeypatch):
 
 
 @pytest.fixture
+def warm_ratings_short_by_1e9(monkeypatch):
+    """Lower every warm rating of max F by 1e-9, as a warm start stopped on a lower local maximum would."""
+    real = optimizer._Rater.warm
+
+    def short(self, gamma):
+        value, theta = real(self, gamma)
+        return value - 1e-9, theta
+
+    monkeypatch.setattr(optimizer._Rater, "warm", short)
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260808)

@@ -177,6 +177,19 @@ class TestBoundCommand:
         assert report["lower_bound"] <= concurrence <= report["upper_bound_numeric"]
         assert concurrence <= report["upper_bound_analytic"]
 
+    def test_critical_angle_that_violates_cold_exits_numeric(self, capsys, tmp_path, warm_ratings_short_by_1e9):
+        # With warm ratings 1e-9 short, the crossing's end rated cold violates,
+        # and the numeric bound is refused rather than reported below the
+        # state's concurrence.  The data are those of the test above: the
+        # experiment rates cold, and the optimum reads only the maximizers of
+        # its warm ratings.
+        path = tmp_path / "table.json"
+        save(edge_of_violation_experiment(1.45)[0], path)
+        code, out, err = run(capsys, "bound", "--input", str(path), "--numeric-ub")
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numeric failure: critical angle ") and " cold, not below " in err
+        assert "lower bound" not in out
+
     def test_pr_box_slice_exits_validation(self, capsys, tmp_path):
         # CH value 1/2, far above the quantum maximum (sqrt(2) - 1)/2.
         slc = ChSlice(j00=0.5, j01=0.5, j10=0.5, j11=0.0, mA0=0.5, mA1=0.5, mB0=0.5, mB1=0.5)
@@ -398,13 +411,19 @@ class TestLogLevel:
         assert (debug_out, debug_files) == (out, files)
         assert err == ""
         assert re.search(
-            r"(?m)DEBUG bellbound: Schmidt optimum at tau 1\.49: 16 angles rated, \d+ Newton steps, "
+            r"(?m)DEBUG bellbound: Schmidt optimum at tau 1\.49: 9 angles rated cold and 7 warm, \d+ Newton steps, "
             r"peak bracket \[\S+, \S+\] with slopes \S+ and \S+$",
             debug_err,
         )
-        assert "DEBUG bellbound: critical angle at tau 1.49: " in debug_err
-        assert "bracket [" in debug_err
+        assert re.search(
+            r"(?m)DEBUG bellbound: critical angle at tau 1\.49: 2 angles rated cold and 9 warm, \d+ Newton steps, "
+            r"bracket \[\S+, \S+\] with max F \S+ and \S+$",
+            debug_err,
+        )
         assert (log.handlers, log.level) == (handlers, level)
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_option_before_or_after_the_command(self):
         parser = build_parser()
@@ -511,3 +530,11 @@ class TestRecordedOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(recorded["files"])
         for name, text in recorded["files"].items():
             assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+
+    def test_verify_after_curves_in_one_process(self, capsys, tmp_path):
+        # The commands share one parser; a parse leaves nothing behind that a
+        # later command reads.
+        recorded = json.loads(RECORDED_OUTPUTS.read_text(encoding="utf-8"))["verify"]
+        code, _, _ = run(capsys, "curves", "--grid", "2", "--output", str(tmp_path))
+        assert code == EXIT_OK
+        assert run(capsys, "verify") == (EXIT_OK, recorded["stdout"], "")

@@ -111,20 +111,20 @@ REFERENCE_PEAK_CONCURRENCE = {1.4999: 3.9996444602315520e-4, 1.4999999: 3.999999
 
 
 def optimum_log(caplog, tau):
-    """The optimum at a tilt and its DEBUG line's numbers: the angles rated and
-    the peak bracket (lo, hi, slope at lo, slope at hi), or None where the
-    grid's peak was taken."""
+    """The optimum at a tilt and its DEBUG line's numbers: the angles rated
+    (cold, warm) and the peak bracket (lo, hi, slope at lo, slope at hi), or
+    None where the grid's peak was taken."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="bellbound"):
         optimum = global_max_violation(tau)
     match = re.fullmatch(
-        r"Schmidt optimum at tau \S+: (\d+) angles rated, \d+ Newton steps, peak bracket "
+        r"Schmidt optimum at tau \S+: (\d+) angles rated cold and (\d+) warm, \d+ Newton steps, peak bracket "
         r"(?:none|\[(\S+), (\S+)\] with slopes (\S+) and (\S+))",
         caplog.records[0].getMessage(),
     )
-    angles, *bracket = match.groups()
+    cold, warm, *bracket = match.groups()
     bracket = None if bracket[0] is None else tuple(float(x) for x in bracket)
-    return optimum, int(angles), bracket
+    return optimum, (int(cold), int(warm)), bracket
 
 
 def newton_runs(gamma, tau):
@@ -391,6 +391,41 @@ class TestDecidedStates:
         with pytest.raises(NumericFailure, match="open after 2 ratings"):
             critical_gamma(1.3)
 
+    def test_critical_gamma_refuses_an_end_that_violates_cold(self, warm_ratings_short_by_1e9):
+        # Warm ratings 1e-9 short move the closer's upper end below the
+        # crossing; rated cold there, it violates, and the search refuses it.
+        with pytest.raises(
+            NumericFailure, match=r"^critical angle \S+ at tilt 1\.3 rated -\S+ in its bracket but \S+ cold, "
+        ) as refused:
+            critical_gamma(1.3)
+        cold = float(re.search(r"but (\S+) cold", str(refused.value)).group(1))
+        assert cold >= -opt_module._MAX_F_ROUNDING
+
+    def test_warm_ratings_reach_the_cold_ones(self, monkeypatch):
+        # Every angle the crossing rates warm, from the nearest angle it rated
+        # before, is at most 1e-15 below its cold rating.
+        warm, optimum, ratings = opt_module._Rater.warm, opt_module.global_max_violation, []
+
+        def recording(self, gamma):
+            value, theta = warm(self, gamma)
+            ratings.append((gamma, value))
+            return value, theta
+
+        def crossing_only(tau):
+            found = optimum(tau)
+            ratings.clear()
+            return found
+
+        monkeypatch.setattr(opt_module._Rater, "warm", recording)
+        monkeypatch.setattr(opt_module, "global_max_violation", crossing_only)
+        rated = 0
+        for tau in BISECTION_TILTS:
+            critical_gamma(tau)
+            for gamma, value in ratings:
+                assert value >= max_f(gamma, tau) - opt_module._MAX_F_ROUNDING
+            rated += len(ratings)
+        assert rated > 3 * len(BISECTION_TILTS)
+
     @pytest.mark.parametrize(
         "gamma,tau",
         [(0.3, 1.0), (0.6, 1.0), (0.35, 1.2236), (0.7, 1.2236), (0.2, 1.3), (0.5, 1.3), (0.05, 1.427), (0.2, 1.427)],
@@ -403,22 +438,25 @@ class TestDecidedStates:
         assert opt_module._envelope_slope(gamma, tau, *thetas[0]) == pytest.approx(central, abs=1e-7)
 
     def test_critical_angle_rates_few_angles(self, caplog):
-        # The counted work, not the time: Newton's 6 ratings replace a
-        # bisection of 26.  The line shows the closer's own bracket, whose
-        # upper end is the critical angle.
+        # The counted work, not the time: Newton's 7 ratings replace a
+        # bisection of 26.  The first angle is rated cold, the 5 steps after
+        # it warm, and the critical angle cold once more.  The line shows the
+        # closer's own bracket, whose upper end is the critical angle, with
+        # that end's cold max F.
         with caplog.at_level(logging.DEBUG, logger="bellbound"):
             point = critical_gamma(1.3)
         line = [r.getMessage() for r in caplog.records if r.getMessage().startswith("critical angle")][0]
         match = re.fullmatch(
-            r"critical angle at tau 1\.3: (\d+) angles rated, \d+ Newton steps, "
+            r"critical angle at tau 1\.3: (\d+) angles rated cold and (\d+) warm, \d+ Newton steps, "
             r"bracket \[(\S+), (\S+)\] with max F (\S+) and (\S+)",
             line,
         )
-        angles, lo, hi, f_lo, f_hi = (float(g) for g in match.groups())
-        assert angles == 6
+        cold, warm, lo, hi, f_lo, f_hi = (float(g) for g in match.groups())
+        assert (cold, warm) == (2, 5)
         assert hi == pytest.approx(point.gamma_c, abs=1e-11)
         assert 0.0 < point.gamma_c - lo <= 1e-12
         assert f_lo > opt_module._MAX_F_ROUNDING and f_hi < -opt_module._MAX_F_ROUNDING
+        assert f_hi == pytest.approx(max_f(point.gamma_c, 1.3), rel=1e-6)
 
 
 class TestGoldenSectionRounds:
@@ -539,14 +577,14 @@ class TestPeakReplay:
         optimum, angles, bracket = optimum_log(caplog, 1.3)
         peak = int(np.argmax([max_f(float(g), 1.3) for g in COARSE_GRID]))
         assert (bracket, optimum.gamma_star) == (None, COARSE_GRID[peak])
-        assert angles == 19
+        assert angles == (19, 0)
 
     def test_peak_at_the_grid_end_is_taken(self, caplog):
         # At tilt 1 the peak is pi/4, the last grid angle, where the slope
         # from the left is within the floor: no bracket, and nothing rated
         # after the scan but the measurements.
         optimum, angles, bracket = optimum_log(caplog, 1.0)
-        assert (optimum.gamma_star, angles, bracket) == (math.pi / 4, 9, None)
+        assert (optimum.gamma_star, angles, bracket) == (math.pi / 4, (9, 0), None)
 
     @pytest.mark.parametrize("tau", [1.003, 1.3])
     def test_mirrored_maximizers_tie_at_pi_over_4_with_opposite_slopes(self, tau):
@@ -570,14 +608,18 @@ class TestPeakReplay:
         # The counted work, not the time: 52 angles for the optimum at 1.3
         # and 60 for the critical angle in all before the envelope slope;
         # 35 and 43 with the golden section and bisection replayed; 24 and 30
-        # with each search reporting its own bracket.
+        # with each search reporting its own bracket.  Since the ratings after
+        # the scan start warm, the optimum rates 19 angles cold and 5 warm,
+        # and the crossing 2 cold and 5 warm; their Newton steps fell from 355
+        # and 88 to 284 and 31.
         _, angles, _ = optimum_log(caplog, 1.3)
-        assert angles == 24
+        assert angles == (19, 5)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="bellbound"):
             critical_gamma(1.3)
-        counts = [int(re.search(r": (\d+) angles rated", r.getMessage()).group(1)) for r in caplog.records]
-        assert counts == [24, 6]
+        pattern = r": (\d+) angles rated cold and (\d+) warm, (\d+) Newton steps"
+        counts = [tuple(int(n) for n in re.search(pattern, r.getMessage()).groups()) for r in caplog.records]
+        assert counts == [(19, 5, 284), (2, 5, 31)]
 
 
 class TestCloseBracket:
@@ -739,12 +781,12 @@ class TestExactSchmidtMaximum:
         messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
         assert len(messages) == 2
         assert re.fullmatch(
-            r"Schmidt optimum at tau 1\.3: 24 angles rated, \d+ Newton steps, peak bracket \[\S+, \S+\] "
-            r"with slopes \S+ and \S+",
+            r"Schmidt optimum at tau 1\.3: 19 angles rated cold and 5 warm, 284 Newton steps, "
+            r"peak bracket \[\S+, \S+\] with slopes \S+ and \S+",
             messages[0],
         )
         assert re.fullmatch(
-            r"critical angle at tau 1\.3: \d+ angles rated, \d+ Newton steps, "
+            r"critical angle at tau 1\.3: 2 angles rated cold and 5 warm, 31 Newton steps, "
             r"bracket \[\S+, \S+\] with max F \S+ and \S+",
             messages[1],
         )
