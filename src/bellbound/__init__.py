@@ -48,13 +48,10 @@ from .errors import (
 from .optimizer import (
     CriticalCurvePoint,
     OptimumPoint,
-    SeesawConfig,
-    SeesawResult,
     critical_gamma,
     global_max_violation,
     max_value_cap,
     pure_state_value_cap,
-    seesaw_max_violation,
 )
 from .quantum_core import (
     BlochVector,
@@ -67,6 +64,7 @@ from .quantum_core import (
     random_two_qubit_state,
     schmidt_state,
 )
+from .seesaw import SeesawConfig, SeesawResult, seesaw_max_violation
 from .statistics_io import (
     ChSlice,
     ProbabilityTable,

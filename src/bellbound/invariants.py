@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from . import bell_model, bounds_engine, optimizer, quantum_core, statistics_io
+from . import bell_model, bounds_engine, optimizer, quantum_core, seesaw, statistics_io
 
 
 def projector_from_bloch(direction, outcome: int) -> np.ndarray:
@@ -50,7 +50,7 @@ def random_single_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def maxent_cutoff(taus, measurement_sets_per_tau: int, cfg=optimizer.DEFAULT_CONFIG):
+def maxent_cutoff(taus, measurement_sets_per_tau: int, cfg=seesaw.DEFAULT_CONFIG):
     """``(violation, residual)`` of the maximally entangled state at each tilt in [cutoff, 3/2).
 
     ``violation`` is the see-saw's maximal value.  The state's marginals are
@@ -64,7 +64,7 @@ def maxent_cutoff(taus, measurement_sets_per_tau: int, cfg=optimizer.DEFAULT_CON
         t = float(tau)
         if not (bell_model.TAU_MAXENT_CUTOFF - 1e-12 <= t < bell_model.TAU_TRIVIAL):
             raise ValueError(f"grid tilt {t!r} outside [{bell_model.TAU_MAXENT_CUTOFF:.10f}, 1.5)")
-        violation = optimizer.seesaw_max_violation(rho, t, cfg).value.value
+        violation = seesaw.seesaw_max_violation(rho, t, cfg).value.value
         rng = np.random.default_rng([cfg.rng_seed, index])
         residual = 0.0
         for _ in range(measurement_sets_per_tau):
@@ -216,14 +216,14 @@ def projective_marginal_law(seed, tol):
 
 
 def tsirelson_point(seed, tol):
-    cfg = optimizer.SeesawConfig(rng_seed=seed)
-    value = optimizer.seesaw_max_violation(quantum_core.maximally_entangled_state(), 1.0, cfg).value.value
+    cfg = seesaw.SeesawConfig(rng_seed=seed)
+    value = seesaw.seesaw_max_violation(quantum_core.maximally_entangled_state(), 1.0, cfg).value.value
     residual = abs(value - (1.0 / math.sqrt(2.0) - 0.5))
     return residual <= 1e-6, f"value {value:.9f}, residual {residual:.3e}"
 
 
 def maxent_silence(seed, tol):
-    rows = maxent_cutoff([1.2072, 1.3, 1.4, 1.49], 25, optimizer.SeesawConfig(rng_seed=seed))
+    rows = maxent_cutoff([1.2072, 1.3, 1.4, 1.49], 25, seesaw.SeesawConfig(rng_seed=seed))
     worst_violation = max(violation for violation, _ in rows)
     worst_identity = max(residual for _, residual in rows)
     ok = worst_violation <= 1e-9 and worst_identity <= 1e-12
@@ -231,11 +231,11 @@ def maxent_silence(seed, tol):
 
 
 def cap_dominance(seed, tol):
-    cfg = optimizer.SeesawConfig(rng_seed=seed)
+    cfg = seesaw.SeesawConfig(rng_seed=seed)
     worst = -math.inf
     for gamma in (0.2, 0.45, 0.7, math.pi / 4):
         for t in (1.0, 1.1, 1.25, 1.4):
-            value = optimizer.seesaw_max_violation(quantum_core.schmidt_state(gamma), t, cfg).value.value
+            value = seesaw.seesaw_max_violation(quantum_core.schmidt_state(gamma), t, cfg).value.value
             worst = max(worst, value - optimizer.pure_state_value_cap(gamma, t))
     return worst <= 1e-9, f"max excess over the analytic cap {worst:.3e}"
 

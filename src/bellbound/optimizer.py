@@ -2,17 +2,10 @@
 
 Three layers:
 
-* :func:`seesaw_max_violation` -- alternating ascent for any state.  With one
-  party fixed, the value is affine in each of the other party's outcome-0
-  projectors, so the optimal rank-1 update for a setting is the projector
-  onto the top eigenvector of a 2x2 effective operator (obtained by
-  contracting the state with the fixed party's operators and the tilted
-  coefficients).  Ascent is monotone because each update maximizes over a
-  family containing the current projector.  Its 8 restarts run in one batch,
-  with each party's two settings stacked into one array, so that a half-step
-  is one matrix product and one renormalization for all of them; the batch
-  stops once every restart has converged, or after 500 iterations.  Only the
-  random starts are settable, through :class:`SeesawConfig`'s seed.
+* :func:`~bellbound.seesaw.seesaw_max_violation` (re-exported here) -- the
+  maximal violation of any state, by a see-saw batch finished by Newton on
+  V(b0, b1), the value as a function of Bob's two Bloch vectors (see
+  :mod:`bellbound.seesaw`).
 * :func:`global_max_violation` -- outer scalar search over the Schmidt angle:
   a 64-point coarse grid guards against multiple local maxima, then the peak
   is bracketed inside the grid's best cell.  The grid is rated in decreasing
@@ -73,28 +66,27 @@ analytic caps the search results are checked against.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bell_model import (
     TAU_MAXENT_CUTOFF,
-    BellValue,
     coefficients,
     quantum_value,
 )
 from .errors import NumericFailure
-from .quantum_core import (
-    BlochVector,
-    MeasurementSet,
-    TwoQubitState,
-    _pauli_decomposition,
-    random_measurement_set,
-    schmidt_state,
+from .quantum_core import MeasurementSet, _pauli_decomposition, schmidt_state
+from .seesaw import (  # noqa: F401  (the see-saw's public names stay importable from here)
+    DEFAULT_CONFIG,
+    SeesawConfig,
+    SeesawResult,
+    _best_response,
+    _measurement_set_from,
+    _vectors,
+    seesaw_max_violation,
 )
 
 # critical_gamma brackets no crossing at a tilt whose optimum's max F is at
@@ -105,6 +97,14 @@ VIOLATION_THRESHOLD = 1e-10
 # read it.
 GAMMA_BISECTION_TOL = 1e-8
 COARSE_GAMMA_POINTS = 64
+# The coarse scan's angles, with the two terms of pure_state_value_cap there,
+# each formed as that function forms it: sin^2(gamma), which the tilt scales,
+# and the untilted (sqrt(1 + sin^2(2 gamma)) - 1) / 2.
+_COARSE_GRID = np.linspace(0.0, math.pi / 4, COARSE_GAMMA_POINTS)
+_COARSE_SIN_SQ = np.array([math.sin(g) ** 2 for g in _COARSE_GRID.tolist()])
+_COARSE_UNTILTED = np.array(
+    [(math.sqrt(1.0 + s * s) - 1.0) / 2.0 for s in (math.sin(2.0 * g) for g in _COARSE_GRID.tolist())]
+)
 
 # Starts of the maximizer of F: t0 at half steps in (0, pi), t1 at whole
 # steps round the circle, so that no start has t1 = +/- t0, where a norm of
@@ -154,40 +154,6 @@ logger = logging.getLogger("bellbound")
 
 
 @dataclass(frozen=True)
-class SeesawConfig:
-    """The see-saw's RNG seed; its restart count, iteration cap and tolerance are fixed."""
-
-    restarts: ClassVar[int] = 8
-    max_iterations: ClassVar[int] = 500
-    convergence_tol: ClassVar[float] = 1e-11
-    rng_seed: int = 2071
-
-
-DEFAULT_CONFIG = SeesawConfig()
-
-
-@dataclass(frozen=True)
-class SeesawResult:
-    """Best value over restarts, the measurements achieving it, and diagnostics.
-
-    ``converged`` and ``iterations`` refer to the best restart;
-    ``batch_iterations`` is the iteration at which the batch of restarts
-    stopped, and ``unconverged`` the number of restarts that never converged.
-    ``histories`` is the read-only ``(batch_iterations, restarts)`` array of
-    every restart's value at each iteration; each column is nondecreasing.
-    Results compare and hash without it.
-    """
-
-    value: BellValue
-    measurements: MeasurementSet
-    converged: bool
-    iterations: int
-    batch_iterations: int
-    unconverged: int
-    histories: np.ndarray = field(compare=False)
-
-
-@dataclass(frozen=True)
 class OptimumPoint:
     """Arg-max Schmidt angle, its violation, and the optimizing measurements."""
 
@@ -213,139 +179,6 @@ class CriticalCurvePoint:
     gamma_c: float | None
     c_cr: float | None
     optimum: OptimumPoint
-
-
-def _renormalize_rows(candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
-    # Best rank-1 update per restart: align with the effective operator's Bloch
-    # part.  A vanishing part leaves the objective flat, so the previous
-    # direction is kept (deterministic tie-breaking); a zero top eigenvalue
-    # still assigns its eigenvector to the outcome-0 projector.  The norm is
-    # the plain sum of squares, as np.linalg.norm forms it, without that
-    # call's overhead (einsum may fuse multiply-adds and round differently).
-    norms = np.sqrt(np.add.reduce(candidate * candidate, axis=-1))
-    degenerate = norms < 1e-14
-    if not degenerate.any():
-        return candidate / norms[..., None]
-    out = candidate / np.where(degenerate, 1.0, norms)[..., None]
-    out[degenerate] = current[degenerate]
-    return out
-
-
-def _seesaw(r_alice, r_bob, corr, tau, starts):
-    # Alternating ascent on one state at one tilt, every restart in one batch.
-    # Each party's two settings are one (2, restarts, 3) array, so a half-step
-    # is one product with ``corr`` (or its transposed view), the tilt pull
-    # added in place on setting 0, and one renormalization; the sum and
-    # difference of the settings go into two preallocated (2, restarts, 3)
-    # buffers, and each iteration's values into its row of a preallocated
-    # history.  A restart is converged once its value improves by less than
-    # the tolerance; the batch stops at the iteration where its last restart
-    # converges, or at the iteration cap.  Returns the final values
-    # (restarts,), Alice's and Bob's (2, restarts, 3) settings, the converged
-    # flags, the iteration at which each restart first converged (or
-    # stopped), and the read-only (iterations, restarts) rows of the history.
-    max_iterations, tol = SeesawConfig.max_iterations, SeesawConfig.convergence_tol
-    alice, bob = starts
-    restarts = alice.shape[1]
-    history = np.empty((max_iterations, restarts))
-    previous = np.full(restarts, -np.inf)
-    converged = np.zeros(restarts, dtype=bool)
-    first_converged = np.zeros(restarts, dtype=int)
-    # corr.T stays a view: a contiguous copy takes another BLAS path for a
-    # single restart and rounds differently.
-    corr_t = corr.T
-    alice_col = r_alice[:, None]
-    bob_col = r_bob[:, None]
-    tilt_pull_a = 2.0 * (1.0 - tau) * r_alice
-    tilt_pull_b = 2.0 * (1.0 - tau) * r_bob
-    alice_pm, bob_pm, corr_bob, corr_alice = (np.empty_like(alice) for _ in range(4))
-    np.add(bob[0], bob[1], out=bob_pm[0])
-    np.subtract(bob[0], bob[1], out=bob_pm[1])
-    # T b_+ and T b_- feed both the value line and the next update of Alice.
-    np.matmul(bob_pm, corr_t, out=corr_bob)
-    for iterations in range(1, max_iterations + 1):
-        np.add(corr_bob[0], tilt_pull_a, out=corr_bob[0])
-        alice = _renormalize_rows(corr_bob, alice)
-        np.add(alice[0], alice[1], out=alice_pm[0])
-        np.subtract(alice[0], alice[1], out=alice_pm[1])
-        np.matmul(alice_pm, corr, out=corr_alice)
-        np.add(corr_alice[0], tilt_pull_b, out=corr_alice[0])
-        bob = _renormalize_rows(corr_alice, bob)
-        np.add(bob[0], bob[1], out=bob_pm[0])
-        np.subtract(bob[0], bob[1], out=bob_pm[1])
-        np.matmul(bob_pm, corr_t, out=corr_bob)
-        a_dot = (alice[0] @ alice_col)[:, 0]
-        b_dot = (bob[0] @ bob_col)[:, 0]
-        bob_marginal = (bob_pm @ bob_col)[..., 0]
-        corr_terms = np.einsum("prk,prk->pr", alice, corr_bob)
-        # Term by term, in this order, so that results stay bit for bit those
-        # of earlier releases.
-        values = np.subtract(
-            0.25 * (2.0 + 2.0 * a_dot + bob_marginal[0] + corr_terms[0] + bob_marginal[1] + corr_terms[1]),
-            tau * (1.0 + 0.5 * (a_dot + b_dot)),
-            out=history[iterations - 1],
-        )
-        newly = ~converged & (values - previous < tol)
-        first_converged[newly] = iterations
-        converged |= newly
-        if converged.all() or iterations == max_iterations:
-            first_converged[~converged] = iterations
-            break
-        previous = values
-    histories = history[:iterations]
-    histories.setflags(write=False)
-    return values, alice, bob, converged, first_converged, histories
-
-
-def _vectors(m: MeasurementSet) -> np.ndarray:
-    return np.array([v.as_array() for v in (*m.alice, *m.bob)])
-
-
-@functools.lru_cache(maxsize=16)
-def _restart_starts(rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    # Restart 0 is the CHSH-optimal start; the others are random measurement
-    # sets drawn from streams derived from the seed.  Returned as Alice's and
-    # Bob's (2, restarts, 3) settings, drawn once per seed and read-only,
-    # since every caller shares them.
-    children = np.random.SeedSequence(rng_seed).spawn(SeesawConfig.restarts - 1)
-    sets = [MeasurementSet.chsh_optimal()]
-    sets += [random_measurement_set(np.random.default_rng(child)) for child in children]
-    settings = np.array([_vectors(m) for m in sets]).transpose(1, 0, 2)
-    arrays = (settings[:2].copy(), settings[2:].copy())
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
-def _measurement_set_from(vectors) -> MeasurementSet:
-    units = [BlochVector.normalized(v) for v in vectors]
-    return MeasurementSet(alice=(units[0], units[1]), bob=(units[2], units[3]))
-
-
-def seesaw_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> SeesawResult:
-    """Alternating ascent toward the maximal violation of a fixed state.
-
-    Restart 0 starts from the CHSH-optimal angles; the other 7 draw random
-    Bloch vectors from streams derived from ``cfg.rng_seed``, so results are
-    reproducible.  All restarts iterate in one batch; a restart is converged
-    once its value improves by less than 1e-11, and the best restart is
-    returned (flagged unconverged if it ran out the 500 iterations).
-    """
-    coefficients(tau)  # validates the tilt range
-    r_alice, r_bob, corr = _pauli_decomposition(rho.matrix)
-    values, alice, bob, converged, iteration_counts, histories = _seesaw(
-        r_alice, r_bob, corr, float(tau), _restart_starts(cfg.rng_seed)
-    )
-    best = int(np.argmax(values))
-    return SeesawResult(
-        value=BellValue(value=float(values[best]), tau=float(tau)),
-        measurements=_measurement_set_from([alice[0, best], alice[1, best], bob[0, best], bob[1, best]]),
-        converged=bool(converged[best]),
-        iterations=int(iteration_counts[best]),
-        batch_iterations=len(histories),
-        unconverged=int(np.count_nonzero(~converged)),
-        histories=histories,
-    )
 
 
 def _in_plane_f(sin0, cos0, sin1, cos1, s, k, derivatives=False):
@@ -540,8 +373,7 @@ def _optimum_point(gamma: float, tau: float, rate: _Rater) -> OptimumPoint:
     rho = schmidt_state(gamma)
     r_alice, _, corr = _pauli_decomposition(rho.matrix)
     bob = np.array([[math.sin(t0), 0.0, math.cos(t0)], [math.sin(t1), 0.0, math.cos(t1)]])
-    candidates = np.array([corr @ (bob[0] + bob[1]) + 2.0 * (1.0 - tau) * r_alice, corr @ (bob[0] - bob[1])])
-    alice = _renormalize_rows(candidates, _vectors(MeasurementSet.chsh_optimal())[:2])
+    alice = _best_response(corr, 2.0 * (1.0 - tau) * r_alice, bob, _vectors(MeasurementSet.chsh_optimal())[:2])
     measurements = _measurement_set_from([*alice, *bob])
     s_q = quantum_value(rho, measurements, tau).value
     if abs(s_q - values[0]) > 1e-12:
@@ -592,8 +424,8 @@ def global_max_violation(tau: float) -> OptimumPoint:
     coefficients(tau)
     t = float(tau)
     rate = _Rater(t)
-    grid = np.linspace(0.0, math.pi / 4, COARSE_GAMMA_POINTS)
-    caps = np.array([pure_state_value_cap(float(g), t) for g in grid])
+    grid = _COARSE_GRID
+    caps = _coarse_caps(t)
     values = np.full(COARSE_GAMMA_POINTS, -np.inf)
     thetas = [None] * COARSE_GAMMA_POINTS
     order = np.argsort(-caps, kind="stable")
@@ -774,6 +606,11 @@ def pure_state_value_cap(gamma: float, tau: float) -> float:
     """
     s2 = math.sin(2.0 * gamma)
     return max(0.0, 2.0 * (1.0 - tau) * math.sin(gamma) ** 2 + (math.sqrt(1.0 + s2 * s2) - 1.0) / 2.0)
+
+
+def _coarse_caps(tau: float) -> np.ndarray:
+    # pure_state_value_cap at every angle of the coarse scan, bit for bit.
+    return np.maximum(0.0, 2.0 * (1.0 - tau) * _COARSE_SIN_SQ + _COARSE_UNTILTED)
 
 
 def max_value_cap(tau: float) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellbound import ChSlice, coefficients, global_max_violation, optimizer, schmidt_state, simulate
+from bellbound import BellValue, ChSlice, coefficients, global_max_violation, optimizer, schmidt_state, simulate
 from bellbound.invariants import kron_born_table, projector_from_bloch  # noqa: F401  (re-exported for the test modules)
 
 # The bundled demo statistics (a down-conversion pair source measured with
@@ -124,7 +124,7 @@ def quantum_value_off_by_1e9(monkeypatch):
 
     def shifted(rho, m, tau):
         value = real(rho, m, tau)
-        return optimizer.BellValue(value=value.value + 1e-9, tau=value.tau)
+        return BellValue(value=value.value + 1e-9, tau=value.tau)
 
     monkeypatch.setattr(optimizer, "quantum_value", shifted)
 

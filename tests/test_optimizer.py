@@ -25,7 +25,9 @@ from bellbound import (
     seesaw_max_violation,
 )
 from bellbound import optimizer as opt_module
+from bellbound import seesaw as seesaw_module
 from bellbound.invariants import maxent_cutoff
+from bellbound.quantum_core import _pauli_decomposition
 
 from conftest import horodecki_ch_max, in_plane_grid_max_violation
 
@@ -34,17 +36,45 @@ INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 COARSE_GRID = np.linspace(0.0, math.pi / 4, opt_module.COARSE_GAMMA_POINTS)
 
 
-def capped_input():
-    """A state on which every restart runs out its 500 iterations still rising.
-
-    Input 1026 of the benchmark's state_seesaw inputs for seed 7302, drawn by
-    the same stream: a mixed state at tilt 1.
-    """
-    rng = np.random.default_rng([7302, 2])
-    for k in range(1027):
+def state_seesaw_input(seed, index):
+    """Input ``index`` of the benchmark's state_seesaw inputs for ``seed``,
+    drawn by the same stream: (state, tilt)."""
+    rng = np.random.default_rng([seed, 2])
+    for k in range(index + 1):
         rho = random_two_qubit_state(rng, pure=k % 2 == 0)
         tau = 1.0 if k % 3 == 0 else float(rng.uniform(1.0, 1.5))
     return rho, tau
+
+
+def capped_input():
+    """A state on which every restart of the plain see-saw runs out its 500
+    iterations still rising, 2.0e-6 short of the maximum.
+
+    Input 1026 of the benchmark's state_seesaw inputs for seed 7302: a mixed
+    state at tilt 1.
+    """
+    return state_seesaw_input(7302, 1026)
+
+
+def oracle_seesaw(rho, tau, seed=SeesawConfig().rng_seed):
+    """The plain see-saw: the same batch kernel, run until every restart has
+    risen by less than 1e-11 in an iteration, or for 500 iterations, with no
+    Newton finish.  Returns the best value and the kernel's outputs."""
+    r_alice, r_bob, corr = _pauli_decomposition(rho.matrix)
+    run = seesaw_module._seesaw(
+        r_alice, r_bob, corr, tau, seesaw_module._restart_starts(seed), SeesawConfig.convergence_tol
+    )
+    return float(run[0].max()), run
+
+
+def seeded_states(seed, count):
+    """(state, tilt) pairs, pure and mixed in turn, a third of them at tilt 1
+    and the rest uniform in [1, 1.5)."""
+    rng = np.random.default_rng(seed)
+    return [
+        (random_two_qubit_state(rng, pure=i % 2 == 0), 1.0 if i % 3 == 0 else float(rng.uniform(1.0, 1.5)))
+        for i in range(count)
+    ]
 
 
 def max_f(gamma, tau):
@@ -180,12 +210,13 @@ class TestSeesaw:
             assert result.value.value == pytest.approx(recomputed, abs=1e-12)
 
     def test_matches_horodecki_oracle_on_general_states(self):
-        # At tilt 1 the exact maximum is known for every state, pure or mixed.
+        # At tilt 1 the exact maximum is known for every state, pure or mixed,
+        # and the Newton finish reaches it.
         rng = np.random.default_rng(1995)
-        for i in range(30):
+        for i in range(2000):
             rho = random_two_qubit_state(rng, pure=i % 2 == 0)
             value = seesaw_max_violation(rho, 1.0).value.value
-            assert value == pytest.approx(horodecki_ch_max(rho.matrix), abs=1e-9)
+            assert value == pytest.approx(horodecki_ch_max(rho.matrix), abs=1e-12)
 
     def test_tilt_domain_checked(self):
         with pytest.raises(ValueError):
@@ -212,9 +243,10 @@ class TestSeesaw:
     def test_bit_identical_to_recorded_results(self):
         # SHA-256 of value, measurement vectors, converged flag and iteration
         # count of the best restart on 300 seeded random pure and mixed states,
-        # recorded from the see-saw before the Born rule moved to the Bloch
-        # form.  The kernel and the Pauli decomposition it reads must keep
-        # every bit.  The digest holds for one floating-point environment
+        # re-recorded when the batch gained its Newton finish, after the
+        # finish had met the oracle tests of TestNewtonFinish.  The kernel,
+        # the finish and the Pauli decomposition they read must keep every
+        # bit.  The digest holds for one floating-point environment
         # (numpy 2.4 with OpenBLAS on x86-64); BLAS kernels that round matrix
         # products differently change it without any change to the code.
         rng = np.random.default_rng(60331)
@@ -226,20 +258,22 @@ class TestSeesaw:
             vectors = [v.as_array() for v in (*result.measurements.alice, *result.measurements.bob)]
             digest.update(np.array([result.value.value, *np.concatenate(vectors)]).tobytes())
             digest.update(np.array([result.converged, result.iterations], dtype=np.int64).tobytes())
-        assert digest.hexdigest() == "8dd842d112b509f4b00d3ae1d3ec390a2e24b14e5a4a7151e7b041e1780d8120"
+        assert digest.hexdigest() == "4f3c7754a1e91ec7fae2df19d3d3e44c3c807882022fdff76ea38464ad71c7ae"
 
     def test_bit_identical_on_histories_seeds_and_degenerate_states(self):
         # The paths the digest above misses: every restart's history, another
-        # seed, a batch stopped unconverged at its iteration cap, and the
-        # states I/4 and |00> (whose effective operators vanish).  Recorded
-        # while the restart count, iteration cap and tolerance were still
-        # settable; same floating-point caveat as above.
+        # seed, a batch stopped at its iteration cap with restarts still
+        # rising, which are finished too (schmidt_state(0.78) at 1.1736), the
+        # input on which the plain see-saw stops there (capped_input), and
+        # the states I/4 and |00> (whose effective operators vanish).
+        # Re-recorded with the Newton finish, as above; same floating-point
+        # caveat.
         rng = np.random.default_rng(7177)
         cases = [(TwoQubitState(np.eye(4) / 4.0), 1.0), (TwoQubitState(np.eye(4) / 4.0), 1.3)]
         cases += [(schmidt_state(0.0), 1.0), (schmidt_state(0.0), 1.3)]
         for i in range(16):
             cases.append((random_two_qubit_state(rng, pure=bool(i % 2)), float(rng.uniform(1.0, 1.5))))
-        cases.append(capped_input())
+        cases += [capped_input(), (schmidt_state(0.78), 1.1736)]
         digest = hashlib.sha256()
         for cfg in (SeesawConfig(), SeesawConfig(rng_seed=99)):
             for rho, tau in cases:
@@ -249,7 +283,7 @@ class TestSeesaw:
                 digest.update(np.array([result.converged, result.iterations], dtype=np.int64).tobytes())
                 for history in result.histories.T:
                     digest.update(history.tobytes())
-        assert digest.hexdigest() == "f246c0702021cee6596a5d2b23ad9ca39fa0e0b58680e249c6d16a1c4ec5bb61"
+        assert digest.hexdigest() == "90651c023b152d61e6aadef6726f6134572f2093133043dd46ce3275e0b91c49"
 
     @pytest.mark.parametrize("tau,expected", [(1.0, -0.5), (1.3, -0.8)])
     def test_maximally_mixed_state_keeps_every_start(self, tau, expected):
@@ -258,8 +292,8 @@ class TestSeesaw:
         # exactly 1/2 - tau, and the batch converges at its second iteration.
         result = seesaw_max_violation(TwoQubitState(np.eye(4) / 4.0), tau)
         assert result.value.value == expected
-        chsh = opt_module._vectors(MeasurementSet.chsh_optimal())
-        assert result.measurements == opt_module._measurement_set_from(chsh)
+        chsh = seesaw_module._vectors(MeasurementSet.chsh_optimal())
+        assert result.measurements == seesaw_module._measurement_set_from(chsh)
         assert (result.converged, result.iterations, result.batch_iterations) == (True, 2, 2)
 
     def test_product_state_mixes_degenerate_and_regular_rows(self):
@@ -280,13 +314,117 @@ class TestSeesaw:
             result.histories[0, 0] = 0.0
 
     def test_batch_diagnostics_on_a_call_stopped_at_its_cap(self):
-        result = seesaw_max_violation(*capped_input())
+        # Next to pi/4 three restarts still rise by 1e-6 or more at the
+        # batch's cap; the best restart is among them, and its Newton finish
+        # converges to max F.
+        result = seesaw_max_violation(schmidt_state(0.78), 1.1736)
         assert result.batch_iterations == SeesawConfig.max_iterations
-        assert (result.converged, result.iterations) == (False, SeesawConfig.max_iterations)
-        # A restart converged once its value rose by less than the tolerance.
+        assert (result.converged, result.iterations) == (True, SeesawConfig.max_iterations)
+        # A restart handed off once its value rose by less than the hand-off
+        # tolerance.
         rises = np.diff(result.histories, axis=0, prepend=-np.inf)
-        never = int(np.count_nonzero(~(rises < SeesawConfig.convergence_tol).any(axis=0)))
-        assert result.unconverged == never == 8
+        never = int(np.count_nonzero(~(rises < seesaw_module._HANDOFF_TOL).any(axis=0)))
+        assert result.unconverged == never == 3
+        assert result.value.value == pytest.approx(max_f(0.78, 1.1736), abs=1e-12)
+
+    def test_capped_inputs_reach_horodecki(self):
+        # The two benchmark inputs on which the plain see-saw falls 2.0e-6 and
+        # 5.8e-6 short of the exact maximum at tilt 1.
+        for rho, tau in (capped_input(), state_seesaw_input(7303, 570)):
+            assert tau == 1.0
+            exact = horodecki_ch_max(rho.matrix)
+            assert exact - oracle_seesaw(rho, tau)[0] > 1e-6
+            result = seesaw_max_violation(rho, tau)
+            assert result.converged and result.unconverged == 0
+            assert result.value.value == pytest.approx(exact, abs=1e-12)
+
+
+def finish_terms(rho, tau):
+    """The correlation rows, 2 (1 - tau) r_A and (1 - tau) r_B / 2 the Newton finish reads."""
+    r_alice, r_bob, corr = _pauli_decomposition(rho.matrix)
+    return (
+        tuple(tuple(row) for row in corr.tolist()),
+        tuple((2.0 * (1.0 - tau) * r_alice).tolist()),
+        tuple((0.5 * (1.0 - tau) * r_bob).tolist()),
+    )
+
+
+class TestNewtonFinish:
+    """The Newton finish on V(b0, b1): its derivatives, its Schmidt form and what it reaches."""
+
+    def test_gradient_and_hessian_match_central_differences(self):
+        # Along the sphere's exponential map from (b0, b1) in the finish's
+        # tangent bases, the first and second central differences of V are
+        # its Riemannian gradient and Hessian.
+        rng = np.random.default_rng(4242)
+
+        def moved(b, e0, e1, d0, d1):
+            step = d0 * np.asarray(e0) + d1 * np.asarray(e1)
+            length = math.hypot(d0, d1)
+            if length == 0.0:
+                return b
+            return tuple(math.cos(length) * np.asarray(b) + math.sin(length) / length * step)
+
+        for rho, tau in seeded_states(4242, 40):
+            terms = finish_terms(rho, tau)
+            b0, b1 = (tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(2, 3)))
+            _, grad, hess, bases = seesaw_module._bloch_v(b0, b1, *terms, derivatives=True)
+
+            def pulled(d):
+                return seesaw_module._bloch_v(moved(b0, *bases[:2], *d[:2]), moved(b1, *bases[2:], *d[2:]), *terms)
+
+            unit = np.eye(4)
+            h = 1e-6
+            numeric_grad = [(pulled(h * unit[i]) - pulled(-h * unit[i])) / (2.0 * h) for i in range(4)]
+            np.testing.assert_allclose(grad, numeric_grad, rtol=0.0, atol=1e-8)
+            h = 1e-4
+            numeric_hess = [
+                [
+                    (
+                        pulled(h * (unit[i] + unit[j]))
+                        - pulled(h * (unit[i] - unit[j]))
+                        - pulled(h * (unit[j] - unit[i]))
+                        + pulled(-h * (unit[i] + unit[j]))
+                    )
+                    / (4.0 * h * h)
+                    for j in range(4)
+                ]
+                for i in range(4)
+            ]
+            np.testing.assert_allclose(hess, numeric_hess, rtol=0.0, atol=1e-6)
+
+    def test_v_at_a_schmidt_decomposition_is_the_in_plane_form(self):
+        # With r_A = r_B = c z, T = diag(s, -s, 1) and Bob in the x-z plane,
+        # V is the F of the Schmidt-angle searches.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            gamma, tau = float(rng.uniform(0.0, math.pi / 4)), float(rng.uniform(1.0, 1.5))
+            t0, t1 = rng.uniform(0.0, 2.0 * math.pi, size=2)
+            c, s = math.cos(2.0 * gamma), math.sin(2.0 * gamma)
+            r_alice, r_bob, corr = _pauli_decomposition(schmidt_state(gamma).matrix)
+            np.testing.assert_allclose(r_alice, [0.0, 0.0, c], rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(r_bob, [0.0, 0.0, c], rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(corr, np.diag([s, -s, 1.0]), rtol=0.0, atol=1e-15)
+            corr_rows = ((s, 0.0, 0.0), (0.0, -s, 0.0), (0.0, 0.0, 1.0))
+            terms = corr_rows, (0.0, 0.0, 2.0 * (1.0 - tau) * c), (0.0, 0.0, 0.5 * (1.0 - tau) * c)
+            b0 = (math.sin(t0), 0.0, math.cos(t0))
+            b1 = (math.sin(t1), 0.0, math.cos(t1))
+            in_plane = opt_module._in_plane_f(*b0[::2], *b1[::2], s, (1.0 - tau) * c)
+            assert seesaw_module._bloch_v(b0, b1, *terms) == pytest.approx(in_plane, abs=1e-15)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return [(rho, tau, seesaw_max_violation(rho, tau)) for rho, tau in seeded_states(2026, 1000)]
+
+    def test_at_least_the_plain_seesaw(self, runs):
+        # The plain see-saw, run to its 1e-11 rule and 500 iterations, is the
+        # oracle: the finish never ends below it by more than rounding.
+        for rho, tau, result in runs:
+            assert result.value.value >= oracle_seesaw(rho, tau)[0] - 1e-12
+
+    def test_quantum_value_reproduces_the_value(self, runs):
+        for rho, tau, result in runs:
+            assert quantum_value(rho, result.measurements, tau).value == pytest.approx(result.value.value, abs=1e-12)
 
 
 class TestBatchedKernel:
@@ -306,9 +444,9 @@ class TestBatchedKernel:
         assert capsys.readouterr() == ("", "")
 
     def test_restart_starts_drawn_once_and_read_only(self):
-        starts = opt_module._restart_starts(11)
-        assert opt_module._restart_starts(11) is starts
-        fresh = opt_module._restart_starts.__wrapped__(11)
+        starts = seesaw_module._restart_starts(11)
+        assert seesaw_module._restart_starts(11) is starts
+        fresh = seesaw_module._restart_starts.__wrapped__(11)
         for cached, drawn in zip(starts, fresh):
             assert cached.shape == (2, 8, 3)
             np.testing.assert_array_equal(cached, drawn)
@@ -714,10 +852,14 @@ class TestExactSchmidtMaximum:
                 assert value <= pure_state_value_cap(gamma, tau) + 1e-12
 
     def test_above_an_unconverged_seesaw(self):
-        # Next to pi/4 the see-saw runs out of iterations short of the maximum.
+        # Next to pi/4 the plain see-saw runs out of iterations short of the
+        # maximum; the Newton finish reaches it.
+        oracle, (_, _, _, converged, _, _) = oracle_seesaw(schmidt_state(0.78), 1.1736)
+        assert not converged.any()
+        assert max_f(0.78, 1.1736) - oracle > 1e-7
         seesaw = seesaw_max_violation(schmidt_state(0.78), 1.1736)
-        assert not seesaw.converged
-        assert max_f(0.78, 1.1736) - seesaw.value.value > 1e-7
+        assert seesaw.converged
+        assert seesaw.value.value == pytest.approx(max_f(0.78, 1.1736), abs=1e-12)
 
     @pytest.mark.parametrize("gamma,tau", [(0.1, 1.427), (0.35, 1.3), (0.6, 1.1), (math.pi / 4, 1.0)])
     def test_against_the_in_plane_grid_oracle(self, gamma, tau):
@@ -908,6 +1050,14 @@ class TestAnalyticCaps:
             assert global_max_violation(float(tau)).gamma_star < gamma <= math.pi / 4
             cap = pure_state_value_cap(gamma, float(tau))
             assert cap == pytest.approx(opt_module.VIOLATION_THRESHOLD, abs=1e-15)
+
+    def test_coarse_scan_caps_equal_the_scalar_cap(self):
+        # The scan's caps come from two precomputed terms of the grid; they
+        # must be pure_state_value_cap itself, bit for bit, at every angle.
+        taus = [1.0, TAU_MAXENT_CUTOFF, 1.4999999, *np.linspace(1.0, 1.5, 120, endpoint=False).tolist()]
+        for tau in taus:
+            expected = [pure_state_value_cap(float(gamma), tau) for gamma in COARSE_GRID]
+            assert opt_module._coarse_caps(tau).tolist() == expected
 
     def test_untilted_cap_is_tsirelson(self):
         assert max_value_cap(1.0) == pytest.approx(TSIRELSON, abs=1e-15)
