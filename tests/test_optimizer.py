@@ -847,8 +847,8 @@ class TestExactSchmidtMaximum:
             for gamma, value in zip(self.GAMMAS, values):
                 seesaw = seesaw_max_violation(schmidt_state(gamma), tau)
                 assert value >= seesaw.value.value - 1e-12
-                if seesaw.converged:
-                    assert abs(value - seesaw.value.value) <= 1e-9
+                assert seesaw.converged
+                assert abs(value - seesaw.value.value) <= 1e-12
                 assert value <= pure_state_value_cap(gamma, tau) + 1e-12
 
     def test_above_an_unconverged_seesaw(self):
