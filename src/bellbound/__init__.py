@@ -21,7 +21,6 @@ from .bell_model import (
     TAU_TRIVIAL,
     BellValue,
     TiltedChCoefficients,
-    ch_value,
     coefficients,
     evaluate_classical,
     evaluate_from_ch,
@@ -70,6 +69,7 @@ from .statistics_io import (
     ProbabilityTable,
     ValidationReport,
     ch_slice,
+    ch_value,
     load,
     random_nosignaling_table,
     save,

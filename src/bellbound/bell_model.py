@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum_core import MeasurementSet, TwoQubitState, joint_probability
-from .statistics_io import ChSlice, ProbabilityTable, ch_slice
+from .statistics_io import ChSlice, ProbabilityTable, _as_slice, ch_value
 
 TAU_MIN = 1.0
 TAU_TRIVIAL = 1.5
@@ -76,14 +76,6 @@ class BellValue:
     tau: float
 
 
-def _as_slice(stats: ProbabilityTable | ChSlice) -> ChSlice:
-    if isinstance(stats, ChSlice):
-        return stats
-    if isinstance(stats, ProbabilityTable):
-        return ch_slice(stats)
-    raise TypeError(f"expected ProbabilityTable or ChSlice, got {type(stats).__name__}")
-
-
 def evaluate_classical(
     stats: ProbabilityTable | ChSlice, tau: float, *, allow_trivial_regime: bool = False
 ) -> BellValue:
@@ -108,12 +100,6 @@ def evaluate_classical(
         + b[1, 0, 1, 0] * (slc.mB0 - slc.j10)
     )
     return BellValue(value=float(value), tau=coeff.tau)
-
-
-def ch_value(stats: ProbabilityTable | ChSlice) -> float:
-    """The untilted (tau = 1) CH value of observed statistics."""
-    slc = _as_slice(stats)
-    return slc.j00 + slc.j01 + slc.j10 - slc.j11 - slc.mA0 - slc.mB0
 
 
 def evaluate_from_ch(

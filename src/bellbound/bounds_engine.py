@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bell_model import TAU_MAXENT_CUTOFF, TAU_TRIVIAL, ch_value
+from .bell_model import TAU_MAXENT_CUTOFF, TAU_TRIVIAL
 from .errors import NumericFailure, ValidationFailure
 from .optimizer import critical_gamma
 from .statistics_io import (
@@ -32,6 +32,7 @@ from .statistics_io import (
     ProbabilityTable,
     ValidationReport,
     ch_slice,
+    ch_value,
     validate,
 )
 

@@ -88,19 +88,16 @@ def _cmd_optimize(args) -> int:
     print(f"  gamma*:      {_g9(optimum.gamma_star)}")
     print(f"  value:       {_g9(optimum.s_q)}")
     print(f"  concurrence: {_g9(concurrence_star)}")
-    for party, vectors in (("alice", optimum.measurements.alice), ("bob", optimum.measurements.bob)):
-        for setting, v in enumerate(vectors):
-            print(f"  {party}[{setting}] bloch: ({_g9(v.x)}, {_g9(v.y)}, {_g9(v.z)})")
+    vectors = optimum.measurements.as_array().tolist()
+    for name, (x, y, z) in zip(("alice[0]", "alice[1]", "bob[0]", "bob[1]"), vectors):
+        print(f"  {name} bloch: ({_g9(x)}, {_g9(y)}, {_g9(z)})")
     if args.output:
         payload = {
             "tau": optimum.tau,
             "gamma_star": optimum.gamma_star,
             "s_q": optimum.s_q,
             "concurrence": concurrence_star,
-            "measurements": {
-                "alice": [[v.x, v.y, v.z] for v in optimum.measurements.alice],
-                "bob": [[v.x, v.y, v.z] for v in optimum.measurements.bob],
-            },
+            "measurements": {"alice": vectors[:2], "bob": vectors[2:]},
         }
         Path(args.output).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         print(f"optimum written to {args.output}")

@@ -78,14 +78,12 @@ from .bell_model import (
     quantum_value,
 )
 from .errors import NumericFailure
-from .quantum_core import MeasurementSet, _pauli_decomposition, schmidt_state
+from .quantum_core import MeasurementSet, schmidt_state
 from .seesaw import (  # noqa: F401  (the see-saw's public names stay importable from here)
     DEFAULT_CONFIG,
     SeesawConfig,
     SeesawResult,
     _best_response,
-    _measurement_set_from,
-    _vectors,
     seesaw_max_violation,
 )
 
@@ -371,10 +369,10 @@ def _optimum_point(gamma: float, tau: float, rate: _Rater) -> OptimumPoint:
     values, thetas = rate([gamma])
     t0, t1 = thetas[0]
     rho = schmidt_state(gamma)
-    r_alice, _, corr = _pauli_decomposition(rho.matrix)
+    r_alice, _, corr = rho.bloch
     bob = np.array([[math.sin(t0), 0.0, math.cos(t0)], [math.sin(t1), 0.0, math.cos(t1)]])
-    alice = _best_response(corr, 2.0 * (1.0 - tau) * r_alice, bob, _vectors(MeasurementSet.chsh_optimal())[:2])
-    measurements = _measurement_set_from([*alice, *bob])
+    alice = _best_response(corr, 2.0 * (1.0 - tau) * r_alice, bob, MeasurementSet.chsh_optimal().as_array()[:2])
+    measurements = MeasurementSet.normalized([*alice, *bob])
     s_q = quantum_value(rho, measurements, tau).value
     if abs(s_q - values[0]) > 1e-12:
         raise NumericFailure(

@@ -38,13 +38,7 @@ from typing import ClassVar
 import numpy as np
 
 from .bell_model import BellValue, coefficients
-from .quantum_core import (
-    BlochVector,
-    MeasurementSet,
-    TwoQubitState,
-    _pauli_decomposition,
-    random_measurement_set,
-)
+from .quantum_core import MeasurementSet, TwoQubitState, random_measurement_set
 
 # The see-saw batch hands off to the Newton finish once every restart's value
 # has risen by less than this in an iteration, or at its iteration cap.  The
@@ -335,10 +329,6 @@ def _best_response(corr: np.ndarray, pull: np.ndarray, bob: np.ndarray, current:
     return _renormalize_rows(np.array([corr @ (bob[0] + bob[1]) + pull, corr @ (bob[0] - bob[1])]), current)
 
 
-def _vectors(m: MeasurementSet) -> np.ndarray:
-    return np.array([v.as_array() for v in (*m.alice, *m.bob)])
-
-
 @functools.lru_cache(maxsize=16)
 def _restart_starts(rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
     # Restart 0 is the CHSH-optimal start; the others are random measurement
@@ -348,16 +338,11 @@ def _restart_starts(rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
     children = np.random.SeedSequence(rng_seed).spawn(SeesawConfig.restarts - 1)
     sets = [MeasurementSet.chsh_optimal()]
     sets += [random_measurement_set(np.random.default_rng(child)) for child in children]
-    settings = np.array([_vectors(m) for m in sets]).transpose(1, 0, 2)
+    settings = np.array([m.as_array() for m in sets]).transpose(1, 0, 2)
     arrays = (settings[:2].copy(), settings[2:].copy())
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def _measurement_set_from(vectors) -> MeasurementSet:
-    units = [BlochVector.normalized(v) for v in vectors]
-    return MeasurementSet(alice=(units[0], units[1]), bob=(units[2], units[3]))
 
 
 def seesaw_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> SeesawResult:
@@ -378,7 +363,7 @@ def seesaw_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEF
     """
     coefficients(tau)  # validates the tilt range
     tau = float(tau)
-    r_alice, r_bob, corr = _pauli_decomposition(rho.matrix)
+    r_alice, r_bob, corr = rho.bloch
     values, alice, bob, handed_off, iteration_counts, histories = _seesaw(
         r_alice, r_bob, corr, tau, _restart_starts(cfg.rng_seed), _HANDOFF_TOL
     )
@@ -399,7 +384,7 @@ def seesaw_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEF
     value, r, finished, settings = max(ends, key=lambda end: end[0])
     return SeesawResult(
         value=BellValue(value=value, tau=tau),
-        measurements=_measurement_set_from(settings),
+        measurements=MeasurementSet.normalized(settings),
         converged=finished,
         iterations=int(iteration_counts[r]),
         batch_iterations=len(histories),

@@ -115,6 +115,20 @@ class ChSlice:
         return (self.mA0, self.mA1, self.mB0, self.mB1)
 
 
+def _as_slice(stats: ProbabilityTable | ChSlice) -> ChSlice:
+    if isinstance(stats, ChSlice):
+        return stats
+    if isinstance(stats, ProbabilityTable):
+        return ch_slice(stats)
+    raise TypeError(f"expected ProbabilityTable or ChSlice, got {type(stats).__name__}")
+
+
+def ch_value(stats: ProbabilityTable | ChSlice) -> float:
+    """The untilted (tau = 1) CH value of observed statistics."""
+    slc = _as_slice(stats)
+    return slc.j00 + slc.j01 + slc.j10 - slc.j11 - slc.mA0 - slc.mB0
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Maximum absolute violations of the structural constraints, plus a verdict.
@@ -160,8 +174,6 @@ def _slice_consistency(slc: ChSlice) -> float:
 
 
 def _slice_tsirelson(slc: ChSlice) -> float:
-    from .bell_model import ch_value  # bell_model imports this module
-
     return max(0.0, ch_value(slc) - TSIRELSON_CH)
 
 
@@ -221,7 +233,7 @@ def simulate(rho: TwoQubitState, m: MeasurementSet) -> ProbabilityTable:
     """Born-rule table p(a,b|x,y) = tr(rho A_x^a (x) B_y^b) for projective sets.
 
     One evaluation of :func:`~bellbound.quantum_core.joint_probability`, the
-    package's single Born rule, on the state's Pauli decomposition.
+    package's single Born rule, on the state's Bloch form.
     """
     return ProbabilityTable(joint_probability(rho, m))
 

@@ -250,6 +250,11 @@ class TestOptimizeCommand:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["s_q"] == pytest.approx(1.0 / math.sqrt(2.0) - 0.5, abs=1e-6)
         assert payload["gamma_star"] == pytest.approx(math.pi / 4, abs=1e-3)
+        measurements = optimizer.global_max_violation(1.0).measurements
+        assert payload["measurements"] == {
+            "alice": [[v.x, v.y, v.z] for v in measurements.alice],
+            "bob": [[v.x, v.y, v.z] for v in measurements.bob],
+        }
         assert "gamma*" in text
 
     def test_out_of_range_tilt_exits_parse(self, capsys):

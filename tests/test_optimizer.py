@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import logging
 import math
 import re
@@ -13,6 +14,7 @@ from bellbound import (
     NumericFailure,
     SeesawConfig,
     TwoQubitState,
+    concurrence,
     critical_gamma,
     global_max_violation,
     max_value_cap,
@@ -27,7 +29,6 @@ from bellbound import (
 from bellbound import optimizer as opt_module
 from bellbound import seesaw as seesaw_module
 from bellbound.invariants import maxent_cutoff
-from bellbound.quantum_core import _pauli_decomposition
 
 from conftest import horodecki_ch_max, in_plane_grid_max_violation
 
@@ -36,14 +37,19 @@ INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 COARSE_GRID = np.linspace(0.0, math.pi / 4, opt_module.COARSE_GAMMA_POINTS)
 
 
-def state_seesaw_input(seed, index):
-    """Input ``index`` of the benchmark's state_seesaw inputs for ``seed``,
-    drawn by the same stream: (state, tilt)."""
+def state_seesaw_inputs(seed):
+    """The benchmark's state_seesaw inputs for ``seed``, in order and drawn by
+    the same stream: endless (state, tilt) pairs, pure at even indices and at
+    tilt 1 at every third."""
     rng = np.random.default_rng([seed, 2])
-    for k in range(index + 1):
+    for k in itertools.count():
         rho = random_two_qubit_state(rng, pure=k % 2 == 0)
-        tau = 1.0 if k % 3 == 0 else float(rng.uniform(1.0, 1.5))
-    return rho, tau
+        yield rho, 1.0 if k % 3 == 0 else float(rng.uniform(1.0, 1.5))
+
+
+def state_seesaw_input(seed, index):
+    """Input ``index`` of the benchmark's state_seesaw inputs for ``seed``."""
+    return next(itertools.islice(state_seesaw_inputs(seed), index, None))
 
 
 def capped_input():
@@ -60,7 +66,7 @@ def oracle_seesaw(rho, tau, seed=SeesawConfig().rng_seed):
     """The plain see-saw: the same batch kernel, run until every restart has
     risen by less than 1e-11 in an iteration, or for 500 iterations, with no
     Newton finish.  Returns the best value and the kernel's outputs."""
-    r_alice, r_bob, corr = _pauli_decomposition(rho.matrix)
+    r_alice, r_bob, corr = rho.bloch
     run = seesaw_module._seesaw(
         r_alice, r_bob, corr, tau, seesaw_module._restart_starts(seed), SeesawConfig.convergence_tol
     )
@@ -292,8 +298,7 @@ class TestSeesaw:
         # exactly 1/2 - tau, and the batch converges at its second iteration.
         result = seesaw_max_violation(TwoQubitState(np.eye(4) / 4.0), tau)
         assert result.value.value == expected
-        chsh = seesaw_module._vectors(MeasurementSet.chsh_optimal())
-        assert result.measurements == seesaw_module._measurement_set_from(chsh)
+        assert result.measurements == MeasurementSet.normalized(MeasurementSet.chsh_optimal().as_array())
         assert (result.converged, result.iterations, result.batch_iterations) == (True, 2, 2)
 
     def test_product_state_mixes_degenerate_and_regular_rows(self):
@@ -341,12 +346,53 @@ class TestSeesaw:
 
 def finish_terms(rho, tau):
     """The correlation rows, 2 (1 - tau) r_A and (1 - tau) r_B / 2 the Newton finish reads."""
-    r_alice, r_bob, corr = _pauli_decomposition(rho.matrix)
+    r_alice, r_bob, corr = rho.bloch
     return (
         tuple(tuple(row) for row in corr.tolist()),
         tuple((2.0 * (1.0 - tau) * r_alice).tolist()),
         tuple((0.5 * (1.0 - tau) * r_bob).tolist()),
     )
+
+
+def multistart_reference(rho, tau):
+    """The best maximum of V the Newton finish reaches from 40 random pairs of
+    Bob's vectors (normal draws of ``default_rng(0)``, normalized), read back
+    by ``quantum_value`` at Alice's best response to it."""
+    terms = finish_terms(rho, tau)
+    rng = np.random.default_rng(0)
+    starts = [[tuple((v / np.linalg.norm(v)).tolist()) for v in rng.normal(size=(2, 3))] for _ in range(40)]
+    runs = [seesaw_module._bloch_newton(b0, b1, *terms) for b0, b1 in starts]
+    _, b0, b1, _ = max(runs, key=lambda run: run[0])
+    r_alice, _, corr = rho.bloch
+    chsh_alice = MeasurementSet.chsh_optimal().as_array()[:2]
+    alice = seesaw_module._best_response(corr, 2.0 * (1.0 - tau) * r_alice, np.array([b0, b1]), chsh_alice)
+    return quantum_value(rho, MeasurementSet.normalized([*alice, b0, b1]), tau).value
+
+
+class TestGlobalMaximum:
+    """The see-saw against maxima known by other routes, on the benchmark's inputs."""
+
+    def test_pure_states_reach_max_f_at_their_schmidt_angle(self):
+        # Maximal violation is invariant under local unitaries, so a pure
+        # state's is max F at its Schmidt angle asin(C) / 2.  A third of the
+        # inputs are pure at a tilt above 1.
+        checked = 0
+        for k, (rho, tau) in enumerate(itertools.islice(state_seesaw_inputs(7302), 300)):
+            if k % 2 == 0 and tau > 1.0:
+                gamma = math.asin(min(1.0, concurrence(rho))) / 2.0
+                assert seesaw_max_violation(rho, tau).value.value == pytest.approx(max_f(gamma, tau), abs=1e-12)
+                checked += 1
+        assert checked == 100
+
+    @pytest.mark.xfail(strict=True, reason="the see-saw's finish stops on a local maximum of V (ROADMAP item 10)")
+    @pytest.mark.parametrize(
+        "seed,index",
+        [(7302, 395), (7302, 965), (7302, 985), (7302, 1501)]
+        + [(7303, 619), (7303, 769), (7303, 1043), (7303, 1955), (7303, 1969)],
+    )
+    def test_mixed_states_reach_the_multistart_maximum(self, seed, index):
+        rho, tau = state_seesaw_input(seed, index)
+        assert seesaw_max_violation(rho, tau).value.value >= multistart_reference(rho, tau) - 1e-9
 
 
 class TestNewtonFinish:
@@ -401,7 +447,7 @@ class TestNewtonFinish:
             gamma, tau = float(rng.uniform(0.0, math.pi / 4)), float(rng.uniform(1.0, 1.5))
             t0, t1 = rng.uniform(0.0, 2.0 * math.pi, size=2)
             c, s = math.cos(2.0 * gamma), math.sin(2.0 * gamma)
-            r_alice, r_bob, corr = _pauli_decomposition(schmidt_state(gamma).matrix)
+            r_alice, r_bob, corr = schmidt_state(gamma).bloch
             np.testing.assert_allclose(r_alice, [0.0, 0.0, c], rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(r_bob, [0.0, 0.0, c], rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(corr, np.diag([s, -s, 1.0]), rtol=0.0, atol=1e-15)

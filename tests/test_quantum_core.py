@@ -16,7 +16,7 @@ from bellbound import (
     schmidt_state,
 )
 
-from conftest import concurrence_eigvals_oracle, kron_born_table, projector_from_bloch
+from conftest import PAULIS, concurrence_eigvals_oracle, kron_born_table, projector_from_bloch
 
 Z = BlochVector(0.0, 0.0, 1.0)
 ALL_Z = MeasurementSet(alice=(Z, Z), bob=(Z, Z))
@@ -170,6 +170,33 @@ class TestTwoQubitStateValidation:
             rho.matrix[0, 0] = 0.0
 
 
+class TestBlochForm:
+    def test_rebuilds_the_matrix(self):
+        # rho = (1 (x) 1 + sum r_A,i s_i (x) 1 + sum r_B,j 1 (x) s_j + sum T_ij s_i (x) s_j) / 4,
+        # with the Pauli products formed here by Kronecker products.
+        rng = np.random.default_rng(515)
+        one = np.eye(2)
+        for i in range(200):
+            rho = random_two_qubit_state(rng, pure=i % 2 == 0)
+            r_alice, r_bob, corr = rho.bloch
+            rebuilt = np.kron(one, one)
+            for k in range(3):
+                rebuilt = rebuilt + r_alice[k] * np.kron(PAULIS[k], one) + r_bob[k] * np.kron(one, PAULIS[k])
+                for j in range(3):
+                    rebuilt = rebuilt + corr[k, j] * np.kron(PAULIS[k], PAULIS[j])
+            np.testing.assert_allclose(rebuilt / 4.0, rho.matrix, rtol=0.0, atol=1e-15)
+
+    def test_computed_once_and_read_only(self):
+        # Every access views the same memory, so nothing is computed again.
+        rho = schmidt_state(0.3)
+        first, again = rho.bloch, rho.bloch
+        assert [a.shape for a in first] == [(3,), (3,), (3, 3)]
+        for a, b in zip(first, again):
+            assert np.shares_memory(a, b)
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
 class TestMeasurementSet:
     def test_chsh_optimal_directions(self):
         m = MeasurementSet.chsh_optimal()
@@ -193,3 +220,17 @@ class TestMeasurementSet:
     def test_non_unit_direction_raises(self):
         with pytest.raises(ValueError, match="unit norm"):
             BlochVector.from_array([0.0, 0.0, 2.0])
+
+    def test_normalized_rebuilds_a_set_from_its_rows(self, rng):
+        # The rows are the vectors a0, a1, b0, b1 exactly.  Normalizing them
+        # again divides by a norm that may round to 1 -/+ one unit in the last
+        # place, so a component moves by at most 2^-52; a row scaled by two
+        # normalizes to the same bits.
+        for m in [MeasurementSet.chsh_optimal(), *(random_measurement_set(rng) for _ in range(50))]:
+            rows = m.as_array()
+            assert rows.tolist() == [v.as_array().tolist() for v in (*m.alice, *m.bob)]
+            again = MeasurementSet.normalized(rows)
+            np.testing.assert_allclose(again.as_array(), rows, rtol=0.0, atol=2.0**-52)
+            assert MeasurementSet.normalized(2.0 * rows) == again
+        with pytest.raises(ValueError, match="zero"):
+            MeasurementSet.normalized(np.zeros((4, 3)))
