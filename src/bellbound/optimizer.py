@@ -41,11 +41,14 @@ with A = s^2 (sin^2 t0 + sin^2 t1) + (cos t0 + cos t1 + 2 (1 - tau) c)^2,
 B = s^2 (sin^2 t0 + sin^2 t1) + (cos t0 - cos t1)^2 and
 X* = clip((B - A)/2, +/- 2 s^2 sin t0 sin t1).  Both searches rate each
 angle by max F, not by the see-saw's lower bound.  A cold rating finds max F
-to rounding by damped Newton from a coarse grid of (t0, t1); a warm rating
-runs Newton once, from the maximizer of the nearest angle the search has
-already rated.  Where a run that decides the rating stops on its step cap, as
-it does at some angles for tilts just above 1, its end is polished by Newton
-steps on the gradient of the in-plane form.  A warm rating can only
+to rounding by damped Newton from the best starts of a coarse grid of
+(t0, t1): the best 4 where its numbers are reported or certify the critical
+angle, the best 1 in the coarse scan and at the crossing's first angle,
+which only rank angles or open a bracket.  A warm rating runs Newton once,
+from the maximizer of the nearest angle the search has already rated.  Where
+a run that decides the rating stops on its step cap, as it does at some
+angles for tilts just above 1, its end is polished by Newton steps on the
+gradient of the in-plane form.  A warm rating can only
 under-rate max F, so what a search returns rests on cold ratings: the coarse
 scan, the optimum's measurements and ``s_q``, and the critical angle; warm
 ratings only give the optimum's slopes and the crossing's steps after its
@@ -106,9 +109,14 @@ _COARSE_UNTILTED = np.array(
 
 # Starts of the maximizer of F: t0 at half steps in (0, pi), t1 at whole
 # steps round the circle, so that no start has t1 = +/- t0, where a norm of
-# the in-plane form vanishes.  Newton runs from the best _NEWTON_STARTS of
-# them at each angle.  The coarse scan rates its angles _ANGLE_CHUNK at a
-# time, which keeps the grid's temporaries small.
+# the in-plane form vanishes.  A rating whose numbers are reported or carry
+# the soundness of the critical angle runs Newton from the best
+# _NEWTON_STARTS of them; a scan rating, which only ranks angles or opens the
+# crossing's bracket, from the best _SCAN_STARTS.  The best start alone falls
+# short of the best of 4 by at most 4.7e-15 (the 64 grid angles at 400 tilts
+# in [1, 1.5)), which can only make the cap's skip test more cautious.  The
+# coarse scan rates its angles _ANGLE_CHUNK at a time, which keeps the grid's
+# temporaries small.
 _GRID_STEPS = 12
 _GRID_T0, _GRID_T1 = (
     g.ravel().tolist()
@@ -120,6 +128,7 @@ _GRID_T0, _GRID_T1 = (
 )
 _GRID_TRIG = tuple(f(np.array(t)) for t in (_GRID_T0, _GRID_T1) for f in (np.sin, np.cos))
 _NEWTON_STARTS = 4
+_SCAN_STARTS = 1
 _NEWTON_MAX_STEPS = 60
 _ANGLE_CHUNK = 8
 # max F never exceeds pure_state_value_cap by more than this (a tested
@@ -141,12 +150,11 @@ _SLOPE_FLOOR = 2e-15
 # The bracket closer aims each step this many noise floors of its function
 # past the step's root, so that the next value is certain of its sign and the
 # bracket closes from both sides; it stops once the bracket is four such aims
-# wide, or after _CLOSE_STEPS values.  The most a bracket has needed is 25
-# values: at tilt 1.4999999 the slope is cubic in the angle down to the peak
-# at 2e-7, so secant steps from the grid's 0.0125 close in on it by a factor
-# of about 0.6 each.
+# wide, or after _CLOSE_STEPS values.  Over 1,846 tilts from 1 to 1.4999999
+# the most a bracket needed is 14 values, for the crossing at tilt 1.49961;
+# the optimum's needed at most 8.
 _AIM_FLOORS = 8.0
-_CLOSE_STEPS = 32
+_CLOSE_STEPS = 20
 
 logger = logging.getLogger("bellbound")
 
@@ -274,16 +282,16 @@ def _finish(run, s: float, k: float):
     return value, t0, t1
 
 
-def _schmidt_maxima(gammas, tau: float):
+def _schmidt_maxima(gammas, tau: float, starts: int = _NEWTON_STARTS):
     # max F at each Schmidt angle, the maximizing (t0, t1) of the in-plane
     # form, and the Newton steps taken.  Newton runs from each angle's best
-    # grid starts, and the best run is finished by _finish.
+    # ``starts`` grid starts, and the best run is finished by _finish.
     gammas = [float(g) for g in gammas]
     s = [math.sin(2.0 * g) for g in gammas]
     k = [(1.0 - tau) * math.cos(2.0 * g) for g in gammas]
     grid = _in_plane_f(*_GRID_TRIG, np.array(s)[:, None], np.array(k)[:, None])
     values, thetas, steps = [], [], 0
-    for row, s_row, k_row in zip(np.argsort(grid, axis=1)[:, -_NEWTON_STARTS:], s, k):
+    for row, s_row, k_row in zip(np.argsort(grid, axis=1)[:, -starts:], s, k):
         runs = [_newton_max(_GRID_T0[i], _GRID_T1[i], s_row, k_row) for i in row]
         value, t0, t1 = _finish(max(runs), s_row, k_row)
         values.append(0.5 - tau + value)
@@ -294,17 +302,17 @@ def _schmidt_maxima(gammas, tau: float):
 
 class _Rater:
     # max F for one search at one tilt.  Calling the rater rates angles cold,
-    # by _schmidt_maxima; warm() rates one angle by a single Newton run from
-    # the maximizer of the nearest angle (in gamma) this rater has rated.  A
-    # warm rating may stop on a lower local maximum, so it can only under-rate
-    # max F.  Counts the cold and warm ratings and the Newton steps for the
+    # by _schmidt_maxima from ``starts`` grid starts each; warm() rates one
+    # angle by a single Newton run from the maximizer of the nearest angle
+    # (in gamma) this rater has rated.  A warm rating may stop on a lower
+    # local maximum, so it can only under-rate max F.  Counts the cold and warm ratings and the Newton steps for the
     # search's log line.
     def __init__(self, tau: float):
         self.tau, self.cold, self.warmed, self.steps = tau, 0, 0, 0
         self.maximizers = {}
 
-    def __call__(self, gammas):
-        values, thetas, steps = _schmidt_maxima(gammas, self.tau)
+    def __call__(self, gammas, starts: int = _NEWTON_STARTS):
+        values, thetas, steps = _schmidt_maxima(gammas, self.tau, starts)
         self.cold += len(values)
         self.steps += steps
         self.maximizers.update(zip((float(g) for g in gammas), thetas))
@@ -409,15 +417,19 @@ def global_max_violation(tau: float) -> OptimumPoint:
     noise floor is 2e-15.  Two cells end at the grid:
 
     * at pi/4 the slope enters as minus its size, the slope from the left;
-    * at 0 the slope is exactly 0, as max F is even in the angle, so that end
-      enters unknown, with the midpoint as the closer's fallback there; if it
-      stays unknown, the bracket's midpoint is returned.
+    * at 0 the slope g is exactly 0, as max F is even in the angle, so that
+      end enters unknown, with the midpoint as the closer's fallback there.
+      The closer takes secant steps on g(x)/x in this cell, where g falls
+      like x^2 above the peak, and the optimum is the secant root of g(x)/x
+      on the bracket, or through the last two angles rated while the end at
+      0 stays unknown.
 
     Where the cell has no rising end below a falling one, the grid's peak is
     flat within the floor, as pi/4 is at tilt 1, and is returned.  The peak
     is found to about 1e-9 in the angle up to tilt 1.4999999, where it lies at
-    2e-7.  At tilt 1.3 the search rates 19 angles cold (18 for the scan, 1
-    for the measurements) and 5 warm, in 284 Newton steps.
+    2e-7.  At tilt 1.3 the search rates 19 angles cold (18 for the scan from
+    one Newton start each, 1 for the measurements from four) and 5 warm, in
+    77 Newton steps.
     """
     coefficients(tau)
     t = float(tau)
@@ -432,7 +444,7 @@ def global_max_violation(tau: float) -> OptimumPoint:
         chunk = chunk[caps[chunk] + _CAP_TOLERANCE >= values.max()]
         if chunk.size == 0:  # caps only fall from here, so no later angle passes
             break
-        values[chunk], chunk_thetas = rate(grid[chunk])
+        values[chunk], chunk_thetas = rate(grid[chunk], _SCAN_STARTS)
         for i, theta in zip(chunk, chunk_thetas):
             thetas[i] = theta
     peak = int(np.argmax(values))
@@ -458,10 +470,17 @@ def global_max_violation(tau: float) -> OptimumPoint:
     # Without a rising end below a falling one the scan's peak is flat within
     # the floor, as pi/4 is at tilt 1, and is itself the peak.
     if rising and falling and rising[-1][0] < falling[0][0]:
-        a, g_a, b, g_b, _ = _close_bracket(lambda x: (slope_at(x), None), *rising[-1], *falling[0], _SLOPE_FLOOR)
-        # An end left unknown is 0, never rated below the peak: the bracket's
-        # midpoint stands in for the secant root.
-        gamma_star = 0.5 * (a + b) if g_a is None else a + g_a * (b - a) / (g_a - g_b)
+        if rising[-1][1] is None:
+            # The grid's first cell (see _ratio_secant).
+            h, ratios = _ratio_secant(slope_at, *falling[0])
+            a, g_a, b, g_b, _ = _close_bracket(h, *rising[-1], *falling[0], _SLOPE_FLOOR)
+            (x0, r0), (x1, r1) = ratios[-2:] if g_a is None else ((a, g_a / a), (b, g_b / b))
+            gamma_star = x1 - r1 * (x1 - x0) / (r1 - r0) if r1 != r0 else math.nan
+            if not a < gamma_star < b:
+                gamma_star = 0.5 * (a + b)
+        else:
+            a, g_a, b, g_b, _ = _close_bracket(lambda x: (slope_at(x), None), *rising[-1], *falling[0], _SLOPE_FLOOR)
+            gamma_star = a + g_a * (b - a) / (g_a - g_b)
         ends = "[%.17g, %.17g] with slopes %s and %.6e" % (a, b, "unknown" if g_a is None else "%.6e" % g_a, g_b)
     optimum = _optimum_point(gamma_star, t, rate)
     logger.debug(
@@ -469,6 +488,27 @@ def global_max_violation(tau: float) -> OptimumPoint:
         t, rate.cold, rate.warmed, rate.steps, ends,
     )
     return optimum
+
+
+def _ratio_secant(slope_at, b: float, g_b: float):
+    # The closer's function for the peak in the grid's first cell, [0, b],
+    # where the slope is g_b, and the (x, g(x)/x) pairs it rates.  The slope
+    # g is odd in the angle, so g(x)/x is even and has no root at 0; near 3/2,
+    # where the peak lies in this cell, it is close to linear in x, while g
+    # falls like x^2 above the peak, so that secant steps on g would close in
+    # by a factor of only about 0.6 each.  So each value of g comes with x
+    # times the secant slope of g(x)/x through the last two angles, which
+    # makes the closer's Newton step the secant step on g(x)/x.  The closer
+    # never rates one angle twice in a row, so x - x0 never vanishes.
+    ratios = [(b, g_b / b)]
+
+    def h(x):
+        value = slope_at(x)
+        x0, ratio0 = ratios[-1]
+        ratios.append((x, value / x))
+        return value, x * (value / x - ratio0) / (x - x0)
+
+    return h, ratios
 
 
 def _envelope_slope(gamma: float, tau: float, t0: float, t1: float) -> float:
@@ -531,12 +571,13 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     from the envelope theorem at no extra rating, starting where
     :func:`pure_state_value_cap` falls to 1e-10.  Each step aims eight
     rounding allowances of max F (1e-15 each) past its root.  The first angle
-    is rated cold and every later one warm.  The angle returned is the
-    bracket's upper end, which the closer rated below -1e-15; since a warm
-    rating can only under-rate max F, that end is rated again, cold, and must
-    again fall below -1e-15.  So it errs on the conservative side; at the
-    cutoff, where the crossing is pi/4 itself, that end stays pi/4, unrated.
-    At tilt 1.3 the search rates 2 angles cold and 5 warm, in 31 Newton
+    is rated cold, from one Newton start, and every later one warm.  The
+    angle returned is the bracket's upper end, which the closer rated below
+    -1e-15; since a warm rating can only under-rate max F, that end is rated
+    again, cold from four starts, and must again fall below -1e-15.  So it
+    errs on the conservative side; at the cutoff, where the crossing is pi/4
+    itself, that end stays pi/4, unrated.
+    At tilt 1.3 the search rates 2 angles cold and 5 warm, in 21 Newton
     steps, and the bracket is about 1e-13 wide.  It widens as max F flattens
     toward 3/2 (its slope at the crossing is 8.7e-6 at 1.4988, 1.2e-6 at
     1.4995 and 6.7e-7 at 1.49966), to about 2e-9, 1e-8 and 3e-8 there.  The
@@ -560,11 +601,11 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     rate = _Rater(t)
 
     def max_f(x):
-        # The first angle is rated cold, every later one warm.
+        # The first angle is rated cold, from one start, every later one warm.
         if rate.maximizers:
             value, theta = rate.warm(x)
         else:
-            values, thetas = rate([x])
+            values, thetas = rate([x], _SCAN_STARTS)
             value, theta = float(values[0]), thetas[0]
         return value, _envelope_slope(x, t, *theta)
 
@@ -577,8 +618,9 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     )
     if not closed:
         raise NumericFailure(f"crossing bracket [{a!r}, {b!r}] at tilt {t!r} open after {_CLOSE_STEPS} ratings")
-    # A warm rating may under-rate max F, which on this end is the unsound
-    # side, so the end returned is rated afresh, cold.
+    # A warm rating, or a cold one from one start, may under-rate max F,
+    # which on this end is the unsound side, so the end returned is rated
+    # afresh, cold, from all the starts.
     if b < math.pi / 4:
         cold = float(rate([b])[0][0])
         if not cold < -_MAX_F_ROUNDING:

@@ -522,9 +522,9 @@ class TestDecidedStates:
     def test_coarse_scan_skips_only_what_the_cap_rules_out(self, monkeypatch):
         schmidt_maxima, rated = opt_module._schmidt_maxima, []
 
-        def recording(gammas, t):
+        def recording(gammas, t, starts=opt_module._NEWTON_STARTS):
             rated.extend(float(g) for g in gammas)
-            return schmidt_maxima(gammas, t)
+            return schmidt_maxima(gammas, t, starts)
 
         def coarse_ratings(tau):
             rated.clear()
@@ -788,6 +788,18 @@ class TestPeakReplay:
         assert abs(slopes[0]) > opt_module._SLOPE_FLOOR
         assert slopes[0] == pytest.approx(-slopes[1], rel=1e-9)
 
+    @pytest.mark.parametrize("tau,warm", [(1.4999, 6), (1.4999999, 5)])
+    def test_first_cell_closes_by_secant_steps_on_slope_over_angle(self, caplog, tau, warm):
+        # The counted work near 3/2, where the peak lies in the grid's first
+        # cell: secant steps on g(x)/x, g the envelope slope, close its
+        # bracket in 6 and 5 warm ratings, where secant steps on g took 15
+        # and 25.  The peak is then within 1e-9 in concurrence of the
+        # 50-digit reference (1.2e-13 and 8e-11 off; about 3e-9 at 1.4999999
+        # with the secant root of g).
+        optimum, angles, _ = optimum_log(caplog, tau)
+        assert angles == (opt_module.COARSE_GAMMA_POINTS + 1, warm)
+        assert abs(math.sin(2.0 * optimum.gamma_star) - REFERENCE_PEAK_CONCURRENCE[tau]) <= 1e-9
+
     def test_rates_a_third_fewer_angles(self, caplog):
         # The counted work, not the time: 52 angles for the optimum at 1.3
         # and 60 for the critical angle in all before the envelope slope;
@@ -795,7 +807,8 @@ class TestPeakReplay:
         # with each search reporting its own bracket.  Since the ratings after
         # the scan start warm, the optimum rates 19 angles cold and 5 warm,
         # and the crossing 2 cold and 5 warm; their Newton steps fell from 355
-        # and 88 to 284 and 31.
+        # and 88 to 284 and 31, and to 77 and 21 with one Newton start for
+        # each scan rating.
         _, angles, _ = optimum_log(caplog, 1.3)
         assert angles == (19, 5)
         caplog.clear()
@@ -803,7 +816,73 @@ class TestPeakReplay:
             critical_gamma(1.3)
         pattern = r": (\d+) angles rated cold and (\d+) warm, (\d+) Newton steps"
         counts = [tuple(int(n) for n in re.search(pattern, r.getMessage()).groups()) for r in caplog.records]
-        assert counts == [(19, 5, 284), (2, 5, 31)]
+        assert counts == [(19, 5, 77), (2, 5, 21)]
+
+
+class TestScanStarts:
+    """The coarse scan and the crossing's first angle rate from one Newton
+    start; every other cold rating, and so every reported number, from four."""
+
+    # 200 tilts across [1, 3/2), 20 more in (1, 1.01], and the extremes:
+    # 1.0001, 1 + 1e-7 and 1 + 1e-8, where some Newton runs stop on their
+    # step cap and are polished, and 1.4999999.
+    TILTS = sorted(
+        {float(t) for t in (*np.linspace(1.0, 1.5, 200, endpoint=False), *np.linspace(1.0, 1.01, 21))}
+        | {1.0001, 1.0 + 1e-7, 1.0 + 1e-8, 1.4999999}
+    )
+
+    @staticmethod
+    def searched(monkeypatch, tau):
+        """critical_gamma at ``tau``, the grid index of the coarse scan's peak
+        (the best of the angles rated cold before the optimum's
+        measurements), and the start counts of the cold ratings before and
+        from the optimum's measurements on."""
+        schmidt_maxima, optimum_point, calls = opt_module._schmidt_maxima, opt_module._optimum_point, []
+
+        def recording(gammas, t, starts=opt_module._NEWTON_STARTS):
+            found = schmidt_maxima(gammas, t, starts)
+            calls.append((starts, list(zip((float(g) for g in gammas), found[0].tolist()))))
+            return found
+
+        def marking(gamma, t, rate):
+            calls.append(None)
+            return optimum_point(gamma, t, rate)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(opt_module, "_schmidt_maxima", recording)
+            patched.setattr(opt_module, "_optimum_point", marking)
+            point = critical_gamma(tau)
+        scan, reported = calls[: calls.index(None)], calls[calls.index(None) + 1 :]
+        rated = dict(itertools.chain.from_iterable(ratings for _, ratings in scan))
+        peak = int(np.argmax([rated.get(float(g), -math.inf) for g in COARSE_GRID]))
+        return point, peak, [starts for starts, _ in scan], [starts for starts, _ in reported]
+
+    def test_one_start_reports_what_four_do(self, monkeypatch):
+        # The 4-start oracle sets the scan's start count back to 4.  Over these
+        # 220 tilts gamma_c moves by at most 5.5e-13, s_q by 2.9e-16 and
+        # gamma_star by 2.8e-10 (at 1.4999999, where the peak is found to
+        # about 1e-9).
+        single = [self.searched(monkeypatch, tau)[:2] for tau in self.TILTS]
+        monkeypatch.setattr(opt_module, "_SCAN_STARTS", opt_module._NEWTON_STARTS)
+        for tau, (point, peak) in zip(self.TILTS, single):
+            oracle, oracle_peak, _, _ = self.searched(monkeypatch, tau)
+            assert peak == oracle_peak, tau
+            assert (point.gamma_c is None) == (oracle.gamma_c is None), tau
+            if point.gamma_c is not None:
+                assert abs(point.gamma_c - oracle.gamma_c) <= 1e-11, tau
+            assert abs(point.optimum.s_q - oracle.optimum.s_q) <= 1e-15, tau
+            assert abs(point.optimum.gamma_star - oracle.optimum.gamma_star) <= 1e-9, tau
+
+    @pytest.mark.parametrize("tau", [1.0, 1.3, 1.49, 1.4999])
+    def test_reported_ratings_run_every_start(self, monkeypatch, tau):
+        # The scan rates from one start.  The optimum's measurements and s_q
+        # come from four; so does the critical angle's cold re-rating, after
+        # the crossing's first angle from one.  At 1.0 the critical angle is
+        # pi/4 with no search, and at 1.4999 no angle violates.
+        point, _, scan, reported = self.searched(monkeypatch, tau)
+        crossing = [1, 4] if tau in (1.3, 1.49) else []
+        assert set(scan) == {1} and reported == [4, *crossing]
+        assert (point.gamma_c is None) == (tau == 1.4999)
 
 
 class TestCloseBracket:
@@ -969,12 +1048,12 @@ class TestExactSchmidtMaximum:
         messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
         assert len(messages) == 2
         assert re.fullmatch(
-            r"Schmidt optimum at tau 1\.3: 19 angles rated cold and 5 warm, 284 Newton steps, "
+            r"Schmidt optimum at tau 1\.3: 19 angles rated cold and 5 warm, 77 Newton steps, "
             r"peak bracket \[\S+, \S+\] with slopes \S+ and \S+",
             messages[0],
         )
         assert re.fullmatch(
-            r"critical angle at tau 1\.3: 2 angles rated cold and 5 warm, 31 Newton steps, "
+            r"critical angle at tau 1\.3: 2 angles rated cold and 5 warm, 21 Newton steps, "
             r"bracket \[\S+, \S+\] with max F \S+ and \S+",
             messages[1],
         )
