@@ -29,7 +29,13 @@ from bellbound import (
     validate,
 )
 from bellbound import bounds_engine
-from bellbound.bounds_engine import NOTE_BELOW_CUTOFF, NOTE_NO_VIOLATION, NOTE_NUMERIC_NO_VIOLATION
+from bellbound.bounds_engine import (
+    NOTE_BELOW_CUTOFF,
+    NOTE_NO_VIOLATION,
+    NOTE_NUMERIC_AT_TRIVIAL,
+    NOTE_NUMERIC_NO_VIOLATION,
+    NOTE_NUMERIC_UNAVAILABLE,
+)
 from bellbound.statistics_io import ProbabilityTable
 
 from conftest import DEMO_SLICE, near_trivial_experiment
@@ -215,6 +221,26 @@ class TestAssembleReport:
         assert report.lower_bound <= truth + 1e-6
         for upper in report.present_upper_bounds():
             assert truth <= upper + 1e-6
+
+    def test_numeric_bound_without_a_tilt_threshold_is_noted(self):
+        report = assemble_report(uniform_table(), numeric_ub=True)
+        assert report.tau_obs is None and report.upper_bound_numeric is None
+        assert NOTE_NUMERIC_UNAVAILABLE in report.notes
+
+    def test_numeric_bound_at_the_trivial_tilt_is_noted(self):
+        # A CH value of 1e-13 over setting-0 marginals of 2e-13 puts the root
+        # 1 + s_ch / (mA0 + mB0) at 3/2 itself, where no angle can violate.
+        slc = ChSlice(j00=1e-13, j01=1e-13, j10=1e-13, j11=0.0, mA0=1e-13, mA1=0.5, mB0=1e-13, mB1=0.5)
+        report = assemble_report(slc, numeric_ub=True)
+        assert report.tau_obs == 1.5 and report.upper_bound_numeric is None
+        assert NOTE_NUMERIC_AT_TRIVIAL in report.notes
+
+    def test_positive_ch_value_with_vanishing_setting_0_marginals_refused(self):
+        # j00 = 5e-7 > min(mA0, mB0) = 0 passes validation's tolerance, but
+        # leaves the tilt threshold without a denominator.
+        slc = ChSlice(j00=5e-7, j01=0.0, j10=0.0, j11=0.0, mA0=0.0, mA1=0.5, mB0=0.0, mB1=0.5)
+        with pytest.raises(ValidationFailure, match="vanishing setting-0 marginals"):
+            assemble_report(slc)
 
     def test_measurements_missing_max_f_still_raise(self, quantum_value_off_by_1e9):
         with pytest.raises(NumericFailure, match="differs from max F"):

@@ -190,6 +190,13 @@ class TestBoundCommand:
         assert err.startswith("numeric failure: critical angle ") and " cold, not below " in err
         assert "lower bound" not in out
 
+    def test_positive_ch_value_with_vanishing_setting_0_marginals_exits_validation(self, capsys, tmp_path):
+        path = tmp_path / "no_marginals.json"
+        save(ChSlice(j00=5e-7, j01=0.0, j10=0.0, j11=0.0, mA0=0.0, mA1=0.5, mB0=0.0, mB1=0.5), path)
+        code, out, err = run(capsys, "bound", "--input", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert "vanishing setting-0 marginals" in err
+
     def test_pr_box_slice_exits_validation(self, capsys, tmp_path):
         # CH value 1/2, far above the quantum maximum (sqrt(2) - 1)/2.
         slc = ChSlice(j00=0.5, j01=0.5, j10=0.5, j11=0.0, mA0=0.5, mA1=0.5, mB0=0.5, mB1=0.5)
@@ -365,6 +372,11 @@ class TestCurvesCommand:
         assert err.startswith("parameter error: --grid 1000000000000000") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_single_tilt_grid_exits_parse(self, capsys, tmp_path):
+        code, text, err = run(capsys, "curves", "--grid", "1", "--output", str(tmp_path / "curves"))
+        assert (code, text) == (EXIT_PARSE, "")
+        assert "--grid must be at least 2" in err
+
     def test_bad_range_exits_parse(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "curves", "--tau-min", "1.2", "--tau-max", "1.6", "--output", str(tmp_path)
@@ -416,7 +428,7 @@ class TestLogLevel:
         assert (debug_out, debug_files) == (out, files)
         assert err == ""
         assert re.search(
-            r"(?m)DEBUG bellbound: Schmidt optimum at tau 1\.49: 9 angles rated cold and 7 warm, \d+ Newton steps, "
+            r"(?m)DEBUG bellbound: Schmidt optimum at tau 1\.49: 9 angles rated cold and 5 warm, \d+ Newton steps, "
             r"peak bracket \[\S+, \S+\] with slopes \S+ and \S+$",
             debug_err,
         )

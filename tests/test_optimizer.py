@@ -332,6 +332,15 @@ class TestSeesaw:
         assert result.unconverged == never == 3
         assert result.value.value == pytest.approx(max_f(0.78, 1.1736), abs=1e-12)
 
+    def test_finish_stopped_on_its_step_cap_reports_unconverged(self, monkeypatch):
+        # One Newton step leaves the finish short of its stopping rule; the
+        # measurements it returns still reproduce the value it reports.
+        monkeypatch.setattr(seesaw_module, "_FINISH_MAX_STEPS", 1)
+        rho = schmidt_state(math.pi / 8)
+        result = seesaw_max_violation(rho, 1.3)
+        assert result.converged is False
+        assert quantum_value(rho, result.measurements, 1.3).value == pytest.approx(result.value.value, abs=1e-12)
+
     def test_capped_inputs_reach_horodecki(self):
         # The two benchmark inputs on which the plain see-saw falls 2.0e-6 and
         # 5.8e-6 short of the exact maximum at tilt 1.
@@ -575,6 +584,48 @@ class TestDecidedStates:
         with pytest.raises(NumericFailure, match="open after 2 ratings"):
             critical_gamma(1.3)
 
+    @pytest.mark.parametrize(
+        "tau",
+        [
+            1.2463597658191448, 1.2464161084551384, 1.2464520366013874, 1.33543151120651, 1.3354668234175018,
+            1.335501287913279, 1.3355012651760638, 1.3355054800981847, 1.4107515723779485, 1.4919342067977222,
+        ],
+    )
+    def test_critical_gamma_answers_where_its_end_rounds_into_the_floor(self, tau):
+        # Tilts where the Newton step that set the crossing's end spent its
+        # aim on its own error and landed an ulp past the floor, so that the
+        # end's cold rating read within it: 8 of 20,000 drawn uniformly from
+        # [cutoff, 1.4999] (numpy default_rng(2)), 1 of 4,000 (seed 1) and 1
+        # of 1,846 evenly spaced over [1, 1.4999999].  Whether a tilt triggers
+        # this depends on rounding; the contract holds either way.
+        point = critical_gamma(tau)
+        assert max_f(point.gamma_c, tau) < -opt_module._MAX_F_ROUNDING
+        lo, hi = bisection_bracket_from(point.optimum.gamma_star, lambda g: max_f(g, tau))
+        assert lo <= point.gamma_c <= hi
+
+    def test_an_end_rated_within_the_floor_cold_gives_way_to_one_further_up(self, caplog, monkeypatch):
+        # The cold re-rating of the crossing's end nudged to -1e-15, within
+        # the floor, as rounding leaves it at the tilts above: the angle one
+        # bracket width further up is rated cold once and returned.
+        with caplog.at_level(logging.DEBUG, logger="bellbound"):
+            end = critical_gamma(1.3).gamma_c
+        line = [r.getMessage() for r in caplog.records if r.getMessage().startswith("critical angle")][0]
+        lo = float(re.search(r"bracket \[(\S+), ", line).group(1))
+        real, nudged = opt_module._Rater.__call__, []
+
+        def nudge(self, gammas, starts=opt_module._NEWTON_STARTS):
+            values, thetas = real(self, gammas, starts)
+            if list(gammas) == [end] and not nudged:
+                nudged.append(float(values[0]))
+                values = np.array([-opt_module._MAX_F_ROUNDING])
+            return values, thetas
+
+        monkeypatch.setattr(opt_module._Rater, "__call__", nudge)
+        point = critical_gamma(1.3)
+        assert len(nudged) == 1 and nudged[0] < -opt_module._MAX_F_ROUNDING
+        assert point.gamma_c == end + (end - lo)
+        assert max_f(point.gamma_c, 1.3) < -opt_module._MAX_F_ROUNDING
+
     def test_critical_gamma_refuses_an_end_that_violates_cold(self, warm_ratings_short_by_1e9):
         # Warm ratings 1e-9 short move the closer's upper end below the
         # crossing; rated cold there, it violates, and the search refuses it.
@@ -725,8 +776,8 @@ class TestGoldenSectionRounds:
 
 
 class TestPeakReplay:
-    """The optimum as the secant root of its envelope-slope bracket, and the
-    premises of that bracket."""
+    """The optimum as the secant root of g(x)/x, g the envelope slope, on its
+    bracket, and the premises of that bracket."""
 
     @pytest.mark.parametrize("tau", [1.05, 1.25, 1.4, 1.49, 1.4999999])
     def test_slope_noise_stays_within_the_floor(self, tau):
@@ -899,13 +950,15 @@ class TestCloseBracket:
     def concave(x):
         return 0.5 - x * x, -2.0 * x
 
-    def close(self, h, a, b, *, slopes=True, far_end_known=True, floor=FLOOR):
+    def close(self, h, a, b, *, ratio=False, far_end_known=True, floor=FLOOR):
+        # With ``ratio`` the closer takes secant steps on h(x)/x, through
+        # _ratio_secant, as it does on the optimum's peak.
         calls = []
+        step = opt_module._ratio_secant(lambda x: h(x)[0], b, h(b)[0])[0] if ratio else h
 
         def counted(x):
             calls.append(x)
-            value, slope = h(x)
-            return value, slope if slopes else None
+            return step(x)
 
         h_b = h(b)[0] if far_end_known else None
         lo, h_lo, hi, h_hi, closed = opt_module._close_bracket(counted, a, h(a)[0], b, h_b, floor)
@@ -915,23 +968,23 @@ class TestCloseBracket:
     def aim(self, slope):
         return opt_module._AIM_FLOORS * self.FLOOR / abs(slope)
 
-    @pytest.mark.parametrize("slopes", [True, False], ids=["newton", "secant"])
+    @pytest.mark.parametrize("ratio", [False, True], ids=["newton", "secant"])
     @pytest.mark.parametrize("shape,root", [("linear", 0.15), ("concave", math.sqrt(0.5))])
-    def test_closes_to_four_aims_round_the_root(self, shape, root, slopes):
+    def test_closes_to_four_aims_round_the_root(self, shape, root, ratio):
         h = getattr(self, shape)
-        lo, hi, calls, closed = self.close(h, 0.0, 1.0, slopes=slopes)
+        lo, hi, calls, closed = self.close(h, 0.0, 1.0, ratio=ratio)
         assert lo < root < hi
         assert hi - lo <= 4.0 * self.aim(h(root)[1]) * 1.01
         assert closed and len(calls) < opt_module._CLOSE_STEPS
 
-    @pytest.mark.parametrize("slopes", [True, False], ids=["newton", "secant"])
-    def test_values_within_the_floor_leave_no_wide_bracket(self, slopes):
+    @pytest.mark.parametrize("ratio", [False, True], ids=["newton", "secant"])
+    def test_values_within_the_floor_leave_no_wide_bracket(self, ratio):
         # Regula falsi lands on the root first, where h is flat within the
         # floor; the closer steps round it instead of stopping there.
         def h(x):
             return (0.0 if abs(x - 0.5) < 2.0 * self.FLOOR else 0.5 - x), -1.0
 
-        lo, hi, calls, closed = self.close(h, 0.0, 1.0, slopes=slopes)
+        lo, hi, calls, closed = self.close(h, 0.0, 1.0, ratio=ratio)
         assert calls[0] == 0.5
         assert closed and lo < 0.5 < hi and hi - lo <= 4.0 * self.aim(1.0)
 

@@ -155,6 +155,23 @@ class TestChSlice:
             ChSlice(j00=1.2, j01=0.2, j10=0.2, j11=0.2, mA0=0.5, mA1=0.5, mB0=0.5, mB1=0.5)
 
 
+class TestProbabilityTable:
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(SchemaError, match="shape"):
+            ProbabilityTable(np.full((2, 2, 4), 0.25))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -0.1, 1.1])
+    def test_non_finite_or_out_of_range_entry_rejected(self, entry):
+        p = np.array(uniform_table().p)
+        p[1, 0, 1, 0] = entry
+        with pytest.raises(RangeError):
+            ProbabilityTable(p)
+
+    def test_fifteen_numbers_rejected(self):
+        with pytest.raises(SchemaError, match="exactly 16"):
+            ProbabilityTable.from_flat([0.25] * 15)
+
+
 class TestRandomTables:
     def test_structurally_valid(self, rng):
         for include_pr in (True, False):
@@ -224,6 +241,24 @@ class TestLoadSave:
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"format": "full", "p": [0.25] * 15}), encoding="utf-8")
         with pytest.raises(SchemaError):
+            load(path)
+
+    @pytest.mark.parametrize("entry", ["0.25", True], ids=["string", "boolean"])
+    def test_non_numeric_probability_rejected(self, tmp_path, entry):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"format": "full", "p": [entry] + [0.25] * 15}), encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"p\[0\] must be a number"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [({"format": "full", "p": [0.25] * 16, "extra": 1}, "unknown fields"), ({"format": "full"}, 'requires a "p"')],
+        ids=["unknown-field", "no-p"],
+    )
+    def test_malformed_full_format_rejected(self, tmp_path, payload, message):
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
             load(path)
 
     def test_out_of_range_probability_rejected(self, tmp_path):
