@@ -6,11 +6,14 @@ projectors, so the optimal rank-1 update for a setting is the projector onto
 the top eigenvector of a 2x2 effective operator (obtained by contracting the
 state with the fixed party's operators and the tilted coefficients).  Ascent
 is monotone because each update maximizes over a family containing the
-current projector.  Its 8 restarts run in one batch, with each party's two
-settings stacked into one array, so that a half-step is one matrix product
-and one renormalization for all of them.  The ascent converges only
-linearly, so the batch hands off once every restart has risen by less than
-1e-6 in an iteration (or after 500 iterations).
+current projector.  Its 8 restarts run in one batch: each party's settings
+are the rows [x0 | x1 | 1] of one (8, 7) array, so that a half-step is one
+matrix product with a block matrix that adds the tilt pull, one norm and one
+divide for all of them.  Each restart is scored by V (below) at Bob's
+settings, the value of Alice's best response to them, which the norms of
+her next update give.  The ascent converges only linearly, so the batch
+hands off once every restart's V has risen by less than 1e-6 in an
+iteration (or after 500 iterations).
 
 In the state's Bloch form (local vectors r_A, r_B and correlation matrix T),
 Alice's best response is closed form for any state, which leaves a function
@@ -76,15 +79,18 @@ class SeesawResult:
     ``converged`` and ``iterations`` refer to the restart returned:
     ``converged`` is whether its Newton finish stopped on its rule (a
     predicted rise below 1e-17) rather than on its 200-step cap, and
-    ``iterations`` the batch iteration at which it first rose by less than
-    the 1e-6 hand-off tolerance (or the last, if it never did).
-    ``batch_iterations`` is the iteration at which the batch handed off to
-    Newton, and ``unconverged`` the number of restarts that never rose by
-    less than 1e-6 in an iteration, which is nonzero only when the batch ran
-    out its 500 iterations.  ``histories`` is the read-only ``(batch_iterations,
-    restarts)`` array of every restart's value at each batch iteration, before
-    the finish; each column is nondecreasing.  Results compare and hash
-    without it.
+    ``iterations`` the batch iteration at which its V (module docstring)
+    first rose by less than the 1e-6 hand-off tolerance (or the last, if it
+    never did).  ``batch_iterations`` is the iteration at which the batch
+    handed off to Newton, and ``unconverged`` the number of restarts whose V
+    never rose by less than 1e-6 in an iteration, which is nonzero only when
+    the batch ran out its 500 iterations.  ``finished`` holds the restarts
+    the Newton finish ran from, ascending, and ``finish_steps`` the Newton
+    steps it tried from them, summed.  ``histories`` is the read-only
+    ``(batch_iterations, restarts)`` array of every restart's V at each
+    iteration's Bob settings (the value of Alice's best response to them),
+    before the finish; each column is nondecreasing.  Results compare and
+    hash without it.
     """
 
     value: BellValue
@@ -93,6 +99,8 @@ class SeesawResult:
     iterations: int
     batch_iterations: int
     unconverged: int
+    finished: tuple[int, ...]
+    finish_steps: int
     histories: np.ndarray = field(compare=False)
 
 
@@ -105,8 +113,6 @@ def _renormalize_rows(candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
     # call's overhead (einsum may fuse multiply-adds and round differently).
     norms = np.sqrt(np.add.reduce(candidate * candidate, axis=-1))
     degenerate = norms < 1e-14
-    if not degenerate.any():
-        return candidate / norms[..., None]
     out = candidate / np.where(degenerate, 1.0, norms)[..., None]
     out[degenerate] = current[degenerate]
     return out
@@ -114,68 +120,95 @@ def _renormalize_rows(candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
 
 def _seesaw(r_alice, r_bob, corr, tau, starts, tol):
     # Alternating ascent on one state at one tilt, every restart in one batch.
-    # Each party's two settings are one (2, restarts, 3) array, so a half-step
-    # is one product with ``corr`` (or its transposed view), the tilt pull
-    # added in place on setting 0, and one renormalization; the sum and
-    # difference of the settings go into two preallocated (2, restarts, 3)
-    # buffers, and each iteration's values into its row of a preallocated
-    # history.  A restart is converged once its value improves by less than
-    # ``tol``; the batch stops at the iteration where its last restart
-    # converges, or at the iteration cap.  Returns the final values
-    # (restarts,), Alice's and Bob's (2, restarts, 3) settings, the converged
-    # flags, the iteration at which each restart first converged (or
-    # stopped), and the read-only (iterations, restarts) rows of the history.
+    # Each party's settings are the rows [x0 | x1 | 1] of one (restarts, 7)
+    # array, so a half-step is one product with a block matrix built per
+    # call, which gives the other party's two candidates with the tilt pull
+    # already added, then one norm and one divide into that party's rows.
+    # From Bob's rows the product also gives b0.(1 - tau) r_B / 2 + 1/2 - tau
+    # in column 6, so the norms of Alice's candidates complete V at Bob's
+    # settings (module docstring), Alice's best-response value, which scores
+    # each restart.  The batch stops at the iteration where every restart's
+    # V has once risen by less than ``tol``, or at the iteration cap, before
+    # that iteration's update of Alice, so that it ends at Alice's settings
+    # and Bob's answer to them, as the plain alternation does.  Returns the
+    # batch end's own values (restarts,), formed once term by term,
+    # Alice's and Bob's (2, restarts, 3) settings, the converged flags, the
+    # iteration at which each restart first converged (or the last), and the
+    # read-only (iterations, restarts) rows of V.
     max_iterations = SeesawConfig.max_iterations
-    alice, bob = starts
-    restarts = alice.shape[1]
-    history = np.empty((max_iterations, restarts))
-    previous = np.full(restarts, -np.inf)
+    restarts = starts[0].shape[1]
+    to_alice = np.zeros((7, 7))
+    to_alice[:3, :3] = to_alice[:3, 3:6] = to_alice[3:6, :3] = corr.T
+    to_alice[3:6, 3:6] = -corr.T
+    to_alice[6, :3] = 2.0 * (1.0 - tau) * r_alice
+    to_alice[:3, 6] = 0.5 * (1.0 - tau) * r_bob
+    to_alice[6, 6] = 0.5 - tau
+    to_bob = np.zeros((7, 6))
+    to_bob[:3, :3] = to_bob[:3, 3:] = to_bob[3:6, :3] = corr
+    to_bob[3:6, 3:] = -corr
+    to_bob[6, :3] = 2.0 * (1.0 - tau) * r_bob
+    alice, bob, for_alice = np.ones((restarts, 7)), np.ones((restarts, 7)), np.empty((restarts, 7))
+    for_bob, squares, norms = np.empty((restarts, 6)), np.empty((restarts, 2, 3)), np.empty((restarts, 2))
+    # (restarts, 2, 3) views of the settings and candidates.
+    alice_sets, bob_sets = (rows[:, :6].reshape(restarts, 2, 3) for rows in (alice, bob))
+    to_alice_sets, to_bob_sets = for_alice[:, :6].reshape(restarts, 2, 3), for_bob.reshape(restarts, 2, 3)
+    alice_sets[...] = starts[0].transpose(1, 0, 2)
+    bob_sets[...] = starts[1].transpose(1, 0, 2)
+    linear, quarters = for_alice[:, 6], np.full(2, 0.25)
+    # Row 0 is -inf, so that the first rise never counts as converged.
+    history = np.empty((max_iterations + 1, restarts))
+    history[0] = -np.inf
     converged = np.zeros(restarts, dtype=bool)
-    first_converged = np.zeros(restarts, dtype=int)
-    # corr.T stays a view: a contiguous copy takes another BLAS path for a
-    # single restart and rounds differently.
-    corr_t = corr.T
-    alice_col = r_alice[:, None]
-    bob_col = r_bob[:, None]
-    tilt_pull_a = 2.0 * (1.0 - tau) * r_alice
-    tilt_pull_b = 2.0 * (1.0 - tau) * r_bob
-    alice_pm, bob_pm, corr_bob, corr_alice = (np.empty_like(alice) for _ in range(4))
-    np.add(bob[0], bob[1], out=bob_pm[0])
-    np.subtract(bob[0], bob[1], out=bob_pm[1])
-    # T b_+ and T b_- feed both the value line and the next update of Alice.
-    np.matmul(bob_pm, corr_t, out=corr_bob)
+
+    def measure(candidates):
+        np.multiply(candidates, candidates, out=squares)
+        np.sqrt(np.add.reduce(squares, axis=-1, out=norms), out=norms)
+
+    def take(candidates, sets):
+        # The plain divide, unless some candidate vanishes.
+        if np.minimum.reduce(norms, axis=None) < 1e-14:
+            sets[...] = _renormalize_rows(candidates, sets)
+        else:
+            np.divide(candidates, norms[..., None], out=sets)
+
+    np.matmul(bob, to_alice, out=for_alice)
+    measure(to_alice_sets)
+    take(to_alice_sets, alice_sets)
     for iterations in range(1, max_iterations + 1):
-        np.add(corr_bob[0], tilt_pull_a, out=corr_bob[0])
-        alice = _renormalize_rows(corr_bob, alice)
-        np.add(alice[0], alice[1], out=alice_pm[0])
-        np.subtract(alice[0], alice[1], out=alice_pm[1])
-        np.matmul(alice_pm, corr, out=corr_alice)
-        np.add(corr_alice[0], tilt_pull_b, out=corr_alice[0])
-        bob = _renormalize_rows(corr_alice, bob)
-        np.add(bob[0], bob[1], out=bob_pm[0])
-        np.subtract(bob[0], bob[1], out=bob_pm[1])
-        np.matmul(bob_pm, corr_t, out=corr_bob)
-        a_dot = (alice[0] @ alice_col)[:, 0]
-        b_dot = (bob[0] @ bob_col)[:, 0]
-        bob_marginal = (bob_pm @ bob_col)[..., 0]
-        corr_terms = np.einsum("prk,prk->pr", alice, corr_bob)
-        # Term by term, in this order, so that results stay bit for bit those
-        # of earlier releases.
-        values = np.subtract(
-            0.25 * (2.0 + 2.0 * a_dot + bob_marginal[0] + corr_terms[0] + bob_marginal[1] + corr_terms[1]),
-            tau * (1.0 + 0.5 * (a_dot + b_dot)),
-            out=history[iterations - 1],
-        )
-        newly = ~converged & (values - previous < tol)
-        first_converged[newly] = iterations
-        converged |= newly
+        np.matmul(alice, to_bob, out=for_bob)
+        measure(to_bob_sets)
+        take(to_bob_sets, bob_sets)
+        np.matmul(bob, to_alice, out=for_alice)
+        measure(to_alice_sets)
+        values = np.add(linear, norms @ quarters, out=history[iterations])
+        converged |= values - history[iterations - 1] < tol
         if converged.all() or iterations == max_iterations:
-            first_converged[~converged] = iterations
             break
-        previous = values
-    histories = history[:iterations]
+        take(to_alice_sets, alice_sets)
+    histories = history[1 : iterations + 1]
     histories.setflags(write=False)
-    return values, alice, bob, converged, first_converged, histories
+    below = np.diff(history[: iterations + 1], axis=0) < tol
+    first_converged = np.where(converged, below.argmax(axis=0) + 1, iterations)
+    alice, bob = (np.ascontiguousarray(sets.transpose(1, 0, 2)) for sets in (alice_sets, bob_sets))
+    return _batch_values(r_alice, r_bob, corr, tau, alice, bob), alice, bob, converged, first_converged, histories
+
+
+def _batch_values(r_alice, r_bob, corr, tau, alice, bob):
+    # The value at Alice's and Bob's (2, restarts, 3) settings, term by term
+    # in the order of the value line the batch once formed every iteration,
+    # which keeps the printed outputs of earlier releases.  corr.T stays a
+    # view: a contiguous copy takes another BLAS path for a single restart
+    # and rounds differently.
+    alice_col, bob_col = r_alice[:, None], r_bob[:, None]
+    bob_pm = np.array([bob[0] + bob[1], bob[0] - bob[1]])
+    corr_bob = bob_pm @ corr.T
+    a_dot = (alice[0] @ alice_col)[:, 0]
+    b_dot = (bob[0] @ bob_col)[:, 0]
+    bob_marginal = (bob_pm @ bob_col)[..., 0]
+    corr_terms = np.einsum("prk,prk->pr", alice, corr_bob)
+    return 0.25 * (2.0 + 2.0 * a_dot + bob_marginal[0] + corr_terms[0] + bob_marginal[1] + corr_terms[1]) - tau * (
+        1.0 + 0.5 * (a_dot + b_dot)
+    )
 
 
 def _tangent_basis(b):
@@ -302,15 +335,15 @@ def _bloch_newton(b0, b1, t, pull, lin):
     # planes and renormalized, kept only if V rises, and the shift grows
     # tenfold on a refused step and shrinks tenfold on a kept one.  Stops once
     # the predicted rise is below 1e-17, or after _FINISH_MAX_STEPS steps.
-    # Returns V - (1/2 - tau), the vectors and whether the predicted rise fell
-    # below 1e-17.
+    # Returns V - (1/2 - tau), the vectors, whether the predicted rise fell
+    # below 1e-17, and the number of steps tried.
     current = _bloch_v(b0, b1, t, pull, lin, True)
     shift, steps = 0.0, 0
     while steps < _FINISH_MAX_STEPS:
         value, grad, hess, bases = current
         step = _ascent_step(grad, hess, shift)
         if 0.5 * (grad[0] * step[0] + grad[1] * step[1] + grad[2] * step[2] + grad[3] * step[3]) < 1e-17:
-            return value, b0, b1, True
+            return value, b0, b1, True, steps
         steps += 1
         n0, n1 = _retract(b0, bases[:2], *step[:2]), _retract(b1, bases[2:], *step[2:])
         trial = _bloch_v(n0, n1, t, pull, lin, True)
@@ -319,7 +352,7 @@ def _bloch_newton(b0, b1, t, pull, lin):
         else:
             diagonal = abs(hess[0][0]) + abs(hess[1][1]) + abs(hess[2][2]) + abs(hess[3][3])
             shift = 10.0 * shift + 1e-3 * diagonal + 1e-12
-    return current[0], b0, b1, False
+    return current[0], b0, b1, False, steps
 
 
 def _best_response(corr: np.ndarray, pull: np.ndarray, bob: np.ndarray, current: np.ndarray) -> np.ndarray:
@@ -350,13 +383,14 @@ def seesaw_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEF
 
     Restart 0 starts from the CHSH-optimal angles; the other 7 draw random
     Bloch vectors from streams derived from ``cfg.rng_seed``, so results are
-    reproducible.  All restarts iterate in one batch until each has risen by
-    less than 1e-6 in an iteration, or for 500 iterations.  Alice's best
-    response to Bob's settings is closed form, which leaves the value a
-    function V(b0, b1) of Bob's two Bloch vectors (module docstring), and
-    damped Riemannian Newton on V finishes the leading restart and every
-    restart that was still rising by 1e-6 or more at the cap, until its
-    predicted rise is below 1e-17 (or after 200 steps).  Alice's settings
+    reproducible.  Alice's best response to Bob's settings is closed form,
+    which leaves the value a function V(b0, b1) of Bob's two Bloch vectors
+    (module docstring).  All restarts iterate in one batch until the V of
+    each has risen by less than 1e-6 in an iteration, or for 500 iterations,
+    and damped Riemannian Newton on V finishes the leading restart (the
+    highest batch end) and every restart that was still rising by 1e-6 or
+    more at the cap, until its predicted rise is below 1e-17 (or after 200
+    steps).  Alice's settings
     are her best response to the finished vectors.  The best of the finished
     restarts, and of the batch's own ends where they are at least as high,
     is returned.
@@ -375,9 +409,11 @@ def seesaw_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEF
     )
     # Each finished restart offers its batch end and its finish; on a tie the
     # batch end, which max() meets first, is kept.
-    ends = []
-    for r in sorted({int(np.argmax(values)), *np.flatnonzero(~handed_off).tolist()}):
-        value, b0, b1, finished = _bloch_newton(tuple(bob[0, r].tolist()), tuple(bob[1, r].tolist()), *terms)
+    ends, finish_steps = [], 0
+    finished_restarts = tuple(sorted({int(np.argmax(values)), *np.flatnonzero(~handed_off).tolist()}))
+    for r in finished_restarts:
+        value, b0, b1, finished, steps = _bloch_newton(tuple(bob[0, r].tolist()), tuple(bob[1, r].tolist()), *terms)
+        finish_steps += steps
         response = _best_response(corr, pull, np.array([b0, b1]), alice[:, r])
         ends.append((float(values[r]), r, finished, [alice[0, r], alice[1, r], bob[0, r], bob[1, r]]))
         ends.append((0.5 - tau + value, r, finished, [*response, b0, b1]))
@@ -389,5 +425,7 @@ def seesaw_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEF
         iterations=int(iteration_counts[r]),
         batch_iterations=len(histories),
         unconverged=int(np.count_nonzero(~handed_off)),
+        finished=finished_restarts,
+        finish_steps=finish_steps,
         histories=histories,
     )

@@ -52,6 +52,68 @@ def horodecki_ch_max(matrix: np.ndarray) -> float:
     return float((np.sqrt(max(0.0, eig[-1] + eig[-2])) - 1.0) / 2.0)
 
 
+def _plain_renormalize_rows(candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
+    # Each row scaled to unit length; a row whose norm is below 1e-14 keeps
+    # the current one.
+    norms = np.sqrt(np.add.reduce(candidate * candidate, axis=-1))
+    degenerate = norms < 1e-14
+    out = candidate / np.where(degenerate, 1.0, norms)[..., None]
+    out[degenerate] = current[degenerate]
+    return out
+
+
+def plain_seesaw(r_alice, r_bob, corr, tau, starts, tol):
+    """Independent see-saw oracle: the plain alternating ascent, with no Newton finish.
+
+    The batch kernel the library ran before its settings were packed into
+    rows, kept apart from it: each party's two settings are one
+    (2, restarts, 3) array, and every iteration forms each restart's value at
+    (alice, bob) term by term.  A restart is converged once its value rises by
+    less than ``tol`` in an iteration; the batch stops at the iteration where
+    its last restart converges, or after 500 iterations.  Returns the
+    final values (restarts,), Alice's and Bob's (2, restarts, 3) settings, the
+    converged flags, the iteration at which each restart first converged (or
+    stopped), and the (iterations, restarts) history of the values.
+    """
+    max_iterations = 500
+    alice, bob = starts
+    restarts = alice.shape[1]
+    history = np.empty((max_iterations, restarts))
+    previous = np.full(restarts, -np.inf)
+    converged = np.zeros(restarts, dtype=bool)
+    first_converged = np.zeros(restarts, dtype=int)
+    corr_t = corr.T
+    alice_col, bob_col = r_alice[:, None], r_bob[:, None]
+    tilt_pull_a = 2.0 * (1.0 - tau) * r_alice
+    tilt_pull_b = 2.0 * (1.0 - tau) * r_bob
+    bob_pm = np.array([bob[0] + bob[1], bob[0] - bob[1]])
+    corr_bob = bob_pm @ corr_t
+    for iterations in range(1, max_iterations + 1):
+        corr_bob[0] += tilt_pull_a
+        alice = _plain_renormalize_rows(corr_bob, alice)
+        corr_alice = np.array([alice[0] + alice[1], alice[0] - alice[1]]) @ corr
+        corr_alice[0] += tilt_pull_b
+        bob = _plain_renormalize_rows(corr_alice, bob)
+        bob_pm = np.array([bob[0] + bob[1], bob[0] - bob[1]])
+        corr_bob = bob_pm @ corr_t
+        a_dot = (alice[0] @ alice_col)[:, 0]
+        b_dot = (bob[0] @ bob_col)[:, 0]
+        bob_marginal = (bob_pm @ bob_col)[..., 0]
+        corr_terms = np.einsum("prk,prk->pr", alice, corr_bob)
+        values = 0.25 * (
+            2.0 + 2.0 * a_dot + bob_marginal[0] + corr_terms[0] + bob_marginal[1] + corr_terms[1]
+        ) - tau * (1.0 + 0.5 * (a_dot + b_dot))
+        history[iterations - 1] = values
+        newly = ~converged & (values - previous < tol)
+        first_converged[newly] = iterations
+        converged |= newly
+        if converged.all() or iterations == max_iterations:
+            first_converged[~converged] = iterations
+            break
+        previous = values
+    return values, alice, bob, converged, first_converged, history[:iterations]
+
+
 def in_plane_grid_max_violation(
     gamma: float, tau: float, *, resolution: float = 0.002, refine: bool = True
 ) -> float:

@@ -30,7 +30,7 @@ from bellbound import optimizer as opt_module
 from bellbound import seesaw as seesaw_module
 from bellbound.invariants import maxent_cutoff
 
-from conftest import horodecki_ch_max, in_plane_grid_max_violation
+from conftest import horodecki_ch_max, in_plane_grid_max_violation, plain_seesaw
 
 TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -63,11 +63,13 @@ def capped_input():
 
 
 def oracle_seesaw(rho, tau, seed=SeesawConfig().rng_seed):
-    """The plain see-saw: the same batch kernel, run until every restart has
-    risen by less than 1e-11 in an iteration, or for 500 iterations, with no
-    Newton finish.  Returns the best value and the kernel's outputs."""
+    """The plain see-saw (conftest.plain_seesaw, the test-only copy of the
+    library's former batch kernel) from the library's restart starts, run
+    until every restart has risen by less than 1e-11 in an iteration, or for
+    500 iterations, with no Newton finish.  Returns the best value and the
+    kernel's outputs."""
     r_alice, r_bob, corr = rho.bloch
-    run = seesaw_module._seesaw(
+    run = plain_seesaw(
         r_alice, r_bob, corr, tau, seesaw_module._restart_starts(seed), SeesawConfig.convergence_tol
     )
     return float(run[0].max()), run
@@ -249,8 +251,10 @@ class TestSeesaw:
     def test_bit_identical_to_recorded_results(self):
         # SHA-256 of value, measurement vectors, converged flag and iteration
         # count of the best restart on 300 seeded random pure and mixed states,
-        # re-recorded when the batch gained its Newton finish, after the
-        # finish had met the oracle tests of TestNewtonFinish.  The kernel,
+        # re-recorded when the batch kernel packed its settings into rows,
+        # after its values had met the former kernel's to 3.3e-16 on the
+        # benchmark's 4,096 state_seesaw inputs and the oracle tests of
+        # TestNewtonFinish had passed.  The kernel,
         # the finish and the Pauli decomposition they read must keep every
         # bit.  The digest holds for one floating-point environment
         # (numpy 2.4 with OpenBLAS on x86-64); BLAS kernels that round matrix
@@ -264,7 +268,7 @@ class TestSeesaw:
             vectors = [v.as_array() for v in (*result.measurements.alice, *result.measurements.bob)]
             digest.update(np.array([result.value.value, *np.concatenate(vectors)]).tobytes())
             digest.update(np.array([result.converged, result.iterations], dtype=np.int64).tobytes())
-        assert digest.hexdigest() == "4f3c7754a1e91ec7fae2df19d3d3e44c3c807882022fdff76ea38464ad71c7ae"
+        assert digest.hexdigest() == "8578914d9bba77cf3a99086450ec8c5f3bb83378d4da9e39484d02494f9afcd5"
 
     def test_bit_identical_on_histories_seeds_and_degenerate_states(self):
         # The paths the digest above misses: every restart's history, another
@@ -272,7 +276,8 @@ class TestSeesaw:
         # rising, which are finished too (schmidt_state(0.78) at 1.1736), the
         # input on which the plain see-saw stops there (capped_input), and
         # the states I/4 and |00> (whose effective operators vanish).
-        # Re-recorded with the Newton finish, as above; same floating-point
+        # Re-recorded with the packed kernel, as above, when the histories
+        # became V at each iteration's Bob settings; same floating-point
         # caveat.
         rng = np.random.default_rng(7177)
         cases = [(TwoQubitState(np.eye(4) / 4.0), 1.0), (TwoQubitState(np.eye(4) / 4.0), 1.3)]
@@ -289,7 +294,7 @@ class TestSeesaw:
                 digest.update(np.array([result.converged, result.iterations], dtype=np.int64).tobytes())
                 for history in result.histories.T:
                     digest.update(history.tobytes())
-        assert digest.hexdigest() == "90651c023b152d61e6aadef6726f6134572f2093133043dd46ce3275e0b91c49"
+        assert digest.hexdigest() == "78d366b698568653f246033053487a791df30ad539fc596b76fd1ca23f9b8bbc"
 
     @pytest.mark.parametrize("tau,expected", [(1.0, -0.5), (1.3, -0.8)])
     def test_maximally_mixed_state_keeps_every_start(self, tau, expected):
@@ -321,16 +326,37 @@ class TestSeesaw:
     def test_batch_diagnostics_on_a_call_stopped_at_its_cap(self):
         # Next to pi/4 three restarts still rise by 1e-6 or more at the
         # batch's cap; the best restart is among them, and its Newton finish
-        # converges to max F.
-        result = seesaw_max_violation(schmidt_state(0.78), 1.1736)
+        # converges to max F.  (At tilt 1.1736 the best finish is reached
+        # from a restart that handed off early, too, and a rounding tie picks
+        # it.)
+        result = seesaw_max_violation(schmidt_state(0.78), 1.15)
         assert result.batch_iterations == SeesawConfig.max_iterations
         assert (result.converged, result.iterations) == (True, SeesawConfig.max_iterations)
-        # A restart handed off once its value rose by less than the hand-off
+        # A restart handed off once its V rose by less than the hand-off
         # tolerance.
         rises = np.diff(result.histories, axis=0, prepend=-np.inf)
         never = int(np.count_nonzero(~(rises < seesaw_module._HANDOFF_TOL).any(axis=0)))
         assert result.unconverged == never == 3
-        assert result.value.value == pytest.approx(max_f(0.78, 1.1736), abs=1e-12)
+        assert result.value.value == pytest.approx(max_f(0.78, 1.15), abs=1e-12)
+
+    def test_finish_runs_from_the_leader_and_every_restart_rising_at_the_cap(self):
+        result = seesaw_max_violation(schmidt_state(0.78), 1.1736)
+        assert result.batch_iterations == SeesawConfig.max_iterations
+        rising = np.flatnonzero(~(np.diff(result.histories, axis=0) < seesaw_module._HANDOFF_TOL).any(axis=0))
+        assert rising.size == result.unconverged == 3
+        # The leader is the restart whose batch end is highest; it handed off
+        # early here, so the finish runs from four restarts.
+        r_alice, r_bob, corr = schmidt_state(0.78).bloch
+        ends = seesaw_module._seesaw(r_alice, r_bob, corr, 1.1736, seesaw_module._restart_starts(2071), 1e-6)[0]
+        leader = int(np.argmax(ends))
+        assert leader not in rising
+        assert result.finished == tuple(sorted([leader, *rising.tolist()]))
+        assert result.finish_steps > 0
+
+    def test_finish_on_the_maximally_mixed_state_takes_no_step(self):
+        # V is flat, so the finish from the leader, restart 0, stops at once.
+        result = seesaw_max_violation(TwoQubitState(np.eye(4) / 4.0), 1.0)
+        assert (result.finished, result.finish_steps) == ((0,), 0)
 
     def test_finish_stopped_on_its_step_cap_reports_unconverged(self, monkeypatch):
         # One Newton step leaves the finish short of its stopping rule; the
@@ -371,7 +397,7 @@ def multistart_reference(rho, tau):
     rng = np.random.default_rng(0)
     starts = [[tuple((v / np.linalg.norm(v)).tolist()) for v in rng.normal(size=(2, 3))] for _ in range(40)]
     runs = [seesaw_module._bloch_newton(b0, b1, *terms) for b0, b1 in starts]
-    _, b0, b1, _ = max(runs, key=lambda run: run[0])
+    _, b0, b1, _, _ = max(runs, key=lambda run: run[0])
     r_alice, _, corr = rho.bloch
     chsh_alice = MeasurementSet.chsh_optimal().as_array()[:2]
     alice = seesaw_module._best_response(corr, 2.0 * (1.0 - tau) * r_alice, np.array([b0, b1]), chsh_alice)
@@ -497,6 +523,22 @@ class TestBatchedKernel:
     def test_search_is_silent_by_default(self, capsys):
         global_max_violation(1.3)
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("tol", [seesaw_module._HANDOFF_TOL, SeesawConfig.convergence_tol])
+    def test_packed_kernel_takes_the_plain_ascent(self, tol):
+        # The packed kernel scores iteration k by V at Bob's settings b_k, the
+        # value of Alice's best response a_{k+1}; the plain see-saw records
+        # the value at (a_k, b_k).  The ascent being the same, V(b_k) lies
+        # between the plain see-saw's rows k and k + 1, to rounding.
+        for rho, tau in seeded_states(5150, 200):
+            r_alice, r_bob, corr = rho.bloch
+            starts = seesaw_module._restart_starts(SeesawConfig().rng_seed)
+            packed = seesaw_module._seesaw(r_alice, r_bob, corr, tau, starts, tol)[5]
+            plain = plain_seesaw(r_alice, r_bob, corr, tau, starts, tol)[5]
+            rows = min(len(packed), len(plain) - 1)
+            assert rows >= 1
+            assert (packed[:rows] >= plain[:rows] - 1e-15).all()
+            assert (packed[:rows] <= plain[1 : rows + 1] + 1e-15).all()
 
     def test_restart_starts_drawn_once_and_read_only(self):
         starts = seesaw_module._restart_starts(11)
