@@ -31,7 +31,6 @@ from .statistics_io import (
     ChSlice,
     ProbabilityTable,
     ValidationReport,
-    ch_slice,
     ch_value,
     validate,
 )
@@ -221,10 +220,16 @@ def assemble_report(
 ) -> BoundReport:
     """Validate statistics and derive every bound the data supports.
 
+    A table's slice is read from its cache
+    (:attr:`~bellbound.statistics_io.ProbabilityTable.ch_slice`), the same
+    one :func:`~bellbound.statistics_io.validate` checked.
+
     Raises :class:`~bellbound.errors.ValidationFailure` when the validation
-    verdict is ``fail``, or when the lower bound exceeds the analytic or the
-    marginal upper bound by more than ``tol``: no state meeting the stated
-    assumptions fits such statistics.  The numeric upper bound runs the
+    verdict is ``fail``, when the lower bound exceeds the analytic or the
+    marginal upper bound by more than ``tol``, or when :func:`tau_obs` finds
+    a positive CH value over vanishing setting-0 marginals: no state meeting
+    the stated assumptions fits such statistics.  Every such refusal carries
+    this call's diagnostics, at ``tol``.  The numeric upper bound runs the
     optimizer and is gated behind ``numeric_ub``; it is absent, with a note,
     when the search finds no violating Schmidt angle at the tilt threshold,
     and a numeric bound below the lower bound by more than ``tol`` raises
@@ -233,10 +238,15 @@ def assemble_report(
     diagnostics = validate(stats, tol)
     if diagnostics.failed:
         raise ValidationFailure(diagnostics)
-    slc = stats if isinstance(stats, ChSlice) else ch_slice(stats)
+    slc = stats if isinstance(stats, ChSlice) else stats.ch_slice
     s_ch = ch_value(slc)
     lower = lower_bound_concurrence(s_ch)
-    threshold = tau_obs(slc)
+    try:
+        threshold = tau_obs(slc)
+    except ValidationFailure as exc:
+        # Refused with this report's diagnostics: its tolerance and, for a
+        # table, the table's own residuals.
+        raise ValidationFailure(diagnostics, str(exc)) from None
     notes: list[str] = []
     if threshold is None:
         analytic = 1.0

@@ -16,18 +16,28 @@ File format (JSON object):
   "mA0": ..., "mA1": ..., "mB0": ..., "mB1": ...}``.
 
 An optional ``"description"`` string is allowed in either format; any other
-field is rejected.  Probabilities are serialized as plain decimal numbers at
-round-trip precision.
+field is rejected.  :func:`save` writes exactly the text of
+``json.dumps(payload, indent=2)`` plus a newline: probabilities as plain
+decimal numbers at round-trip precision (``float.__repr__``), the
+description with json's escaping.
+
+A table's slice is computed once per table and cached on it (see
+:attr:`ProbabilityTable.ch_slice`); :func:`ch_slice`, :func:`validate` and
+the bounds all read that one copy.  Each slice marginal, the sum of two
+table entries, is clipped to [0, 1]: a table within tolerance of
+normalization may sum past 1, and its normalization residual reports the
+excess.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
@@ -55,28 +65,56 @@ def _check_probability(value, label: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityTable:
-    """Conditional distribution p(a,b|x,y) stored as an array indexed [x,y,a,b]."""
+    """Conditional distribution p(a,b|x,y) stored as a read-only array indexed [x,y,a,b].
+
+    Its slice, :attr:`ch_slice`, is computed on first use and kept: the
+    module function :func:`ch_slice`, :func:`validate` and
+    :func:`~bellbound.bounds_engine.assemble_report` all read it.
+    """
 
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float)
+        arr = np.array(self.p, dtype=float, order="C")
         if arr.shape != (2, 2, 2, 2):
             raise SchemaError(f"probability table must have shape (2,2,2,2), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise RangeError("probability table has non-finite entries")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails here too
+            if not np.all(np.isfinite(arr)):
+                raise RangeError("probability table has non-finite entries")
             raise RangeError("probability table has entries outside [0, 1]")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
+
+    @functools.cached_property
+    def ch_slice(self) -> "ChSlice":
+        """The table's :class:`ChSlice`, computed once per table.
+
+        Alice marginals are read off the y = 0 block, Bob marginals off the
+        x = 0 block; residual no-signaling noise is kept as-is rather than
+        averaged.  Each marginal, a sum of two entries, is clipped to [0, 1]:
+        a table within tolerance of normalization may sum past 1, which the
+        normalization residual reports.
+        """
+        v = self.flat()
+        # Entries are non-negative, so max(0.0, s) only turns a sum of two -0.0 entries
+        # into 0.0, as numpy's sum does; each sum equals numpy's two-term sum bit for bit.
+        return ChSlice(
+            j00=v[0],
+            j01=v[4],
+            j10=v[8],
+            j11=v[12],
+            mA0=min(1.0, max(0.0, v[0] + v[1])),
+            mA1=min(1.0, max(0.0, v[8] + v[9])),
+            mB0=min(1.0, max(0.0, v[0] + v[2])),
+            mB1=min(1.0, max(0.0, v[4] + v[6])),
+        )
 
     def prob(self, a: int, b: int, x: int, y: int) -> float:
         return float(self.p[x, y, a, b])
 
     def flat(self) -> list[float]:
         """The 16 entries ordered lexicographically by (x, y, a, b)."""
-        return [float(v) for v in self.p.reshape(-1)]
+        return self.p.reshape(-1).tolist()
 
     @classmethod
     def from_flat(cls, values) -> "ProbabilityTable":
@@ -119,7 +157,7 @@ def _as_slice(stats: ProbabilityTable | ChSlice) -> ChSlice:
     if isinstance(stats, ChSlice):
         return stats
     if isinstance(stats, ProbabilityTable):
-        return ch_slice(stats)
+        return stats.ch_slice
     raise TypeError(f"expected ProbabilityTable or ChSlice, got {type(stats).__name__}")
 
 
@@ -189,7 +227,10 @@ def validate(stats: ProbabilityTable | ChSlice, tol: float = HARD_VALIDATION_TOL
     Verdict is ``pass`` if every residual is within ``tol``, ``warn`` within
     10x ``tol``, and ``fail`` beyond that.  For a :class:`ChSlice` only the
     consistency and Tsirelson residuals are computable; the other two are
-    reported as zero.  ``tol`` must be positive and finite.
+    reported as zero.  For a table, the consistency and Tsirelson residuals
+    are those of its cached slice, whose marginals are clipped to [0, 1]; an
+    excess past 1 shows in the normalization residual.  ``tol`` must be
+    positive and finite.
     """
     check_tolerance(tol)
     if isinstance(stats, ChSlice):
@@ -199,11 +240,11 @@ def validate(stats: ProbabilityTable | ChSlice, tol: float = HARD_VALIDATION_TOL
     if not isinstance(stats, ProbabilityTable):
         raise TypeError(f"expected ProbabilityTable or ChSlice, got {type(stats).__name__}")
     p = stats.p
-    normalization = float(np.max(np.abs(p.sum(axis=(2, 3)) - 1.0)))
-    alice = np.max(np.abs(p[:, 0, :, :].sum(axis=2) - p[:, 1, :, :].sum(axis=2)))
-    bob = np.max(np.abs(p[0, :, :, :].sum(axis=1) - p[1, :, :, :].sum(axis=1)))
-    nosignaling = float(max(alice, bob))
-    slc = ch_slice(stats)
+    normalization = float(abs(p.sum(axis=(2, 3)) - 1.0).max())
+    alice = p.sum(axis=3)  # p_A(a|x,y), indexed [x,y,a]
+    bob = p.sum(axis=2)  # p_B(b|x,y), indexed [x,y,b]
+    nosignaling = float(max(abs(alice[:, 0] - alice[:, 1]).max(), abs(bob[0] - bob[1]).max()))
+    slc = stats.ch_slice
     consistency = _slice_consistency(slc)
     tsirelson = _slice_tsirelson(slc)
     residuals = [normalization, nosignaling, consistency, tsirelson]
@@ -213,20 +254,12 @@ def validate(stats: ProbabilityTable | ChSlice, tol: float = HARD_VALIDATION_TOL
 def ch_slice(table: ProbabilityTable) -> ChSlice:
     """Extract the functional's support from a full table.
 
-    Alice marginals are read off the y = 0 block, Bob marginals off the x = 0
-    block; residual no-signaling noise is kept as-is rather than averaged.
+    Returns the table's cached :attr:`ProbabilityTable.ch_slice`: Alice
+    marginals read off the y = 0 block, Bob marginals off the x = 0 block,
+    residual no-signaling noise kept as-is rather than averaged, and each
+    marginal clipped to [0, 1].
     """
-    p = table.p
-    return ChSlice(
-        j00=float(p[0, 0, 0, 0]),
-        j01=float(p[0, 1, 0, 0]),
-        j10=float(p[1, 0, 0, 0]),
-        j11=float(p[1, 1, 0, 0]),
-        mA0=float(p[0, 0, 0, :].sum()),
-        mA1=float(p[1, 0, 0, :].sum()),
-        mB0=float(p[0, 0, :, 0].sum()),
-        mB1=float(p[0, 1, :, 0].sum()),
-    )
+    return table.ch_slice
 
 
 def simulate(rho: TwoQubitState, m: MeasurementSet) -> ProbabilityTable:
@@ -289,7 +322,10 @@ def _load_full(payload: dict) -> ProbabilityTable:
     values = payload["p"]
     if not isinstance(values, list) or len(values) != 16:
         raise SchemaError('"p" must be an array of exactly 16 numbers')
-    return ProbabilityTable.from_flat([_check_probability(v, f"p[{i}]") for i, v in enumerate(values)])
+    if not all(type(v) is float and 0.0 <= v <= 1.0 for v in values):
+        # Entry by entry: integers load as floats, and the first bad entry is refused by name.
+        values = [_check_probability(v, f"p[{i}]") for i, v in enumerate(values)]
+    return ProbabilityTable.from_flat(values)
 
 
 def _load_slice(payload: dict) -> ChSlice:
@@ -305,7 +341,8 @@ def _load_slice(payload: dict) -> ChSlice:
 def load(path) -> ProbabilityTable | ChSlice:
     """Read a statistics file, returning the typed value its "format" key names."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise ParseError(f"cannot read statistics file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -332,11 +369,29 @@ def load_demo_slice() -> ChSlice:
         return load(path)
 
 
+def _json_text(payload: dict) -> str:
+    # The text of json.dumps(payload, indent=2) + "\n" for a payload of strings, floats and
+    # lists of floats, without json's pure-Python indenting encoder.  Floats are written by
+    # float.__repr__, as json writes them; strings go through json's own escaping.
+    fields = []
+    for key, value in payload.items():
+        if isinstance(value, str):
+            text = json.dumps(value)
+        elif isinstance(value, list):
+            text = "[\n    " + ",\n    ".join(map(float.__repr__, value)) + "\n  ]"
+        else:
+            text = float.__repr__(value)
+        fields.append(f'  "{key}": {text}')
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
 def save(stats: ProbabilityTable | ChSlice, path, *, description: str | None = None) -> None:
     """Write a statistics file; round-trips probabilities bit-exactly.
 
-    A ``description`` that is not a string is refused before anything is
-    written, since :func:`load` would refuse the file.
+    The file holds exactly the text of ``json.dumps(payload, indent=2)``
+    plus a newline, in UTF-8, with the fields in the order the module's file
+    format lists them.  A ``description`` that is not a string is refused before
+    anything is written, since :func:`load` would refuse the file.
     """
     if description is not None and not isinstance(description, str):
         raise TypeError(f"description must be a string, got {type(description).__name__}")
@@ -349,4 +404,6 @@ def save(stats: ProbabilityTable | ChSlice, path, *, description: str | None = N
         raise TypeError(f"expected ProbabilityTable or ChSlice, got {type(stats).__name__}")
     if description is not None:
         payload["description"] = description
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    text = _json_text(payload)
+    with open(os.fspath(path), "w", encoding="utf-8") as f:
+        f.write(text)

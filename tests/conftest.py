@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from bellbound import BellValue, ChSlice, coefficients, global_max_violation, optimizer, schmidt_state, simulate
+from bellbound import (
+    BellValue,
+    ChSlice,
+    ProbabilityTable,
+    coefficients,
+    global_max_violation,
+    optimizer,
+    schmidt_state,
+    simulate,
+)
 from bellbound.invariants import kron_born_table, projector_from_bloch  # noqa: F401  (re-exported for the test modules)
 
 # The bundled demo statistics (a down-conversion pair source measured with
@@ -50,6 +59,60 @@ def horodecki_ch_max(matrix: np.ndarray) -> float:
     corr = np.array([[np.trace(matrix @ np.kron(si, sj)).real for sj in PAULIS] for si in PAULIS])
     eig = np.linalg.eigvalsh(corr.T @ corr)
     return float((np.sqrt(max(0.0, eig[-1] + eig[-2])) - 1.0) / 2.0)
+
+
+def marginal_past_one_table(excess: float):
+    """A table whose marginal p_A(0|0) reads 1 + ``excess`` from the y = 0 block.
+
+    p(.,.|0,0) = [[1/2, 1/2 + excess], [0, 0]], p(.,.|0,1) = [[1/2, 1/2], [0, 0]],
+    and p(a,b|1,y) = 1/2 for a = b: its normalization residual is ``excess``.
+    """
+    p = np.zeros((2, 2, 2, 2))
+    p[0, 0, 0] = [0.5, 0.5 + excess]
+    p[0, 1, 0] = [0.5, 0.5]
+    p[1, :, 0, 0] = p[1, :, 1, 1] = 0.5
+    return ProbabilityTable(p)
+
+
+def reference_ch_slice(table) -> ChSlice:
+    """Slice oracle: the library's former ``ch_slice``, one numpy read per field.
+
+    Alice marginals from the y = 0 block, Bob marginals from the x = 0 block,
+    each a numpy sum of two entries; a marginal past 1 raises ``RangeError``.
+    """
+    p = table.p
+    return ChSlice(
+        j00=float(p[0, 0, 0, 0]),
+        j01=float(p[0, 1, 0, 0]),
+        j10=float(p[1, 0, 0, 0]),
+        j11=float(p[1, 1, 0, 0]),
+        mA0=float(p[0, 0, 0, :].sum()),
+        mA1=float(p[1, 0, 0, :].sum()),
+        mB0=float(p[0, 0, :, 0].sum()),
+        mB1=float(p[0, 1, :, 0].sum()),
+    )
+
+
+def reference_validate(table, tol: float) -> tuple:
+    """Validation oracle: the library's former residual expressions for a full table.
+
+    Returns (normalization, no-signaling, consistency, Tsirelson residuals,
+    verdict).  No-signaling compares four sliced sums; consistency and the
+    Tsirelson excess are read off :func:`reference_ch_slice`.
+    """
+    p = table.p
+    normalization = float(np.max(np.abs(p.sum(axis=(2, 3)) - 1.0)))
+    alice = np.max(np.abs(p[:, 0, :, :].sum(axis=2) - p[:, 1, :, :].sum(axis=2)))
+    bob = np.max(np.abs(p[0, :, :, :].sum(axis=1) - p[1, :, :, :].sum(axis=1)))
+    nosignaling = float(max(alice, bob))
+    s = reference_ch_slice(table)
+    pairs = ((s.j00, s.mA0, s.mB0), (s.j01, s.mA0, s.mB1), (s.j10, s.mA1, s.mB0), (s.j11, s.mA1, s.mB1))
+    consistency = max(0.0, max(max(j - min(ma, mb), ma + mb - 1.0 - j) for j, ma, mb in pairs))
+    ch = s.j00 + s.j01 + s.j10 - s.j11 - s.mA0 - s.mB0
+    tsirelson = max(0.0, ch - (math.sqrt(2.0) - 1.0) / 2.0)
+    worst = max(normalization, nosignaling, consistency, tsirelson)
+    verdict = "pass" if worst <= tol else "warn" if worst <= 10.0 * tol else "fail"
+    return normalization, nosignaling, consistency, tsirelson, verdict
 
 
 def _plain_renormalize_rows(candidate: np.ndarray, current: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from bellbound.bounds_engine import (
 )
 from bellbound.statistics_io import ProbabilityTable
 
-from conftest import DEMO_SLICE, near_trivial_experiment
+from conftest import DEMO_SLICE, marginal_past_one_table, near_trivial_experiment
 
 TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
 
@@ -241,6 +241,39 @@ class TestAssembleReport:
         slc = ChSlice(j00=5e-7, j01=0.0, j10=0.0, j11=0.0, mA0=0.0, mA1=0.5, mB0=0.0, mB1=0.5)
         with pytest.raises(ValidationFailure, match="vanishing setting-0 marginals"):
             assemble_report(slc)
+
+    def test_vanishing_marginals_refusal_carries_the_reports_tolerance(self):
+        # j00 = 5e-6 over zero marginals passes at tol 1e-5; the refusal
+        # carries that verdict, not a re-validation at the default 1e-6.
+        slc = ChSlice(j00=5e-6, j01=0.0, j10=0.0, j11=0.0, mA0=0.0, mA1=0.5, mB0=0.0, mB1=0.5)
+        with pytest.raises(ValidationFailure, match="vanishing setting-0 marginals") as excinfo:
+            assemble_report(slc, tol=1e-5)
+        assert excinfo.value.report == validate(slc, 1e-5)
+        assert excinfo.value.report.verdict == "pass"
+
+    def test_vanishing_marginals_refusal_carries_the_tables_residuals(self):
+        # Setting pair (0, 1) gives outcome (0, 0) with probability 5e-6, which
+        # the setting-0 marginals, read from the other blocks, never show: a
+        # no-signaling residual of 5e-6 that the slice alone cannot see.
+        p = np.zeros((2, 2, 2, 2))
+        p[:, :, 1, 1] = 1.0
+        p[0, 1, 0, 0], p[0, 1, 1, 1] = 5e-6, 1.0 - 5e-6
+        table = ProbabilityTable(p)
+        with pytest.raises(ValidationFailure, match="vanishing setting-0 marginals") as excinfo:
+            assemble_report(table, tol=1e-5)
+        assert excinfo.value.report == validate(table, 1e-5)
+        assert excinfo.value.report.nosignaling_residual == pytest.approx(5e-6, rel=1e-9)
+
+    def test_marginal_within_tolerance_past_1_gives_a_report(self):
+        # p_A(0|0) = 1 + 4e-7 is clipped to 1 in the slice; the normalization
+        # residual reports the excess.
+        report = assemble_report(marginal_past_one_table(4e-7), projective=True)
+        assert report.diagnostics.verdict == "pass"
+        assert report.diagnostics.normalization_residual == pytest.approx(4e-7, rel=1e-9)
+        assert ch_slice(marginal_past_one_table(4e-7)).mA0 == 1.0
+        with pytest.raises(ValidationFailure) as excinfo:
+            assemble_report(marginal_past_one_table(2e-5), projective=True)
+        assert excinfo.value.report.verdict == "fail"
 
     def test_measurements_missing_max_f_still_raise(self, quantum_value_off_by_1e9):
         with pytest.raises(NumericFailure, match="differs from max F"):

@@ -34,7 +34,7 @@ from bellbound.cli import (
     main,
 )
 
-from conftest import DEMO_SLICE, near_trivial_experiment
+from conftest import DEMO_SLICE, marginal_past_one_table, near_trivial_experiment
 
 RECORDED_OUTPUTS = Path(__file__).with_name("recorded_cli_outputs.json")
 
@@ -196,6 +196,21 @@ class TestBoundCommand:
         code, out, err = run(capsys, "bound", "--input", str(path))
         assert (code, out) == (EXIT_VALIDATION, "")
         assert "vanishing setting-0 marginals" in err
+
+    @pytest.mark.parametrize("tol", [[], ["--tol", "1e-5"]], ids=["default-tol", "tol-1e-5"])
+    def test_marginal_within_tolerance_past_1_is_bounded(self, capsys, tmp_path, tol):
+        path = tmp_path / "table.json"
+        save(marginal_past_one_table(4e-7), path)
+        code, out, err = run(capsys, "bound", "--input", str(path), *tol)
+        assert (code, err) == (EXIT_OK, "")
+        assert "validation:              pass" in out
+
+    def test_marginal_past_1_beyond_tolerance_exits_validation(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        save(marginal_past_one_table(2e-5), path)
+        code, out, err = run(capsys, "bound", "--input", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("validation failure:")
 
     def test_pr_box_slice_exits_validation(self, capsys, tmp_path):
         # CH value 1/2, far above the quantum maximum (sqrt(2) - 1)/2.

@@ -25,7 +25,9 @@ from bellbound import (
     validate,
 )
 
-from conftest import DEMO_SLICE
+from conftest import DEMO_SLICE, reference_ch_slice, reference_validate
+
+SLICE_FIELDS = ("j00", "j01", "j10", "j11", "mA0", "mA1", "mB0", "mB1")
 
 
 class TestSimulate:
@@ -179,6 +181,65 @@ class TestRandomTables:
                 table = random_nosignaling_table(rng, include_pr_boxes=include_pr)
                 report = validate(table, 1e-10)
                 assert report.verdict == "pass"
+
+
+def assert_matches_reference(table, tol):
+    report = validate(table, tol)
+    got = (
+        report.normalization_residual,
+        report.nosignaling_residual,
+        report.consistency_residual,
+        report.tsirelson_residual,
+        report.verdict,
+    )
+    assert got == reference_validate(table, tol)
+    # Bit for bit, the sign of a zero included.
+    assert [getattr(ch_slice(table), k).hex() for k in SLICE_FIELDS] == [
+        getattr(reference_ch_slice(table), k).hex() for k in SLICE_FIELDS
+    ]
+    return report.verdict
+
+
+class TestAgainstReference:
+    """The cached slice and the axis-sum residuals equal the former per-field expressions."""
+
+    def test_simulated_tables(self):
+        rng = np.random.default_rng(41)
+        for i in range(150):
+            table = simulate(random_two_qubit_state(rng, pure=bool(i % 2)), random_measurement_set(rng))
+            for tol in (1e-10, 1e-6):
+                assert_matches_reference(table, tol)
+
+    @pytest.mark.parametrize("include_pr_boxes", [True, False], ids=["pr-boxes", "local"])
+    def test_random_nosignaling_tables(self, include_pr_boxes):
+        rng = np.random.default_rng(42)
+        for _ in range(150):
+            assert_matches_reference(random_nosignaling_table(rng, include_pr_boxes=include_pr_boxes), 1e-6)
+
+    def test_perturbed_tables_in_every_band(self):
+        # Entries lowered, or p(1,1|x,y) raised, which no slice marginal reads,
+        # so every marginal stays within [0, 1] for the reference.
+        rng = np.random.default_rng(43)
+        verdicts = set()
+        for i in range(300):
+            p = np.array(random_nosignaling_table(rng, include_pr_boxes=False).p)
+            x, y, a, b = rng.integers(0, 2, 4)
+            delta = 10.0 ** rng.uniform(-7.5, -3.5)
+            if i % 2:
+                p[x, y, 1, 1] = min(1.0, p[x, y, 1, 1] + delta)
+            else:
+                p[x, y, a, b] = max(0.0, p[x, y, a, b] - delta)
+            verdicts.add(assert_matches_reference(ProbabilityTable(p), 1e-6))
+        assert verdicts == {"pass", "warn", "fail"}
+
+    def test_negative_zero_entries(self):
+        p = np.array(uniform_table().p)
+        p[0, 0, 0, :] = -0.0
+        p[0, 0, 1, :] = 0.5
+        p[0, 1, :, 0] = -0.0
+        p[0, 1, :, 1] = 0.5
+        assert_matches_reference(ProbabilityTable(p), 1e-6)
+        assert ch_slice(ProbabilityTable(p)).mA0.hex() == "0x0.0p+0"
 
 
 class TestLoadSave:
@@ -337,3 +398,58 @@ class TestLoadSave:
         path.write_text(json.dumps({"format": "full", "p": values}), encoding="utf-8")
         table = load(path)
         assert table.prob(0, 1, 1, 0) == 0.75
+
+    @pytest.mark.parametrize("index", [0, 15])
+    @pytest.mark.parametrize(
+        "literal,error,message",
+        [
+            ("true", SchemaError, "must be a number"),
+            ('"0.25"', SchemaError, "must be a number"),
+            ("null", SchemaError, "must be a number"),
+            ("-0.1", RangeError, "lies outside"),
+            ("1.5", RangeError, "lies outside"),
+            ("NaN", RangeError, "lies outside"),
+            ("1e400", RangeError, "lies outside"),
+        ],
+        ids=["bool", "string", "null", "negative", "above-1", "NaN", "1e400"],
+    )
+    def test_bad_entry_is_refused_by_index(self, tmp_path, index, literal, error, message):
+        entries = ["0.25"] * 16
+        entries[index] = literal
+        path = tmp_path / "bad.json"
+        path.write_text('{"format": "full", "p": [' + ", ".join(entries) + "]}", encoding="utf-8")
+        with pytest.raises(error, match=rf"^p\[{index}\] .*{message}"):
+            load(path)
+
+    def test_integer_entries_load_as_floats(self, tmp_path):
+        values = [1, 0, 0, 0] * 4
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"format": "full", "p": values}), encoding="utf-8")
+        assert load(path).flat() == [1.0, 0.0, 0.0, 0.0] * 4
+
+
+def _stdlib_json_text(stats, description):
+    # The reference layout: json's own indent-2 encoder over the payload.
+    if isinstance(stats, ChSlice):
+        payload = {"format": "ch_slice", **{k: getattr(stats, k) for k in SLICE_FIELDS}}
+    else:
+        payload = {"format": "full", "p": [float(v) for v in stats.p.reshape(-1)]}
+    if description is not None:
+        payload["description"] = description
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestSavedBytes:
+    @pytest.mark.parametrize(
+        "description", [None, "white noise", 'Zürich "q" \\ tab\t'], ids=["none", "ascii", "escaped"]
+    )
+    def test_file_text_is_the_stdlib_indent_2_layout(self, tmp_path, description):
+        rng = np.random.default_rng(31)
+        tables = [
+            simulate(random_two_qubit_state(rng, pure=bool(i % 2)), random_measurement_set(rng)) for i in range(8)
+        ]
+        slices = [DEMO_SLICE, ChSlice(j00=1 / 3, j01=0.0, j10=1e-300, j11=0.1, mA0=0.5, mA1=1.0, mB0=2 / 3, mB1=0.4)]
+        path = tmp_path / "stats.json"
+        for stats in [*tables, uniform_table(), *slices]:
+            save(stats, path, description=description)
+            assert path.read_bytes() == _stdlib_json_text(stats, description).encode("utf-8")
