@@ -44,24 +44,29 @@ angle by max F, not by the see-saw's lower bound.  A cold rating finds max F
 to rounding by damped Newton from the best starts of a coarse grid of
 (t0, t1): the best 4 where its numbers are reported or certify the critical
 angle, the best 1 in the coarse scan and at the crossing's first angle,
-which only rank angles or open a bracket.  A warm rating runs Newton once,
-from the maximizer of the nearest angle the search has already rated.  Where
-a run that decides the rating stops on its step cap, as it does at some
-angles for tilts just above 1, its end is polished by Newton steps on the
-gradient of the in-plane form.  A warm rating can only
-under-rate max F, so what a search returns rests on cold ratings: the coarse
-scan, the optimum's measurements and ``s_q``, and the critical angle; warm
-ratings only give the optimum's slopes and the crossing's steps after its
-first angle.  The slope of max F in the angle comes from the envelope theorem
-at the maximizer a rating returns, polished the same way, at no extra rating.
-Each search logs its tilt, the angles it rated cold and warm and the Newton
-steps of their maximizations at DEBUG level on the ``"bellbound"`` logger,
-which is silent unless the application configures logging (the CLI's
-``--log-level``); the optimum search adds its peak bracket with the slopes at
-both ends ("unknown" for 0, unrated, or "none" for the bracket, where the
-grid's peak is taken), the critical-angle search its bracket with max F at
-both ends, the upper end's from its cold rating (or "none" for pi/4,
-unrated), or the optimum's peak value and angle where no angle violates.
+which only rank angles or open a bracket.  The one start is the first grid
+index among exact ties for the best value; the best 4 are the last 4 of
+``np.argsort``, whatever their order among ties.  The grid's values are
+formed from its tilt-free sums (sin t0 +/- sin t1, cos t0 + cos t1 and
+(cos t0 - cos t1)^2), computed once at import, and equal the in-plane form's
+bit for bit.  A warm rating runs Newton once, from the maximizer of the
+nearest angle the search has already rated.  Where a run that decides the
+rating stops on its step cap, as it does at some angles for tilts just above
+1, its end is polished by Newton steps on the gradient of the in-plane form.
+A warm rating can only under-rate max F, so what a search returns rests on
+cold ratings: the coarse scan, the optimum's measurements and ``s_q``, and
+the critical angle; warm ratings only give the optimum's slopes and the
+crossing's steps after its first angle.  The slope of max F in the angle
+comes from the envelope theorem at the maximizer a rating returns, polished
+the same way, at no extra rating.  Each search logs its tilt, the angles it
+rated cold and warm and the Newton steps of their maximizations at DEBUG
+level on the ``"bellbound"`` logger, which is silent unless the application
+configures logging (the CLI's ``--log-level``); the optimum search adds its
+peak bracket with the slopes at both ends ("unknown" for 0, unrated, or
+"none" for the bracket, where the grid's peak is taken), the critical-angle
+search its bracket with max F at both ends, the upper end's from its cold
+rating (or "none" for pi/4, unrated), or the optimum's peak value and angle
+where no angle violates.
 
 :func:`pure_state_value_cap` / :func:`max_value_cap` give the closed-form
 analytic caps the search results are checked against.
@@ -126,7 +131,13 @@ _GRID_T0, _GRID_T1 = (
         indexing="ij",
     )
 )
-_GRID_TRIG = tuple(f(np.array(t)) for t in (_GRID_T0, _GRID_T1) for f in (np.sin, np.cos))
+_GRID_SIN0, _GRID_COS0, _GRID_SIN1, _GRID_COS1 = (
+    f(np.array(t)) for t in (_GRID_T0, _GRID_T1) for f in (np.sin, np.cos)
+)
+# The grid's tilt-free sums, formed once as _in_plane_f forms them.
+_GRID_SIN_SUM, _GRID_SIN_DIFF = _GRID_SIN0 + _GRID_SIN1, _GRID_SIN0 - _GRID_SIN1
+_GRID_COS_SUM = _GRID_COS0 + _GRID_COS1
+_GRID_COS_DIFF_SQ = (_GRID_COS0 - _GRID_COS1) * (_GRID_COS0 - _GRID_COS1)
 _NEWTON_STARTS = 4
 _SCAN_STARTS = 1
 _NEWTON_MAX_STEPS = 60
@@ -158,6 +169,11 @@ _CLOSE_STEPS = 20
 
 logger = logging.getLogger("bellbound")
 
+# Alice's CHSH-optimal settings, kept where her best response to the
+# optimum's Bob vanishes.
+_ALICE_FALLBACK = MeasurementSet.chsh_optimal().as_array()[:2]
+_ALICE_FALLBACK.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class OptimumPoint:
@@ -187,37 +203,64 @@ class CriticalCurvePoint:
     optimum: OptimumPoint
 
 
-def _in_plane_f(sin0, cos0, sin1, cos1, s, k, derivatives=False):
+def _in_plane_f(sin0, cos0, sin1, cos1, s, k):
     # F - (1/2 - tau) with Bob's vectors in the x-z plane at polar angles t0
-    # and t1 round the whole circle, from their sines and cosines (arrays, or
-    # floats with ``derivatives``), and k = (1 - tau) c.  t1 in (pi, 2 pi) is
-    # the polar angle 2 pi - t1 at azimuth difference pi, so X is at an end
-    # of its clip range.  That is where the maximum of F lies: between the
-    # ends F is sqrt((A + B)/2)/2 plus terms of t0, and (A + B)/2 is convex in
-    # cos t1, so F has no local maximum in t1 there; at sin t0 sin t1 = 0 the
-    # range is {0}, one of its own ends.  With ``derivatives`` the
-    # gradient and the Hessian (h00, h01, h11) come too.  Each norm is that
-    # of w = (s (sin t0 +/- sin t1), cos t0 +/- cos t1 [+ 2k]); the second
-    # derivative of (s sin t, cos t) is minus itself.
+    # and t1 round the whole circle, from their sines and cosines, and
+    # k = (1 - tau) c, with its gradient and Hessian (h00, h01, h11).  t1 in
+    # (pi, 2 pi) is the polar angle 2 pi - t1 at azimuth difference pi, so X
+    # is at an end of its clip range.  That is where the maximum of F lies:
+    # between the ends F is sqrt((A + B)/2)/2 plus terms of t0, and (A + B)/2
+    # is convex in cos t1, so F has no local maximum in t1 there; at
+    # sin t0 sin t1 = 0 the range is {0}, one of its own ends.  Each norm is
+    # that of w = (s (sin t0 +/- sin t1), cos t0 +/- cos t1 [+ 2k]); the
+    # second derivative of (s sin t, cos t) is minus itself.  A vanishing
+    # norm is a kink at a minimum and adds no derivative.
     value = 0.5 * k * cos0
     grad0, grad1 = -0.5 * k * sin0, 0.0
-    h00, h01, h11 = -0.5 * k * cos0, 0.0, 0.0
-    for sign, shift in ((1.0, 2.0 * k), (-1.0, 0.0)):
-        x = s * (sin0 + sign * sin1)
-        z = cos0 + sign * cos1 + shift
-        r = (x * x + z * z) ** 0.5
-        value = value + 0.25 * r
-        if derivatives and r > 0.0:  # a vanishing norm is a kink at a minimum
-            w0 = (x * s * cos0 - z * sin0) / r
-            w1 = sign * (x * s * cos1 - z * sin1) / r
-            grad0 += 0.25 * w0
-            grad1 += 0.25 * w1
-            h00 += 0.25 * ((s * s * cos0 * cos0 + sin0 * sin0 - x * s * sin0 - z * cos0) / r - w0 * w0 / r)
-            h11 += 0.25 * ((s * s * cos1 * cos1 + sin1 * sin1 - sign * (x * s * sin1 + z * cos1)) / r - w1 * w1 / r)
-            h01 += 0.25 * (sign * (s * s * cos0 * cos1 + sin0 * sin1) / r - w0 * w1 / r)
-    if not derivatives:
-        return value
+    h00, h01, h11 = -value, 0.0, 0.0
+    ss = s * s
+    ssc0, ssc1 = ss * cos0, ss * cos1
+    a0, a1, p = ssc0 * cos0 + sin0 * sin0, ssc1 * cos1 + sin1 * sin1, ssc0 * cos1 + sin0 * sin1
+    # The "+" norm, which holds 2k.
+    x = s * (sin0 + sin1)
+    z = cos0 + cos1 + 2.0 * k
+    r = (x * x + z * z) ** 0.5
+    value = value + 0.25 * r
+    if r > 0.0:
+        xs = x * s
+        w0 = (xs * cos0 - z * sin0) / r
+        w1 = (xs * cos1 - z * sin1) / r
+        grad0 += 0.25 * w0
+        grad1 += 0.25 * w1
+        h00 += 0.25 * ((a0 - xs * sin0 - z * cos0) / r - w0 * w0 / r)
+        h11 += 0.25 * ((a1 - (xs * sin1 + z * cos1)) / r - w1 * w1 / r)
+        h01 += 0.25 * (p / r - w0 * w1 / r)
+    # The "-" norm: each sign flip of the "+" norm's terms is exact.
+    x = s * (sin0 - sin1)
+    z = cos0 - cos1
+    r = (x * x + z * z) ** 0.5
+    value = value + 0.25 * r
+    if r > 0.0:
+        xs = x * s
+        w0 = (xs * cos0 - z * sin0) / r
+        w1 = -(xs * cos1 - z * sin1) / r
+        grad0 += 0.25 * w0
+        grad1 += 0.25 * w1
+        h00 += 0.25 * ((a0 - xs * sin0 - z * cos0) / r - w0 * w0 / r)
+        h11 += 0.25 * ((a1 + (xs * sin1 + z * cos1)) / r - w1 * w1 / r)
+        h01 += 0.25 * (-p / r - w0 * w1 / r)
     return value, grad0, grad1, h00, h01, h11
+
+
+def _grid_f(s, k):
+    # The value of _in_plane_f at every grid start, bit for bit, for columns
+    # s and k (a row per angle), from the grid's tilt-free sums.
+    x = s * _GRID_SIN_SUM
+    z = _GRID_COS_SUM + 2.0 * k
+    plus = (x * x + z * z) ** 0.5
+    x = s * _GRID_SIN_DIFF
+    minus = (x * x + _GRID_COS_DIFF_SQ) ** 0.5
+    return 0.5 * k * _GRID_COS0 + 0.25 * plus + 0.25 * minus
 
 
 def _newton_max(t0: float, t1: float, s: float, k: float):
@@ -226,7 +269,7 @@ def _newton_max(t0: float, t1: float, s: float, k: float):
     # only if F rises, and the shift grows tenfold on a refused step and
     # shrinks tenfold on a kept one.  Stops once the predicted rise is below
     # 1e-17.  Returns the value, the angles and the steps taken.
-    current = _in_plane_f(math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1), s, k, True)
+    current = _in_plane_f(math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1), s, k)
     shift, steps = 0.0, 0
     while steps < _NEWTON_MAX_STEPS:
         value, g0, g1, h00, h01, h11 = current
@@ -239,7 +282,7 @@ def _newton_max(t0: float, t1: float, s: float, k: float):
             break
         steps += 1
         n0, n1 = t0 + d0, t1 + d1
-        trial = _in_plane_f(math.sin(n0), math.cos(n0), math.sin(n1), math.cos(n1), s, k, True)
+        trial = _in_plane_f(math.sin(n0), math.cos(n0), math.sin(n1), math.cos(n1), s, k)
         if trial[0] > value:
             t0, t1, current, shift = n0, n1, trial, 0.1 * shift
         else:
@@ -256,7 +299,7 @@ def _polish(t0: float, t1: float, s: float, k: float) -> tuple[float, float]:
     # t0 - t1 alone, so that its maximizers form a line.
     t0, t1 = math.remainder(t0, 2.0 * math.pi), math.remainder(t1, 2.0 * math.pi)
     for _ in range(_NEWTON_MAX_STEPS):
-        _, g0, g1, h00, h01, h11 = _in_plane_f(math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1), s, k, True)
+        _, g0, g1, h00, h01, h11 = _in_plane_f(math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1), s, k)
         if abs(h00 * h11 - h01 * h01) <= 1e-15 * (h00 + h11) ** 2:
             break
         mu = 2.0 * max(0.5 * (h00 + h11) + math.hypot(0.5 * (h00 - h11), h01), 0.0)
@@ -276,7 +319,7 @@ def _finish(run, s: float, k: float):
     value, t0, t1, steps = run
     if steps == _NEWTON_MAX_STEPS:
         p0, p1 = _polish(t0, t1, s, k)
-        polished = _in_plane_f(math.sin(p0), math.cos(p0), math.sin(p1), math.cos(p1), s, k)
+        polished = _in_plane_f(math.sin(p0), math.cos(p0), math.sin(p1), math.cos(p1), s, k)[0]
         if polished > value:
             return polished, p0, p1
     return value, t0, t1
@@ -285,13 +328,16 @@ def _finish(run, s: float, k: float):
 def _schmidt_maxima(gammas, tau: float, starts: int = _NEWTON_STARTS):
     # max F at each Schmidt angle, the maximizing (t0, t1) of the in-plane
     # form, and the Newton steps taken.  Newton runs from each angle's best
-    # ``starts`` grid starts, and the best run is finished by _finish.
+    # ``starts`` grid starts, and the best run is finished by _finish.  One
+    # start is the first best index (np.argmax); more are the last of
+    # np.argsort, whose pick among exact ties max(runs) does not see.
     gammas = [float(g) for g in gammas]
     s = [math.sin(2.0 * g) for g in gammas]
     k = [(1.0 - tau) * math.cos(2.0 * g) for g in gammas]
-    grid = _in_plane_f(*_GRID_TRIG, np.array(s)[:, None], np.array(k)[:, None])
+    grid = _grid_f(np.array(s)[:, None], np.array(k)[:, None])
+    rows = np.argmax(grid, axis=1)[:, None] if starts == 1 else np.argsort(grid, axis=1)[:, -starts:]
     values, thetas, steps = [], [], 0
-    for row, s_row, k_row in zip(np.argsort(grid, axis=1)[:, -starts:], s, k):
+    for row, s_row, k_row in zip(rows.tolist(), s, k):
         runs = [_newton_max(_GRID_T0[i], _GRID_T1[i], s_row, k_row) for i in row]
         value, t0, t1 = _finish(max(runs), s_row, k_row)
         values.append(0.5 - tau + value)
@@ -305,8 +351,8 @@ class _Rater:
     # by _schmidt_maxima from ``starts`` grid starts each; warm() rates one
     # angle by a single Newton run from the maximizer of the nearest angle
     # (in gamma) this rater has rated.  A warm rating may stop on a lower
-    # local maximum, so it can only under-rate max F.  Counts the cold and warm ratings and the Newton steps for the
-    # search's log line.
+    # local maximum, so it can only under-rate max F.  Counts the cold and
+    # warm ratings and the Newton steps for the search's log line.
     def __init__(self, tau: float):
         self.tau, self.cold, self.warmed, self.steps = tau, 0, 0, 0
         self.maximizers = {}
@@ -376,7 +422,7 @@ def _optimum_point(gamma: float, tau: float, rate: _Rater) -> OptimumPoint:
     rho = schmidt_state(gamma)
     r_alice, _, corr = rho.bloch
     bob = np.array([[math.sin(t0), 0.0, math.cos(t0)], [math.sin(t1), 0.0, math.cos(t1)]])
-    alice = _best_response(corr, 2.0 * (1.0 - tau) * r_alice, bob, MeasurementSet.chsh_optimal().as_array()[:2])
+    alice = _best_response(corr, 2.0 * (1.0 - tau) * r_alice, bob, _ALICE_FALLBACK)
     measurements = MeasurementSet.normalized([*alice, *bob])
     s_q = quantum_value(rho, measurements, tau).value
     if abs(s_q - values[0]) > 1e-12:

@@ -177,6 +177,32 @@ def plain_seesaw(r_alice, r_bob, corr, tau, starts, tol):
     return values, alice, bob, converged, first_converged, history[:iterations]
 
 
+def loop_in_plane_f(sin0, cos0, sin1, cos1, s, k, derivatives=False):
+    """The in-plane form F - (1/2 - tau) in its loop form over the two norms:
+    the oracle of optimizer._in_plane_f (all six outputs, ``derivatives``)
+    and of optimizer._grid_f (the value, on arrays).  The library's former
+    kernel, kept verbatim; see optimizer._in_plane_f for the terms."""
+    value = 0.5 * k * cos0
+    grad0, grad1 = -0.5 * k * sin0, 0.0
+    h00, h01, h11 = -0.5 * k * cos0, 0.0, 0.0
+    for sign, shift in ((1.0, 2.0 * k), (-1.0, 0.0)):
+        x = s * (sin0 + sign * sin1)
+        z = cos0 + sign * cos1 + shift
+        r = (x * x + z * z) ** 0.5
+        value = value + 0.25 * r
+        if derivatives and r > 0.0:  # a vanishing norm is a kink at a minimum
+            w0 = (x * s * cos0 - z * sin0) / r
+            w1 = sign * (x * s * cos1 - z * sin1) / r
+            grad0 += 0.25 * w0
+            grad1 += 0.25 * w1
+            h00 += 0.25 * ((s * s * cos0 * cos0 + sin0 * sin0 - x * s * sin0 - z * cos0) / r - w0 * w0 / r)
+            h11 += 0.25 * ((s * s * cos1 * cos1 + sin1 * sin1 - sign * (x * s * sin1 + z * cos1)) / r - w1 * w1 / r)
+            h01 += 0.25 * (sign * (s * s * cos0 * cos1 + sin0 * sin1) / r - w0 * w1 / r)
+    if not derivatives:
+        return value
+    return value, grad0, grad1, h00, h01, h11
+
+
 def in_plane_grid_max_violation(
     gamma: float, tau: float, *, resolution: float = 0.002, refine: bool = True
 ) -> float:

@@ -15,6 +15,7 @@ from bellbound import (
     ch_value,
     evaluate_classical,
     lower_bound_concurrence,
+    max_value_cap,
     maximally_entangled_state,
     random_measurement_set,
     save_report,
@@ -263,6 +264,32 @@ class TestAssembleReport:
             assemble_report(table, tol=1e-5)
         assert excinfo.value.report == validate(table, 1e-5)
         assert excinfo.value.report.nosignaling_residual == pytest.approx(5e-6, rel=1e-9)
+
+    def test_data_no_state_can_produce_is_refused(self):
+        # The slices (m, m, m, m - s, m, 1/2, m, 1/2) have CH value s and pass
+        # validation up to Tsirelson's bound.  Their observed value
+        # v_obs(tau) = s - 2 m (tau - 1) can lie above the largest max F any
+        # state reaches at some tilt, max_value_cap(tau); no state then
+        # produces them, and the report refuses them by its empty bracket.
+        # Of the 3,840 valid slices here, 666 lie above the cap by more than
+        # 1e-6 somewhere on the tilt grid; no other slice is refused.
+        taus = np.linspace(1.0, 1.5, 500, endpoint=False)
+        caps = np.array([max_value_cap(float(t)) for t in taus])
+        valid, impossible = 0, 0
+        for s in np.linspace(0.2071, 0.0, 48, endpoint=False).tolist():
+            for m in np.linspace(s, 0.5, 80).tolist():
+                slc = ChSlice(j00=m, j01=m, j10=m, j11=m - s, mA0=m, mA1=0.5, mB0=m, mB1=0.5)
+                if validate(slc).verdict != "pass":
+                    continue
+                valid += 1
+                excess = float((ch_value(slc) - (taus - 1.0) * (slc.mA0 + slc.mB0) - caps).max())
+                if excess > 1e-6:
+                    impossible += 1
+                    with pytest.raises(ValidationFailure, match="empty bracket"):
+                        assemble_report(slc)
+                else:
+                    assemble_report(slc)
+        assert (valid, impossible) == (3840, 666)
 
     def test_marginal_within_tolerance_past_1_gives_a_report(self):
         # p_A(0|0) = 1 + 4e-7 is clipped to 1 in the slice; the normalization

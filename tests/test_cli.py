@@ -212,6 +212,17 @@ class TestBoundCommand:
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith("validation failure:")
 
+    def test_slice_no_state_can_produce_exits_validation(self, capsys, tmp_path):
+        # CH value 0.2 within Tsirelson's bound, but at tilt 1.11 its observed
+        # value 0.2 - 0.7 * 0.11 lies 9.0e-3 above the largest max F any
+        # state reaches there: the bracket is empty.
+        slc = ChSlice(j00=0.35, j01=0.35, j10=0.35, j11=0.15, mA0=0.35, mA1=0.5, mB0=0.35, mB1=0.5)
+        path = tmp_path / "unreachable_slice.json"
+        save(slc, path)
+        code, out, err = run(capsys, "bound", "--input", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("validation failure:") and "empty bracket" in err
+
     def test_pr_box_slice_exits_validation(self, capsys, tmp_path):
         # CH value 1/2, far above the quantum maximum (sqrt(2) - 1)/2.
         slc = ChSlice(j00=0.5, j01=0.5, j10=0.5, j11=0.0, mA0=0.5, mA1=0.5, mB0=0.5, mB1=0.5)

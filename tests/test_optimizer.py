@@ -30,7 +30,7 @@ from bellbound import optimizer as opt_module
 from bellbound import seesaw as seesaw_module
 from bellbound.invariants import maxent_cutoff
 
-from conftest import horodecki_ch_max, in_plane_grid_max_violation, plain_seesaw
+from conftest import horodecki_ch_max, in_plane_grid_max_violation, loop_in_plane_f, plain_seesaw
 
 TSIRELSON = 1.0 / math.sqrt(2.0) - 0.5
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -166,11 +166,11 @@ def optimum_log(caplog, tau):
 
 
 def newton_runs(gamma, tau):
-    """The Newton runs a rating makes at one angle, from its best grid starts:
-    (value, t0, t1, steps) each, the value without the constant 1/2 - tau."""
+    """The Newton runs a rating makes at one angle, from its best 4 grid
+    starts (the last 4 of np.argsort): (value, t0, t1, steps) each, the value
+    without the constant 1/2 - tau."""
     s, k = math.sin(2.0 * gamma), (1.0 - tau) * math.cos(2.0 * gamma)
-    grid = opt_module._in_plane_f(*opt_module._GRID_TRIG, s, k)
-    starts = np.argsort(grid)[-opt_module._NEWTON_STARTS:]
+    starts = np.argsort(opt_module._grid_f(s, k))[-opt_module._NEWTON_STARTS :]
     return [opt_module._newton_max(opt_module._GRID_T0[i], opt_module._GRID_T1[i], s, k) for i in starts]
 
 
@@ -490,7 +490,7 @@ class TestNewtonFinish:
             terms = corr_rows, (0.0, 0.0, 2.0 * (1.0 - tau) * c), (0.0, 0.0, 0.5 * (1.0 - tau) * c)
             b0 = (math.sin(t0), 0.0, math.cos(t0))
             b1 = (math.sin(t1), 0.0, math.cos(t1))
-            in_plane = opt_module._in_plane_f(*b0[::2], *b1[::2], s, (1.0 - tau) * c)
+            in_plane = opt_module._in_plane_f(*b0[::2], *b1[::2], s, (1.0 - tau) * c)[0]
             assert seesaw_module._bloch_v(b0, b1, *terms) == pytest.approx(in_plane, abs=1e-15)
 
     @pytest.fixture(scope="class")
@@ -875,7 +875,7 @@ class TestPeakReplay:
         s, k = math.sin(2.0 * gamma), (1.0 - tau) * math.cos(2.0 * gamma)
         values, slopes = [], []
         for t0, t1 in pairs:
-            values.append(opt_module._in_plane_f(math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1), s, k))
+            values.append(opt_module._in_plane_f(math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1), s, k)[0])
             slopes.append(opt_module._envelope_slope(gamma, tau, t0, t1))
         assert values[0] == pytest.approx(values[1], abs=opt_module._MAX_F_ROUNDING)
         assert abs(slopes[0]) > opt_module._SLOPE_FLOOR
@@ -910,6 +910,96 @@ class TestPeakReplay:
         pattern = r": (\d+) angles rated cold and (\d+) warm, (\d+) Newton steps"
         counts = [tuple(int(n) for n in re.search(pattern, r.getMessage()).groups()) for r in caplog.records]
         assert counts == [(19, 5, 77), (2, 5, 21)]
+
+
+def grid_trig():
+    """sin t0, cos t0, sin t1, cos t1 at every grid start, as arrays."""
+    t0, t1 = np.array(opt_module._GRID_T0), np.array(opt_module._GRID_T1)
+    return np.sin(t0), np.cos(t0), np.sin(t1), np.cos(t1)
+
+
+def angle_columns(gammas, tau):
+    """s = sin 2g and k = (1 - tau) cos 2g as columns, formed as a rating forms them."""
+    s = [math.sin(2.0 * float(g)) for g in gammas]
+    k = [(1.0 - tau) * math.cos(2.0 * float(g)) for g in gammas]
+    return np.array(s)[:, None], np.array(k)[:, None]
+
+
+class TestInPlaneKernel:
+    """The straight-line kernel and the grid's tilt-free sums against the
+    loop form of the in-plane form (conftest.loop_in_plane_f), bit for bit."""
+
+    TILTS = [float(t) for t in np.linspace(1.0, 1.5, 200, endpoint=False)]
+
+    def test_scalar_kernel_equals_the_loop_form(self):
+        # 8,000 seeded points round the circle, a tenth of them at t1 = t0,
+        # where the "-" norm vanishes, and a tenth where the "+" norm does
+        # (sin t1 = -sin t0, cos t0 = cos t1 = -k), at angles in [0, pi/4]
+        # with both ends, s = 0 and s = 1, among them.
+        rng = np.random.default_rng(2610)
+        vanishing = {"+": 0, "-": 0}
+        for i in range(8000):
+            gamma = (0.0, math.pi / 4)[i % 2] if i % 50 < 2 else float(rng.uniform(0.0, math.pi / 4))
+            tau = float(rng.uniform(1.0, 1.5))
+            s, k = math.sin(2.0 * gamma), (1.0 - tau) * math.cos(2.0 * gamma)
+            t0, t1 = (float(t) for t in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=2))
+            point = (math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1))
+            if i % 10 == 3:
+                point = (math.sin(t0), math.cos(t0), math.sin(t0), math.cos(t0))
+                vanishing["-"] += 1
+            elif i % 10 == 7:
+                sin0 = math.sqrt(1.0 - k * k)
+                point = (sin0, -k, -sin0, -k)
+                assert -k + -k + 2.0 * k == 0.0  # the "+" norm's z, and its x is s * 0
+                vanishing["+"] += 1
+            assert opt_module._in_plane_f(*point, s, k) == loop_in_plane_f(*point, s, k, True), (point, s, k)
+        assert vanishing == {"+": 800, "-": 800}
+
+    def test_grid_equals_the_loop_form(self):
+        # 200 tilts x the 64 coarse angles, each row a rating's start grid.
+        trig = grid_trig()
+        for tau in self.TILTS:
+            s, k = angle_columns(COARSE_GRID, tau)
+            assert np.array_equal(opt_module._grid_f(s, k), loop_in_plane_f(*trig, s, k)), tau
+
+    @staticmethod
+    def rated_starts(monkeypatch, gammas, tau, starts):
+        """The grid indices each angle's rating ran Newton from, with every
+        Newton run cut to return its start."""
+        index = {pair: i for i, pair in enumerate(zip(opt_module._GRID_T0, opt_module._GRID_T1))}
+        runs = []
+
+        def start_only(t0, t1, s, k):
+            runs.append(index[t0, t1])
+            return 0.0, t0, t1, 0
+
+        with monkeypatch.context() as patched:
+            patched.setattr(opt_module, "_newton_max", start_only)
+            opt_module._schmidt_maxima(gammas, tau, starts)
+        return [runs[i : i + starts] for i in range(0, len(runs), starts)]
+
+    def test_one_start_is_the_first_maximal_index(self, monkeypatch):
+        # Every row of 200 tilts x 64 angles.  Rows whose maximum ties
+        # exactly, where np.argsort's pick is unspecified, were 252 of them
+        # with numpy 2.4 on x86-64: pi/4 at every tilt, 0 at tilt 1 (24 ways)
+        # and 51 more.  np.argsort's last index differed from the first
+        # maximal one on 215 rows.
+        trig = grid_trig()
+        tied = 0
+        for tau in self.TILTS:
+            grid = loop_in_plane_f(*trig, *angle_columns(COARSE_GRID, tau))
+            firsts = [[int(np.flatnonzero(row == row.max())[0])] for row in grid]
+            assert self.rated_starts(monkeypatch, COARSE_GRID, tau, 1) == firsts, tau
+            ties = (grid == grid.max(axis=1, keepdims=True)).sum(axis=1)
+            tied += int((ties > 1).sum())
+        assert tied >= len(self.TILTS)
+
+    @pytest.mark.parametrize("tau", [1.0, 1.0 + 1e-7, 1.3, 1.49])
+    def test_four_starts_keep_the_sorted_pick(self, monkeypatch, tau):
+        gammas = [0.0, 0.3, math.pi / 4]
+        grid = loop_in_plane_f(*grid_trig(), *angle_columns(gammas, tau))
+        expected = np.argsort(grid, axis=1)[:, -opt_module._NEWTON_STARTS :].tolist()
+        assert self.rated_starts(monkeypatch, gammas, tau, opt_module._NEWTON_STARTS) == expected
 
 
 class TestScanStarts:
