@@ -1,10 +1,19 @@
-"""The maximal violation of any two-qubit state: a see-saw finished by Newton.
+"""The maximal violation of any two-qubit state: max F if pure, else a see-saw finished by Newton.
 
-:func:`seesaw_max_violation` runs an alternating ascent.  With one party
-fixed, the value is affine in each of the other party's outcome-0
-projectors, so the optimal rank-1 update for a setting is the projector onto
-the top eigenvector of a 2x2 effective operator (obtained by contracting the
-state with the fixed party's operators and the tilted coefficients).  Ascent
+A pure state's maximal violation is invariant under local unitaries, so
+:func:`seesaw_max_violation` takes it to its Schmidt form: the SVD of its
+2x2 coefficient matrix gives the Schmidt angle and Bob's local unitary.  It
+rates that angle by max F (:mod:`bellbound.schmidt`) and turns Bob's
+maximizing vectors by the rotation his unitary makes of Bloch vectors; no
+see-saw runs.  A mixed state takes the see-saw below, a search of its own
+that runs on any state, and that the tests hold against the Schmidt route
+on pure ones.
+
+The see-saw is an alternating ascent.  With one party fixed, the value is
+affine in each of the other party's outcome-0 projectors, so the optimal
+rank-1 update for a setting is the projector onto the top eigenvector of a
+2x2 effective operator (obtained by contracting the state with the fixed
+party's operators and the tilted coefficients).  Ascent
 is monotone because each update maximizes over a family containing the
 current projector.  Its 8 restarts run in one batch: each party's settings
 are the rows [x0 | x1 | 1] of one (8, 7) array, so that a half-step is one
@@ -26,22 +35,25 @@ Damped Riemannian Newton on V, with its analytic gradient and Hessian,
 climbs from the leading restart (and from every restart still rising at the
 cap) to the maximum; at tilt 1 that is the exact maximum of Horodecki,
 Horodecki & Horodecki (PLA 200, 340 (1995)).  Only the random starts are
-settable, through :class:`SeesawConfig`'s seed.  The Schmidt-angle searches
-of :mod:`bellbound.optimizer` maximize V restricted to Schmidt states, over
-the polar angles of Bob's vectors in the x-z plane, and do not run the
-see-saw.
+settable, through :class:`SeesawConfig`'s seed, and they play no part on
+the Schmidt route.  max F is V restricted to Schmidt states, over the polar
+angles of Bob's vectors in the x-z plane; the Schmidt-angle searches of
+:mod:`bellbound.optimizer` rate it too, and do not run the see-saw.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .bell_model import BellValue, coefficients
-from .quantum_core import MeasurementSet, TwoQubitState, random_measurement_set
+from .bell_model import BellValue, coefficients, quantum_value
+from .errors import NumericFailure
+from .quantum_core import _PAULIS, MeasurementSet, TwoQubitState, random_measurement_set
+from .schmidt import _schmidt_maxima
 
 # The see-saw batch hands off to the Newton finish once every restart's value
 # has risen by less than this in an iteration, or at its iteration cap.  The
@@ -51,6 +63,17 @@ from .quantum_core import MeasurementSet, TwoQubitState, random_measurement_set
 # 60 steps of the Schmidt-angle searches' Newton runs.
 _HANDOFF_TOL = 1e-6
 _FINISH_MAX_STEPS = 200
+# A state whose purity (1 + |r_A|^2 + |r_B|^2 + |T|^2) / 4 lies within this
+# of 1 takes the Schmidt route.  Pure inputs read within 9e-16 of 1 (20,000
+# random pure states).  (1 - e) psi psi^+ + e I/4 has purity
+# 1 - 3e/2 + 3e^2/4, so the route takes e up to about 6.7e-14; at such a
+# state the value it reads back lies within e of max F at psi's angle, far
+# inside the 1e-12 the read-back allows.
+_PURITY_TOL = 1e-13
+# Alice's CHSH-optimal settings, kept where her best response to the
+# maximizing Bob vanishes.
+_ALICE_FALLBACK = MeasurementSet.chsh_optimal().as_array()[:2]
+_ALICE_FALLBACK.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -70,6 +93,9 @@ class SeesawConfig:
 
 
 DEFAULT_CONFIG = SeesawConfig()
+# The histories of a call that ran no batch.
+_NO_HISTORIES = np.empty((0, SeesawConfig.restarts))
+_NO_HISTORIES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -81,7 +107,9 @@ class SeesawResult:
     predicted rise below 1e-17) rather than on its 200-step cap, and
     ``iterations`` the batch iteration at which its V (module docstring)
     first rose by less than the 1e-6 hand-off tolerance (or the last, if it
-    never did).  ``batch_iterations`` is the iteration at which the batch
+    never did).  Where finishes tie exactly, the lowest restart index is
+    returned, so rounding can decide which restart these two fields
+    describe.  ``batch_iterations`` is the iteration at which the batch
     handed off to Newton, and ``unconverged`` the number of restarts whose V
     never rose by less than 1e-6 in an iteration, which is nonzero only when
     the batch ran out its 500 iterations.  ``finished`` holds the restarts
@@ -91,6 +119,13 @@ class SeesawResult:
     iteration's Bob settings (the value of Alice's best response to them),
     before the finish; each column is nondecreasing.  Results compare and
     hash without it.
+
+    A pure state takes the Schmidt route and runs no batch, so
+    ``batch_iterations`` is 0 there and only there (a batch runs at least
+    one iteration).  On the route ``converged`` is True, ``iterations`` and
+    ``unconverged`` are 0, ``finished`` is ``()``, ``finish_steps`` holds
+    the Newton steps of the rating of max F, and ``histories`` is read-only
+    with shape ``(0, 8)``; ``SeesawConfig.rng_seed`` does not affect it.
     """
 
     value: BellValue
@@ -378,25 +413,86 @@ def _restart_starts(rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
     return arrays
 
 
-def seesaw_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> SeesawResult:
-    """The maximal violation of a fixed state: a see-saw batch, then Newton.
+def _measured_maximum(rho: TwoQubitState, tau: float, gamma: float, value: float, theta, rotation=None):
+    # The measurements at max F, ``value`` at the Schmidt angle ``gamma``, and
+    # their quantum value, which must reproduce it to 1e-12: Bob's vectors in
+    # the x-z plane at the polar angles ``theta``, turned by ``rotation``
+    # where given, and Alice's best response to them, the update the see-saw
+    # kernel makes.
+    t0, t1 = theta
+    bob = np.array([[math.sin(t0), 0.0, math.cos(t0)], [math.sin(t1), 0.0, math.cos(t1)]])
+    if rotation is not None:
+        bob = bob @ rotation.T
+    r_alice, _, corr = rho.bloch
+    alice = _best_response(corr, 2.0 * (1.0 - tau) * r_alice, bob, _ALICE_FALLBACK)
+    measurements = MeasurementSet.normalized([*alice, *bob])
+    s_q = quantum_value(rho, measurements, tau).value
+    if abs(s_q - value) > 1e-12:
+        raise NumericFailure(
+            f"quantum value {s_q!r} at the maximizing measurements differs from max F {value!r} "
+            f"at gamma {gamma!r}, tilt {tau!r}"
+        )
+    return measurements, s_q
 
-    Restart 0 starts from the CHSH-optimal angles; the other 7 draw random
-    Bloch vectors from streams derived from ``cfg.rng_seed``, so results are
-    reproducible.  Alice's best response to Bob's settings is closed form,
-    which leaves the value a function V(b0, b1) of Bob's two Bloch vectors
-    (module docstring).  All restarts iterate in one batch until the V of
-    each has risen by less than 1e-6 in an iteration, or for 500 iterations,
-    and damped Riemannian Newton on V finishes the leading restart (the
-    highest batch end) and every restart that was still rising by 1e-6 or
-    more at the cap, until its predicted rise is below 1e-17 (or after 200
-    steps).  Alice's settings
-    are her best response to the finished vectors.  The best of the finished
-    restarts, and of the batch's own ends where they are at least as high,
-    is returned.
+
+def _schmidt_route(rho: TwoQubitState, tau: float) -> SeesawResult:
+    # A pure state psi is (U (x) W)(cos g |00> + sin g |11>), with
+    # U diag(cos g, sin g) W^T the SVD of its 2x2 coefficient matrix; the
+    # column of rho with the largest diagonal entry is psi up to a phase and
+    # a scale, which neither the angle nor the vectors see.  max F at g is
+    # rated from 4 starts, and Bob's maximizing vectors are turned by the
+    # rotation R_ij = tr(s_i W s_j W^+) / 2 that W makes of Bloch vectors.
+    matrix = rho.matrix
+    column = matrix[:, int(np.argmax(matrix.diagonal().real))]
+    _, sigma, vh = np.linalg.svd(column.reshape(2, 2))
+    gamma = math.atan2(sigma[1], sigma[0])
+    values, thetas, steps = _schmidt_maxima([gamma], tau)
+    turned = vh.T @ _PAULIS @ vh.conj()
+    rotation = 0.5 * np.einsum("iab,jba->ij", _PAULIS, turned).real
+    measurements, value = _measured_maximum(rho, tau, gamma, values[0], thetas[0], rotation)
+    # The route's fields, in order: converged, iterations, batch_iterations,
+    # unconverged, finished, finish_steps and histories (SeesawResult).
+    return SeesawResult(BellValue(value, tau), measurements, True, 0, 0, 0, (), steps, _NO_HISTORIES)
+
+
+def seesaw_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> SeesawResult:
+    """The maximal violation of a fixed state: max F if pure, else a see-saw batch, then Newton.
+
+    A state whose purity (1 + |r_A|^2 + |r_B|^2 + |T|^2) / 4 is within 1e-13
+    of 1 is pure: its maximal violation, invariant under local unitaries, is
+    max F at its Schmidt angle atan2(s2, s1), from the singular values
+    s1 >= s2 of its 2x2 coefficient matrix, rated to rounding from 4 starts
+    (:mod:`bellbound.schmidt`).  Bob's maximizing vectors are turned by the
+    rotation his local unitary makes of Bloch vectors, and Alice takes her
+    best response to them.  Their quantum value must reproduce max F to
+    1e-12, or :class:`~bellbound.errors.NumericFailure` is raised; it is the
+    value returned.  No batch runs, and ``cfg`` plays no part.
+
+    For any other state, restart 0 starts from the CHSH-optimal angles; the
+    other 7 draw random Bloch vectors from streams derived from
+    ``cfg.rng_seed``, so results are reproducible.  Alice's best response to
+    Bob's settings is closed form, which leaves the value a function
+    V(b0, b1) of Bob's two Bloch vectors (module docstring).  All restarts
+    iterate in one batch until the V of each has risen by less than 1e-6 in
+    an iteration, or for 500 iterations, and damped Riemannian Newton on V
+    finishes the leading restart (the highest batch end) and every restart
+    that was still rising by 1e-6 or more at the cap, until its predicted
+    rise is below 1e-17 (or after 200 steps).  Alice's settings are her best
+    response to the finished vectors.  The best of the finished restarts, and
+    of the batch's own ends where they are at least as high, is returned.
     """
     coefficients(tau)  # validates the tilt range
     tau = float(tau)
+    r_alice, r_bob, corr = rho.bloch
+    if 1.0 - 0.25 * (1.0 + r_alice @ r_alice + r_bob @ r_bob + np.vdot(corr, corr)) <= _PURITY_TOL:
+        return _schmidt_route(rho, tau)
+    return _batch_max_violation(rho, tau, cfg)
+
+
+def _batch_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEFAULT_CONFIG) -> SeesawResult:
+    # The see-saw batch and its Newton finish (seesaw_max_violation's
+    # docstring) on any state, pure ones too, at a float tilt in [1, 3/2):
+    # the tests keep it as a search independent of the Schmidt route.
     r_alice, r_bob, corr = rho.bloch
     values, alice, bob, handed_off, iteration_counts, histories = _seesaw(
         r_alice, r_bob, corr, tau, _restart_starts(cfg.rng_seed), _HANDOFF_TOL

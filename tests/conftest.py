@@ -11,6 +11,7 @@ from bellbound import (
     global_max_violation,
     optimizer,
     schmidt_state,
+    seesaw,
     simulate,
 )
 from bellbound.invariants import kron_born_table, projector_from_bloch  # noqa: F401  (re-exported for the test modules)
@@ -179,9 +180,9 @@ def plain_seesaw(r_alice, r_bob, corr, tau, starts, tol):
 
 def loop_in_plane_f(sin0, cos0, sin1, cos1, s, k, derivatives=False):
     """The in-plane form F - (1/2 - tau) in its loop form over the two norms:
-    the oracle of optimizer._in_plane_f (all six outputs, ``derivatives``)
-    and of optimizer._grid_f (the value, on arrays).  The library's former
-    kernel, kept verbatim; see optimizer._in_plane_f for the terms."""
+    the oracle of schmidt._in_plane_f (all six outputs, ``derivatives``)
+    and of schmidt._grid_f (the value, on arrays).  The library's former
+    kernel, kept verbatim; see schmidt._in_plane_f for the terms."""
     value = 0.5 * k * cos0
     grad0, grad1 = -0.5 * k * sin0, 0.0
     h00, h01, h11 = -0.5 * k * cos0, 0.0, 0.0
@@ -270,14 +271,15 @@ def near_trivial_experiment():
 
 @pytest.fixture
 def quantum_value_off_by_1e9(monkeypatch):
-    """Shift the optimizer's quantum_value by 1e-9, so no optimum reproduces max F."""
-    real = optimizer.quantum_value
+    """Shift by 1e-9 the quantum_value that reads back the measurements at max F,
+    so that neither an optimum nor a pure state's Schmidt route reproduces it."""
+    real = seesaw.quantum_value
 
     def shifted(rho, m, tau):
         value = real(rho, m, tau)
         return BellValue(value=value.value + 1e-9, tau=value.tau)
 
-    monkeypatch.setattr(optimizer, "quantum_value", shifted)
+    monkeypatch.setattr(seesaw, "quantum_value", shifted)
 
 
 @pytest.fixture

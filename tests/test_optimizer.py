@@ -27,6 +27,7 @@ from bellbound import (
     seesaw_max_violation,
 )
 from bellbound import optimizer as opt_module
+from bellbound import schmidt as schmidt_module
 from bellbound import seesaw as seesaw_module
 from bellbound.invariants import maxent_cutoff
 
@@ -56,8 +57,9 @@ def capped_input():
     """A state on which every restart of the plain see-saw runs out its 500
     iterations still rising, 2.0e-6 short of the maximum.
 
-    Input 1026 of the benchmark's state_seesaw inputs for seed 7302: a mixed
-    state at tilt 1.
+    Input 1026 of the benchmark's state_seesaw inputs for seed 7302: a pure
+    state (purity 1, rank 1) at tilt 1, as is input 570 of seed 7303, so
+    ``seesaw_max_violation`` takes both by the Schmidt route.
     """
     return state_seesaw_input(7302, 1026)
 
@@ -86,7 +88,7 @@ def seeded_states(seed, count):
 
 
 def max_f(gamma, tau):
-    return float(opt_module._schmidt_maxima([gamma], tau)[0][0])
+    return float(schmidt_module._schmidt_maxima([gamma], tau)[0][0])
 
 
 def sequential_golden_section_max(f, lo, hi, tol):
@@ -170,8 +172,8 @@ def newton_runs(gamma, tau):
     starts (the last 4 of np.argsort): (value, t0, t1, steps) each, the value
     without the constant 1/2 - tau."""
     s, k = math.sin(2.0 * gamma), (1.0 - tau) * math.cos(2.0 * gamma)
-    starts = np.argsort(opt_module._grid_f(s, k))[-opt_module._NEWTON_STARTS :]
-    return [opt_module._newton_max(opt_module._GRID_T0[i], opt_module._GRID_T1[i], s, k) for i in starts]
+    starts = np.argsort(schmidt_module._grid_f(s, k))[-schmidt_module._NEWTON_STARTS :]
+    return [schmidt_module._newton_max(schmidt_module._GRID_T0[i], schmidt_module._GRID_T1[i], s, k) for i in starts]
 
 
 def clipped_f(gamma, tau, t0, t1):
@@ -205,7 +207,7 @@ class TestSeesaw:
         assert result.value.value == pytest.approx(oracle, abs=1e-6)
 
     def test_ascent_is_monotone_for_every_restart(self):
-        result = seesaw_max_violation(schmidt_state(0.5), 1.2)
+        result = seesaw_module._batch_max_violation(schmidt_state(0.5), 1.2)
         assert result.histories.shape == (result.batch_iterations, 8)
         assert np.diff(result.histories, axis=0).min() >= -1e-12
 
@@ -264,7 +266,7 @@ class TestSeesaw:
         for i in range(300):
             rho = random_two_qubit_state(rng, pure=bool(i % 2))
             tau = float(rng.uniform(1.0, 1.5))
-            result = seesaw_max_violation(rho, tau)
+            result = seesaw_module._batch_max_violation(rho, tau)
             vectors = [v.as_array() for v in (*result.measurements.alice, *result.measurements.bob)]
             digest.update(np.array([result.value.value, *np.concatenate(vectors)]).tobytes())
             digest.update(np.array([result.converged, result.iterations], dtype=np.int64).tobytes())
@@ -288,7 +290,7 @@ class TestSeesaw:
         digest = hashlib.sha256()
         for cfg in (SeesawConfig(), SeesawConfig(rng_seed=99)):
             for rho, tau in cases:
-                result = seesaw_max_violation(rho, tau, cfg)
+                result = seesaw_module._batch_max_violation(rho, tau, cfg)
                 vectors = [v.as_array() for v in (*result.measurements.alice, *result.measurements.bob)]
                 digest.update(np.array([result.value.value, *np.concatenate(vectors)]).tobytes())
                 digest.update(np.array([result.converged, result.iterations], dtype=np.int64).tobytes())
@@ -310,13 +312,13 @@ class TestSeesaw:
         # On |00> only some rows vanish (Alice's setting 1 from the CHSH
         # start, whose b0 - b1 is orthogonal to z), so the degenerate mask
         # picks single entries of the stacked (2, restarts) layout.
-        result = seesaw_max_violation(schmidt_state(0.0), 1.3)
+        result = seesaw_module._batch_max_violation(schmidt_state(0.0), 1.3)
         assert result.value.value == 0.0
         assert result.converged
         assert result.unconverged == 0
 
     def test_batch_diagnostics_on_a_converging_call(self):
-        result = seesaw_max_violation(maximally_entangled_state(), 1.0)
+        result = seesaw_module._batch_max_violation(maximally_entangled_state(), 1.0)
         assert result.unconverged == 0
         assert result.iterations <= result.batch_iterations
         assert result.histories.shape == (result.batch_iterations, 8)
@@ -329,7 +331,7 @@ class TestSeesaw:
         # converges to max F.  (At tilt 1.1736 the best finish is reached
         # from a restart that handed off early, too, and a rounding tie picks
         # it.)
-        result = seesaw_max_violation(schmidt_state(0.78), 1.15)
+        result = seesaw_module._batch_max_violation(schmidt_state(0.78), 1.15)
         assert result.batch_iterations == SeesawConfig.max_iterations
         assert (result.converged, result.iterations) == (True, SeesawConfig.max_iterations)
         # A restart handed off once its V rose by less than the hand-off
@@ -340,7 +342,7 @@ class TestSeesaw:
         assert result.value.value == pytest.approx(max_f(0.78, 1.15), abs=1e-12)
 
     def test_finish_runs_from_the_leader_and_every_restart_rising_at_the_cap(self):
-        result = seesaw_max_violation(schmidt_state(0.78), 1.1736)
+        result = seesaw_module._batch_max_violation(schmidt_state(0.78), 1.1736)
         assert result.batch_iterations == SeesawConfig.max_iterations
         rising = np.flatnonzero(~(np.diff(result.histories, axis=0) < seesaw_module._HANDOFF_TOL).any(axis=0))
         assert rising.size == result.unconverged == 3
@@ -355,7 +357,7 @@ class TestSeesaw:
 
     def test_finish_on_the_maximally_mixed_state_takes_no_step(self):
         # V is flat, so the finish from the leader, restart 0, stops at once.
-        result = seesaw_max_violation(TwoQubitState(np.eye(4) / 4.0), 1.0)
+        result = seesaw_module._batch_max_violation(TwoQubitState(np.eye(4) / 4.0), 1.0)
         assert (result.finished, result.finish_steps) == ((0,), 0)
 
     def test_finish_stopped_on_its_step_cap_reports_unconverged(self, monkeypatch):
@@ -363,18 +365,19 @@ class TestSeesaw:
         # measurements it returns still reproduce the value it reports.
         monkeypatch.setattr(seesaw_module, "_FINISH_MAX_STEPS", 1)
         rho = schmidt_state(math.pi / 8)
-        result = seesaw_max_violation(rho, 1.3)
+        result = seesaw_module._batch_max_violation(rho, 1.3)
         assert result.converged is False
         assert quantum_value(rho, result.measurements, 1.3).value == pytest.approx(result.value.value, abs=1e-12)
 
     def test_capped_inputs_reach_horodecki(self):
         # The two benchmark inputs on which the plain see-saw falls 2.0e-6 and
-        # 5.8e-6 short of the exact maximum at tilt 1.
+        # 5.8e-6 short of the exact maximum at tilt 1.  Both are pure, so the
+        # batch entry runs them; in public they take the Schmidt route.
         for rho, tau in (capped_input(), state_seesaw_input(7303, 570)):
             assert tau == 1.0
             exact = horodecki_ch_max(rho.matrix)
             assert exact - oracle_seesaw(rho, tau)[0] > 1e-6
-            result = seesaw_max_violation(rho, tau)
+            result = seesaw_module._batch_max_violation(rho, tau)
             assert result.converged and result.unconverged == 0
             assert result.value.value == pytest.approx(exact, abs=1e-12)
 
@@ -410,12 +413,14 @@ class TestGlobalMaximum:
     def test_pure_states_reach_max_f_at_their_schmidt_angle(self):
         # Maximal violation is invariant under local unitaries, so a pure
         # state's is max F at its Schmidt angle asin(C) / 2.  A third of the
-        # inputs are pure at a tilt above 1.
+        # inputs are pure at a tilt above 1.  The batch entry runs them, as
+        # a search independent of the Schmidt route they take in public.
         checked = 0
         for k, (rho, tau) in enumerate(itertools.islice(state_seesaw_inputs(7302), 300)):
             if k % 2 == 0 and tau > 1.0:
                 gamma = math.asin(min(1.0, concurrence(rho))) / 2.0
-                assert seesaw_max_violation(rho, tau).value.value == pytest.approx(max_f(gamma, tau), abs=1e-12)
+                value = seesaw_module._batch_max_violation(rho, tau).value.value
+                assert value == pytest.approx(max_f(gamma, tau), abs=1e-12)
                 checked += 1
         assert checked == 100
 
@@ -428,6 +433,76 @@ class TestGlobalMaximum:
     def test_mixed_states_reach_the_multistart_maximum(self, seed, index):
         rho, tau = state_seesaw_input(seed, index)
         assert seesaw_max_violation(rho, tau).value.value >= multistart_reference(rho, tau) - 1e-9
+
+
+def haar_unitary(rng):
+    """A Haar-random 2x2 unitary: QR of a complex Gaussian matrix, R's phases moved into Q."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rotated_schmidt_vector(gamma, rng):
+    """cos(g)|00> + sin(g)|11> under random local unitaries on both sides."""
+    local = np.kron(haar_unitary(rng), haar_unitary(rng))
+    return local @ np.array([math.cos(gamma), 0.0, 0.0, math.sin(gamma)])
+
+
+class TestSchmidtRoute:
+    """Pure states take max F at their Schmidt angle, with the batch kept as the cross-check."""
+
+    # Angles where the Schmidt decomposition is degenerate or nearly so.
+    EDGE_GAMMAS = (0.0, 1e-12, 1e-4, math.pi / 4 - 1e-6, math.pi / 4 - 1e-9, math.pi / 4)
+
+    def test_rotated_pure_states_reach_max_f(self):
+        # 300 pure states under random local unitaries, 30 at each edge angle,
+        # and a third at tilt 1, one of each three states in turn: the route
+        # reads back max F at the state's Schmidt angle, never below the
+        # batch's value.
+        rng = np.random.default_rng(2705)
+        for i in range(300):
+            gamma = self.EDGE_GAMMAS[i // 3 % 6] if i < 180 else float(rng.uniform(0.0, math.pi / 4))
+            tau = 1.0 if i % 3 == 0 else float(rng.uniform(1.0, 1.5))
+            psi = rotated_schmidt_vector(gamma, rng)
+            rho = TwoQubitState(np.outer(psi, psi.conj()))
+            result = seesaw_max_violation(rho, tau)
+            value = result.value.value
+            assert result.batch_iterations == 0, (gamma, tau)
+            assert value == pytest.approx(max_f(gamma, tau), abs=1e-12), (gamma, tau)
+            assert value >= seesaw_module._batch_max_violation(rho, tau).value.value - 1e-12, (gamma, tau)
+            assert quantum_value(rho, result.measurements, tau).value == pytest.approx(value, abs=1e-12)
+            if tau == 1.0:
+                assert value == pytest.approx(horodecki_ch_max(rho.matrix), abs=1e-12), gamma
+
+    @pytest.mark.parametrize("tau", [1.0, 1.3])
+    def test_purity_threshold_decides_the_route(self, tau):
+        # (1 - e) psi psi^+ + e I/4 has purity 1 - 3e/2 + 3e^2/4: the route
+        # takes it below the threshold, the batch above.  Below, the value is
+        # max F at psi's angle moved by e (max F + tau - 1/2), less than e.
+        tol = seesaw_module._PURITY_TOL
+        psi = rotated_schmidt_vector(0.5, np.random.default_rng(11))
+        for eps, route in ((tol / 3.0, True), (tol, False)):
+            rho = TwoQubitState((1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.eye(4) / 4.0)
+            result = seesaw_max_violation(rho, tau)
+            assert (result.batch_iterations == 0) == route, eps
+            if route:
+                assert result.value.value == pytest.approx(max_f(0.5, tau), abs=tol)
+            else:
+                assert result == seesaw_module._batch_max_violation(rho, tau)
+
+    def test_route_fields(self):
+        rho, tau = state_seesaw_input(7302, 1026)
+        result = seesaw_max_violation(rho, tau)
+        assert (result.converged, result.iterations, result.batch_iterations) == (True, 0, 0)
+        assert (result.unconverged, result.finished) == (0, ())
+        assert result.finish_steps == schmidt_module._schmidt_maxima([math.asin(concurrence(rho)) / 2.0], tau)[2]
+        assert result.histories.shape == (0, SeesawConfig.restarts)
+        assert not result.histories.flags.writeable
+        assert seesaw_max_violation(rho, tau, SeesawConfig(rng_seed=99)) == result
+
+    def test_measurements_that_miss_max_f_are_refused(self, quantum_value_off_by_1e9):
+        psi = rotated_schmidt_vector(0.3, np.random.default_rng(3))
+        with pytest.raises(NumericFailure, match="differs from max F"):
+            seesaw_max_violation(TwoQubitState(np.outer(psi, psi.conj())), 1.2)
 
 
 class TestNewtonFinish:
@@ -490,7 +565,7 @@ class TestNewtonFinish:
             terms = corr_rows, (0.0, 0.0, 2.0 * (1.0 - tau) * c), (0.0, 0.0, 0.5 * (1.0 - tau) * c)
             b0 = (math.sin(t0), 0.0, math.cos(t0))
             b1 = (math.sin(t1), 0.0, math.cos(t1))
-            in_plane = opt_module._in_plane_f(*b0[::2], *b1[::2], s, (1.0 - tau) * c)[0]
+            in_plane = schmidt_module._in_plane_f(*b0[::2], *b1[::2], s, (1.0 - tau) * c)[0]
             assert seesaw_module._bloch_v(b0, b1, *terms) == pytest.approx(in_plane, abs=1e-15)
 
     @pytest.fixture(scope="class")
@@ -512,9 +587,9 @@ class TestBatchedKernel:
     def test_schmidt_batch_equals_public_calls(self):
         # A batch of angles rated at once, against one public see-saw each.
         gammas = [0.05, 0.4, 0.6, math.pi / 4]
-        batched, _, _ = opt_module._schmidt_maxima(gammas, 1.25)
+        batched, _, _ = schmidt_module._schmidt_maxima(gammas, 1.25)
         for gamma, value in zip(gammas, batched):
-            single = seesaw_max_violation(schmidt_state(gamma), 1.25)
+            single = seesaw_module._batch_max_violation(schmidt_state(gamma), 1.25)
             assert single.converged
             assert value >= single.value.value - 1e-12
             assert value == pytest.approx(single.value.value, abs=1e-9)
@@ -559,21 +634,21 @@ class TestDecidedStates:
     @pytest.mark.parametrize("tau", [1.0, 1.1736, 1.3, 1.427, 1.49])
     def test_seesaw_stays_below_the_cap_on_the_coarse_grid(self, tau):
         for gamma in COARSE_GRID:
-            value = seesaw_max_violation(schmidt_state(float(gamma)), tau).value.value
+            value = seesaw_module._batch_max_violation(schmidt_state(float(gamma)), tau).value.value
             assert value <= pure_state_value_cap(float(gamma), tau) + 1e-12
 
     @pytest.mark.parametrize("tau", [1.0, 1.1736, 1.3, 1.427, 1.49])
     def test_max_f_stays_below_the_cap_on_the_coarse_grid(self, tau):
         # The premise that lets the coarse scan skip an angle: its max F is
         # at most its cap + 1e-12.
-        values, _, _ = opt_module._schmidt_maxima(COARSE_GRID, tau)
+        values, _, _ = schmidt_module._schmidt_maxima(COARSE_GRID, tau)
         for gamma, value in zip(COARSE_GRID, values):
             assert value <= pure_state_value_cap(float(gamma), tau) + 1e-12
 
     def test_coarse_scan_skips_only_what_the_cap_rules_out(self, monkeypatch):
-        schmidt_maxima, rated = opt_module._schmidt_maxima, []
+        schmidt_maxima, rated = schmidt_module._schmidt_maxima, []
 
-        def recording(gammas, t, starts=opt_module._NEWTON_STARTS):
+        def recording(gammas, t, starts=schmidt_module._NEWTON_STARTS):
             rated.extend(float(g) for g in gammas)
             return schmidt_maxima(gammas, t, starts)
 
@@ -655,7 +730,7 @@ class TestDecidedStates:
         lo = float(re.search(r"bracket \[(\S+), ", line).group(1))
         real, nudged = opt_module._Rater.__call__, []
 
-        def nudge(self, gammas, starts=opt_module._NEWTON_STARTS):
+        def nudge(self, gammas, starts=schmidt_module._NEWTON_STARTS):
             values, thetas = real(self, gammas, starts)
             if list(gammas) == [end] and not nudged:
                 nudged.append(float(values[0]))
@@ -709,7 +784,7 @@ class TestDecidedStates:
     )
     def test_envelope_slope_matches_finite_difference(self, gamma, tau):
         # The first angle of each tilt lies below the peak, the second above.
-        _, thetas, _ = opt_module._schmidt_maxima([gamma], tau)
+        _, thetas, _ = schmidt_module._schmidt_maxima([gamma], tau)
         h = 1e-6
         central = (max_f(gamma + h, tau) - max_f(gamma - h, tau)) / (2.0 * h)
         assert opt_module._envelope_slope(gamma, tau, *thetas[0]) == pytest.approx(central, abs=1e-7)
@@ -832,7 +907,7 @@ class TestPeakReplay:
         offsets = np.linspace(-1e-7, 1e-7, 10)
         slopes = []
         for gamma in peak + offsets:
-            _, thetas, _ = opt_module._schmidt_maxima([float(gamma)], tau)
+            _, thetas, _ = schmidt_module._schmidt_maxima([float(gamma)], tau)
             slopes.append(opt_module._envelope_slope(float(gamma), tau, *thetas[0]))
         smooth = np.polyval(np.polyfit(offsets / 1e-7, slopes, 2), offsets / 1e-7)
         assert np.max(np.abs(np.array(slopes) - smooth)) <= opt_module._SLOPE_FLOOR
@@ -870,12 +945,12 @@ class TestPeakReplay:
         # envelope slopes are opposite, so the slope from the left is the
         # falling one.
         gamma = math.pi / 4
-        _, thetas, _ = opt_module._schmidt_maxima([gamma], tau)
+        _, thetas, _ = schmidt_module._schmidt_maxima([gamma], tau)
         pairs = [thetas[0], tuple(math.pi - t for t in thetas[0])]
         s, k = math.sin(2.0 * gamma), (1.0 - tau) * math.cos(2.0 * gamma)
         values, slopes = [], []
         for t0, t1 in pairs:
-            values.append(opt_module._in_plane_f(math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1), s, k)[0])
+            values.append(schmidt_module._in_plane_f(math.sin(t0), math.cos(t0), math.sin(t1), math.cos(t1), s, k)[0])
             slopes.append(opt_module._envelope_slope(gamma, tau, t0, t1))
         assert values[0] == pytest.approx(values[1], abs=opt_module._MAX_F_ROUNDING)
         assert abs(slopes[0]) > opt_module._SLOPE_FLOOR
@@ -914,7 +989,7 @@ class TestPeakReplay:
 
 def grid_trig():
     """sin t0, cos t0, sin t1, cos t1 at every grid start, as arrays."""
-    t0, t1 = np.array(opt_module._GRID_T0), np.array(opt_module._GRID_T1)
+    t0, t1 = np.array(schmidt_module._GRID_T0), np.array(schmidt_module._GRID_T1)
     return np.sin(t0), np.cos(t0), np.sin(t1), np.cos(t1)
 
 
@@ -952,7 +1027,7 @@ class TestInPlaneKernel:
                 point = (sin0, -k, -sin0, -k)
                 assert -k + -k + 2.0 * k == 0.0  # the "+" norm's z, and its x is s * 0
                 vanishing["+"] += 1
-            assert opt_module._in_plane_f(*point, s, k) == loop_in_plane_f(*point, s, k, True), (point, s, k)
+            assert schmidt_module._in_plane_f(*point, s, k) == loop_in_plane_f(*point, s, k, True), (point, s, k)
         assert vanishing == {"+": 800, "-": 800}
 
     def test_grid_equals_the_loop_form(self):
@@ -960,13 +1035,13 @@ class TestInPlaneKernel:
         trig = grid_trig()
         for tau in self.TILTS:
             s, k = angle_columns(COARSE_GRID, tau)
-            assert np.array_equal(opt_module._grid_f(s, k), loop_in_plane_f(*trig, s, k)), tau
+            assert np.array_equal(schmidt_module._grid_f(s, k), loop_in_plane_f(*trig, s, k)), tau
 
     @staticmethod
     def rated_starts(monkeypatch, gammas, tau, starts):
         """The grid indices each angle's rating ran Newton from, with every
         Newton run cut to return its start."""
-        index = {pair: i for i, pair in enumerate(zip(opt_module._GRID_T0, opt_module._GRID_T1))}
+        index = {pair: i for i, pair in enumerate(zip(schmidt_module._GRID_T0, schmidt_module._GRID_T1))}
         runs = []
 
         def start_only(t0, t1, s, k):
@@ -974,8 +1049,8 @@ class TestInPlaneKernel:
             return 0.0, t0, t1, 0
 
         with monkeypatch.context() as patched:
-            patched.setattr(opt_module, "_newton_max", start_only)
-            opt_module._schmidt_maxima(gammas, tau, starts)
+            patched.setattr(schmidt_module, "_newton_max", start_only)
+            schmidt_module._schmidt_maxima(gammas, tau, starts)
         return [runs[i : i + starts] for i in range(0, len(runs), starts)]
 
     def test_one_start_is_the_first_maximal_index(self, monkeypatch):
@@ -998,8 +1073,8 @@ class TestInPlaneKernel:
     def test_four_starts_keep_the_sorted_pick(self, monkeypatch, tau):
         gammas = [0.0, 0.3, math.pi / 4]
         grid = loop_in_plane_f(*grid_trig(), *angle_columns(gammas, tau))
-        expected = np.argsort(grid, axis=1)[:, -opt_module._NEWTON_STARTS :].tolist()
-        assert self.rated_starts(monkeypatch, gammas, tau, opt_module._NEWTON_STARTS) == expected
+        expected = np.argsort(grid, axis=1)[:, -schmidt_module._NEWTON_STARTS :].tolist()
+        assert self.rated_starts(monkeypatch, gammas, tau, schmidt_module._NEWTON_STARTS) == expected
 
 
 class TestScanStarts:
@@ -1020,9 +1095,9 @@ class TestScanStarts:
         (the best of the angles rated cold before the optimum's
         measurements), and the start counts of the cold ratings before and
         from the optimum's measurements on."""
-        schmidt_maxima, optimum_point, calls = opt_module._schmidt_maxima, opt_module._optimum_point, []
+        schmidt_maxima, optimum_point, calls = schmidt_module._schmidt_maxima, opt_module._optimum_point, []
 
-        def recording(gammas, t, starts=opt_module._NEWTON_STARTS):
+        def recording(gammas, t, starts=schmidt_module._NEWTON_STARTS):
             found = schmidt_maxima(gammas, t, starts)
             calls.append((starts, list(zip((float(g) for g in gammas), found[0].tolist()))))
             return found
@@ -1046,7 +1121,7 @@ class TestScanStarts:
         # gamma_star by 2.8e-10 (at 1.4999999, where the peak is found to
         # about 1e-9).
         single = [self.searched(monkeypatch, tau)[:2] for tau in self.TILTS]
-        monkeypatch.setattr(opt_module, "_SCAN_STARTS", opt_module._NEWTON_STARTS)
+        monkeypatch.setattr(opt_module, "_SCAN_STARTS", schmidt_module._NEWTON_STARTS)
         for tau, (point, peak) in zip(self.TILTS, single):
             oracle, oracle_peak, _, _ = self.searched(monkeypatch, tau)
             assert peak == oracle_peak, tau
@@ -1153,9 +1228,9 @@ class TestExactSchmidtMaximum:
 
     def test_against_seesaw_and_cap_on_a_grid(self):
         for tau in self.TAUS:
-            values, _, _ = opt_module._schmidt_maxima(self.GAMMAS, tau)
+            values, _, _ = schmidt_module._schmidt_maxima(self.GAMMAS, tau)
             for gamma, value in zip(self.GAMMAS, values):
-                seesaw = seesaw_max_violation(schmidt_state(gamma), tau)
+                seesaw = seesaw_module._batch_max_violation(schmidt_state(gamma), tau)
                 assert value >= seesaw.value.value - 1e-12
                 assert seesaw.converged
                 assert abs(value - seesaw.value.value) <= 1e-12
@@ -1167,7 +1242,7 @@ class TestExactSchmidtMaximum:
         oracle, (_, _, _, converged, _, _) = oracle_seesaw(schmidt_state(0.78), 1.1736)
         assert not converged.any()
         assert max_f(0.78, 1.1736) - oracle > 1e-7
-        seesaw = seesaw_max_violation(schmidt_state(0.78), 1.1736)
+        seesaw = seesaw_module._batch_max_violation(schmidt_state(0.78), 1.1736)
         assert seesaw.converged
         assert seesaw.value.value == pytest.approx(max_f(0.78, 1.1736), abs=1e-12)
 
@@ -1183,16 +1258,16 @@ class TestExactSchmidtMaximum:
         # at some angles, short of the same run given 5,000 steps by up to
         # 3e-7.  Its end is polished, and the rating reaches the long run.
         gammas = np.linspace(0.0, math.pi / 4, 150)
-        ratings, _, _ = opt_module._schmidt_maxima(gammas, tau)
+        ratings, _, _ = schmidt_module._schmidt_maxima(gammas, tau)
         capped, shortfall = 0, 0.0
         for gamma, rating in zip(gammas, ratings):
             short = max(newton_runs(float(gamma), tau))
             with monkeypatch.context() as patch:
-                patch.setattr(opt_module, "_NEWTON_MAX_STEPS", 5000)
+                patch.setattr(schmidt_module, "_NEWTON_MAX_STEPS", 5000)
                 long = max(newton_runs(float(gamma), tau))
             assert long[3] < 5000
             assert rating >= 0.5 - tau + long[0] - 1e-14
-            capped += short[3] == opt_module._NEWTON_MAX_STEPS
+            capped += short[3] == schmidt_module._NEWTON_MAX_STEPS
             shortfall = max(shortfall, long[0] - short[0])
         assert capped > 0 and shortfall > 1e-9  # the runs the polish mends
 
@@ -1201,7 +1276,7 @@ class TestExactSchmidtMaximum:
         # over all polar angles never rises above its maximum, and reaches it.
         rng = np.random.default_rng(17)
         for gamma, tau in ((0.05, 1.49), (0.3, 1.2), (0.7, 1.0), (0.5, 1.35)):
-            value, thetas, _ = opt_module._schmidt_maxima([gamma], tau)
+            value, thetas, _ = schmidt_module._schmidt_maxima([gamma], tau)
             t0, t1 = thetas[0]
             polar = [math.acos(math.cos(t)) for t in (t0, t1)]
             assert clipped_f(gamma, tau, *polar) == pytest.approx(value[0], abs=1e-12)
@@ -1223,7 +1298,7 @@ class TestExactSchmidtMaximum:
     def test_critical_angle_at_least_the_seesaw_bisection(self, tau):
         point = critical_gamma(tau)
         seesaw, _ = bisection_bracket_from(
-            point.optimum.gamma_star, lambda g: seesaw_max_violation(schmidt_state(g), tau).value.value
+            point.optimum.gamma_star, lambda g: seesaw_module._batch_max_violation(schmidt_state(g), tau).value.value
         )
         assert point.gamma_c >= seesaw
 
@@ -1384,7 +1459,7 @@ class TestAnalyticCaps:
     def test_cap_dominates_seesaw_spot_checks(self):
         for gamma in (0.2, 0.5, math.pi / 4):
             for tau in (1.0, 1.15, 1.3):
-                value = seesaw_max_violation(schmidt_state(gamma), tau).value.value
+                value = seesaw_module._batch_max_violation(schmidt_state(gamma), tau).value.value
                 assert value <= pure_state_value_cap(gamma, tau) + 1e-9
 
 
