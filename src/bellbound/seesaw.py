@@ -32,13 +32,15 @@ of Bob's two Bloch vectors on (S^2)^2:
                 + |T (b0 + b1) + 2 (1 - tau) r_A| / 4 + |T (b0 - b1)| / 4.
 
 Damped Riemannian Newton on V, with its analytic gradient and Hessian,
-climbs from the leading restart (and from every restart still rising at the
-cap) to the maximum; at tilt 1 that is the exact maximum of Horodecki,
-Horodecki & Horodecki (PLA 200, 340 (1995)).  Only the random starts are
-settable, through :class:`SeesawConfig`'s seed, and they play no part on
-the Schmidt route.  max F is V restricted to Schmidt states, over the polar
-angles of Bob's vectors in the x-z plane; the Schmidt-angle searches of
-:mod:`bellbound.optimizer` rate it too, and do not run the see-saw.
+climbs from the leading restart, the one with the highest V at hand-off (and
+from every restart still rising at the cap), to the maximum; at tilt 1 that
+is the exact maximum of Horodecki, Horodecki & Horodecki (PLA 200, 340
+(1995)).  The best finish is the answer, with Alice's best response to it.
+Only the random starts are settable, through :class:`SeesawConfig`'s seed,
+and they play no part on the Schmidt route.  max F is V restricted to
+Schmidt states, over the polar angles of Bob's vectors in the x-z plane; the
+Schmidt-angle searches of :mod:`bellbound.optimizer` rate it too, and do not
+run the see-saw.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ _FINISH_MAX_STEPS = 200
 # state the value it reads back lies within e of max F at psi's angle, far
 # inside the 1e-12 the read-back allows.
 _PURITY_TOL = 1e-13
-# Alice's CHSH-optimal settings, kept where her best response to the
-# maximizing Bob vanishes.
+# Alice's CHSH-optimal settings, kept where a candidate of her best response
+# to Bob vanishes.
 _ALICE_FALLBACK = MeasurementSet.chsh_optimal().as_array()[:2]
 _ALICE_FALLBACK.setflags(write=False)
 
@@ -164,12 +166,10 @@ def _seesaw(r_alice, r_bob, corr, tau, starts, tol):
     # settings (module docstring), Alice's best-response value, which scores
     # each restart.  The batch stops at the iteration where every restart's
     # V has once risen by less than ``tol``, or at the iteration cap, before
-    # that iteration's update of Alice, so that it ends at Alice's settings
-    # and Bob's answer to them, as the plain alternation does.  Returns the
-    # batch end's own values (restarts,), formed once term by term,
-    # Alice's and Bob's (2, restarts, 3) settings, the converged flags, the
-    # iteration at which each restart first converged (or the last), and the
-    # read-only (iterations, restarts) rows of V.
+    # that iteration's update of Alice.  Returns Bob's (2, restarts, 3)
+    # settings, the converged flags, the iteration at which each restart
+    # first converged (or the last), and the read-only (iterations, restarts)
+    # rows of V; the last row is V at Bob's returned settings.
     max_iterations = SeesawConfig.max_iterations
     restarts = starts[0].shape[1]
     to_alice = np.zeros((7, 7))
@@ -224,26 +224,7 @@ def _seesaw(r_alice, r_bob, corr, tau, starts, tol):
     histories.setflags(write=False)
     below = np.diff(history[: iterations + 1], axis=0) < tol
     first_converged = np.where(converged, below.argmax(axis=0) + 1, iterations)
-    alice, bob = (np.ascontiguousarray(sets.transpose(1, 0, 2)) for sets in (alice_sets, bob_sets))
-    return _batch_values(r_alice, r_bob, corr, tau, alice, bob), alice, bob, converged, first_converged, histories
-
-
-def _batch_values(r_alice, r_bob, corr, tau, alice, bob):
-    # The value at Alice's and Bob's (2, restarts, 3) settings, term by term
-    # in the order of the value line the batch once formed every iteration,
-    # which keeps the printed outputs of earlier releases.  corr.T stays a
-    # view: a contiguous copy takes another BLAS path for a single restart
-    # and rounds differently.
-    alice_col, bob_col = r_alice[:, None], r_bob[:, None]
-    bob_pm = np.array([bob[0] + bob[1], bob[0] - bob[1]])
-    corr_bob = bob_pm @ corr.T
-    a_dot = (alice[0] @ alice_col)[:, 0]
-    b_dot = (bob[0] @ bob_col)[:, 0]
-    bob_marginal = (bob_pm @ bob_col)[..., 0]
-    corr_terms = np.einsum("prk,prk->pr", alice, corr_bob)
-    return 0.25 * (2.0 + 2.0 * a_dot + bob_marginal[0] + corr_terms[0] + bob_marginal[1] + corr_terms[1]) - tau * (
-        1.0 + 0.5 * (a_dot + b_dot)
-    )
+    return bob_sets.transpose(1, 0, 2), converged, first_converged, histories
 
 
 def _tangent_basis(b):
@@ -390,11 +371,13 @@ def _bloch_newton(b0, b1, t, pull, lin):
     return current[0], b0, b1, False, steps
 
 
-def _best_response(corr: np.ndarray, pull: np.ndarray, bob: np.ndarray, current: np.ndarray) -> np.ndarray:
-    # Alice's best settings (2, 3) against Bob's (2, 3), the update the see-saw
-    # kernel makes, for pull = 2 (1 - tau) r_A; where a candidate vanishes,
-    # her current setting is kept.
-    return _renormalize_rows(np.array([corr @ (bob[0] + bob[1]) + pull, corr @ (bob[0] - bob[1])]), current)
+def _best_response(corr: np.ndarray, pull: np.ndarray, bob: np.ndarray) -> MeasurementSet:
+    # Alice's best settings against Bob's (2, 3) vectors, the update the
+    # see-saw kernel makes, for pull = 2 (1 - tau) r_A, with Bob's vectors as
+    # one normalized set; where a candidate vanishes, her CHSH-optimal
+    # setting is kept.
+    alice = _renormalize_rows(np.array([corr @ (bob[0] + bob[1]) + pull, corr @ (bob[0] - bob[1])]), _ALICE_FALLBACK)
+    return MeasurementSet.normalized([*alice, *bob])
 
 
 @functools.lru_cache(maxsize=16)
@@ -424,8 +407,7 @@ def _measured_maximum(rho: TwoQubitState, tau: float, gamma: float, value: float
     if rotation is not None:
         bob = bob @ rotation.T
     r_alice, _, corr = rho.bloch
-    alice = _best_response(corr, 2.0 * (1.0 - tau) * r_alice, bob, _ALICE_FALLBACK)
-    measurements = MeasurementSet.normalized([*alice, *bob])
+    measurements = _best_response(corr, 2.0 * (1.0 - tau) * r_alice, bob)
     s_q = quantum_value(rho, measurements, tau).value
     if abs(s_q - value) > 1e-12:
         raise NumericFailure(
@@ -475,11 +457,10 @@ def seesaw_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEF
     V(b0, b1) of Bob's two Bloch vectors (module docstring).  All restarts
     iterate in one batch until the V of each has risen by less than 1e-6 in
     an iteration, or for 500 iterations, and damped Riemannian Newton on V
-    finishes the leading restart (the highest batch end) and every restart
-    that was still rising by 1e-6 or more at the cap, until its predicted
-    rise is below 1e-17 (or after 200 steps).  Alice's settings are her best
-    response to the finished vectors.  The best of the finished restarts, and
-    of the batch's own ends where they are at least as high, is returned.
+    finishes the leading restart (the one with the highest V at hand-off)
+    and every restart that was still rising by 1e-6 or more at the cap,
+    until its predicted rise is below 1e-17 (or after 200 steps).  The best
+    finish is returned, with Alice's best response to its vectors.
     """
     coefficients(tau)  # validates the tilt range
     tau = float(tau)
@@ -494,7 +475,7 @@ def _batch_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEF
     # docstring) on any state, pure ones too, at a float tilt in [1, 3/2):
     # the tests keep it as a search independent of the Schmidt route.
     r_alice, r_bob, corr = rho.bloch
-    values, alice, bob, handed_off, iteration_counts, histories = _seesaw(
+    bob, handed_off, iteration_counts, histories = _seesaw(
         r_alice, r_bob, corr, tau, _restart_starts(cfg.rng_seed), _HANDOFF_TOL
     )
     pull = 2.0 * (1.0 - tau) * r_alice
@@ -503,25 +484,21 @@ def _batch_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEF
         tuple(pull.tolist()),
         tuple((0.5 * (1.0 - tau) * r_bob).tolist()),
     )
-    # Each finished restart offers its batch end and its finish; on a tie the
-    # batch end, which max() meets first, is kept.
-    ends, finish_steps = [], 0
-    finished_restarts = tuple(sorted({int(np.argmax(values)), *np.flatnonzero(~handed_off).tolist()}))
-    for r in finished_restarts:
-        value, b0, b1, finished, steps = _bloch_newton(tuple(bob[0, r].tolist()), tuple(bob[1, r].tolist()), *terms)
-        finish_steps += steps
-        response = _best_response(corr, pull, np.array([b0, b1]), alice[:, r])
-        ends.append((float(values[r]), r, finished, [alice[0, r], alice[1, r], bob[0, r], bob[1, r]]))
-        ends.append((0.5 - tau + value, r, finished, [*response, b0, b1]))
-    value, r, finished, settings = max(ends, key=lambda end: end[0])
+    # The leader is the restart with the highest V at hand-off; on a tie of
+    # finishes, max() keeps the first, the lowest restart index.
+    finished_restarts = tuple(sorted({int(np.argmax(histories[-1])), *np.flatnonzero(~handed_off).tolist()}))
+    finishes = [
+        (r, *_bloch_newton(tuple(bob[0, r].tolist()), tuple(bob[1, r].tolist()), *terms)) for r in finished_restarts
+    ]
+    r, value, b0, b1, finished, _ = max(finishes, key=lambda finish: finish[1])
     return SeesawResult(
-        value=BellValue(value=value, tau=tau),
-        measurements=MeasurementSet.normalized(settings),
+        value=BellValue(value=0.5 - tau + value, tau=tau),
+        measurements=_best_response(corr, pull, np.array([b0, b1])),
         converged=finished,
         iterations=int(iteration_counts[r]),
         batch_iterations=len(histories),
         unconverged=int(np.count_nonzero(~handed_off)),
         finished=finished_restarts,
-        finish_steps=finish_steps,
+        finish_steps=sum(finish[5] for finish in finishes),
         histories=histories,
     )

@@ -335,7 +335,7 @@ def _load_slice(payload: dict) -> ChSlice:
     missing = [k for k in _SLICE_FIELDS if k not in payload]
     if missing:
         raise SchemaError(f"ch_slice file missing fields: {missing}")
-    return ChSlice(**{k: _check_probability(payload[k], k) for k in _SLICE_FIELDS})
+    return ChSlice(**{k: payload[k] for k in _SLICE_FIELDS})
 
 
 def load(path) -> ProbabilityTable | ChSlice:

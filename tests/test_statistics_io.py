@@ -28,6 +28,20 @@ from bellbound import (
 from conftest import DEMO_SLICE, reference_ch_slice, reference_validate
 
 SLICE_FIELDS = ("j00", "j01", "j10", "j11", "mA0", "mA1", "mB0", "mB1")
+# JSON literals a probability entry must refuse, with the error and message.
+BAD_LITERALS = pytest.mark.parametrize(
+    "literal,error,message",
+    [
+        ("true", SchemaError, "must be a number"),
+        ('"0.25"', SchemaError, "must be a number"),
+        ("null", SchemaError, "must be a number"),
+        ("-0.1", RangeError, "lies outside"),
+        ("1.5", RangeError, "lies outside"),
+        ("NaN", RangeError, "lies outside"),
+        ("1e400", RangeError, "lies outside"),
+    ],
+    ids=["bool", "string", "null", "negative", "above-1", "NaN", "1e400"],
+)
 
 
 class TestSimulate:
@@ -400,25 +414,24 @@ class TestLoadSave:
         assert table.prob(0, 1, 1, 0) == 0.75
 
     @pytest.mark.parametrize("index", [0, 15])
-    @pytest.mark.parametrize(
-        "literal,error,message",
-        [
-            ("true", SchemaError, "must be a number"),
-            ('"0.25"', SchemaError, "must be a number"),
-            ("null", SchemaError, "must be a number"),
-            ("-0.1", RangeError, "lies outside"),
-            ("1.5", RangeError, "lies outside"),
-            ("NaN", RangeError, "lies outside"),
-            ("1e400", RangeError, "lies outside"),
-        ],
-        ids=["bool", "string", "null", "negative", "above-1", "NaN", "1e400"],
-    )
+    @BAD_LITERALS
     def test_bad_entry_is_refused_by_index(self, tmp_path, index, literal, error, message):
         entries = ["0.25"] * 16
         entries[index] = literal
         path = tmp_path / "bad.json"
         path.write_text('{"format": "full", "p": [' + ", ".join(entries) + "]}", encoding="utf-8")
         with pytest.raises(error, match=rf"^p\[{index}\] .*{message}"):
+            load(path)
+
+    @pytest.mark.parametrize("name", ["j00", "mB1"])
+    @BAD_LITERALS
+    def test_bad_slice_field_is_refused_by_name(self, tmp_path, name, literal, error, message):
+        fields = dict.fromkeys(SLICE_FIELDS, "0.25")
+        fields[name] = literal
+        path = tmp_path / "bad.json"
+        text = ", ".join(f'"{k}": {v}' for k, v in fields.items())
+        path.write_text('{"format": "ch_slice", ' + text + "}", encoding="utf-8")
+        with pytest.raises(error, match=rf"^{name} .*{message}"):
             load(path)
 
     def test_integer_entries_load_as_floats(self, tmp_path):
