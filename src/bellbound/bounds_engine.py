@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .bell_model import TAU_MAXENT_CUTOFF, TAU_TRIVIAL
 from .errors import NumericFailure, ValidationFailure
-from .optimizer import critical_gamma
+from .optimizer import _critical_concurrence
 from .statistics_io import (
     HARD_VALIDATION_TOL,
     ChSlice,
@@ -110,9 +110,17 @@ def upper_bound_numeric(tau: float) -> float | None:
     on max F with its envelope slope.  A state violates where max F >= 0, and
     the bracket's end it reports is rated non-violating (below -1e-15), so it
     lies above every violating angle the search assumes.  1 below the
-    maximally-entangled cutoff.  None when even the optimum stays at or below
-    1e-10 at ``tau``, as happens just below 3/2: there is then no crossing to
-    locate, and the analytic bound is the one that holds.
+    maximally-entangled cutoff, with no search.  None when even the optimum
+    stays at or below 1e-10 at ``tau``, as happens just below 3/2: there is
+    then no crossing to locate, and the analytic bound is the one that holds.
+
+    The bound needs the crossing, not the optimum, so it runs the optimum
+    search's coarse scan and brackets the crossing from the scan's peak, a
+    violating angle below it, where the measurements are read back as for
+    the optimum (:class:`~bellbound.errors.NumericFailure` if they miss
+    max F by more than 1e-12).  Only where that peak rates at most 1e-9,
+    from about tilt 1.496 on, is the optimum refined first, so that the
+    None decision is the one ``critical_gamma`` makes.
     """
     # The search runs over pure Schmidt states, yet the bound holds for mixed
     # states too.  Wootters' decomposition writes rho as a mixture of pure
@@ -120,9 +128,10 @@ def upper_bound_numeric(tau: float) -> float | None:
     # is the same mixture of their values under the same measurements, so at
     # every tilt below tau_obs, where rho's statistics violate, one of those
     # pure states violates too.  Its Schmidt angle then lies at or below the
-    # critical angle, so C(rho) <= c_cr at every such tilt, and at tau_obs by
-    # the continuity of c_cr in the tilt.
-    return critical_gamma(tau).c_cr
+    # critical angle, the end of the crossing's bracket above any violating
+    # lower end, so C(rho) <= c_cr at every such tilt, and at tau_obs by the
+    # continuity of c_cr in the tilt.  Neither step reads the optimum.
+    return _critical_concurrence(tau)
 
 
 def upper_bound_marginal(slc: ChSlice, projective: bool = True) -> float | None:

@@ -12,12 +12,15 @@ Three layers:
   is bracketed inside the grid's best cell.  The grid is rated in decreasing
   order of :func:`pure_state_value_cap`, skipping every angle whose cap
   cannot reach the best value already rated.
-* :func:`critical_gamma` -- at any tilt in [1, 3/2), an angle above the
-  largest Schmidt angle that still violates (max F >= 0), rated not to
-  violate; its concurrence is the numeric upper bound on the concurrence of
-  any violating state.  It is pi/4 below the maximally-entangled cutoff,
-  with no search, and None where no angle violates above 1e-10.  The optimum
-  at the tilt is returned with it.
+* :func:`critical_gamma` -- at any tilt in [1, 3/2), the optimum and then
+  the crossing above it: an angle above the largest Schmidt angle that still
+  violates (max F >= 0), rated not to violate.  It is pi/4 below the
+  maximally-entangled cutoff, with no crossing searched, and None where no
+  angle violates above 1e-10.  Its concurrence is the numeric upper bound on
+  the concurrence of any violating state, which
+  :func:`~bellbound.bounds_engine.upper_bound_numeric` finds by the same
+  crossing from the coarse scan's peak, refining the optimum only where
+  that peak rates at most 1e-9, so that its None decision is the same.
 
 Each search reports the bracket it closes.  A safeguarded root finder closes
 a bracket on the root of a falling function of the angle from its value and
@@ -52,7 +55,9 @@ peak bracket with the slopes at both ends ("unknown" for 0, unrated, or
 "none" for the bracket, where the grid's peak is taken), the critical-angle
 search its bracket with max F at both ends, the upper end's from its cold
 rating (or "none" for pi/4, unrated), or the optimum's peak value and angle
-where no angle violates.
+where no angle violates.  The numeric upper bound logs its coarse scan
+before its crossing: the tilt, the angles rated cold, the Newton steps, the
+peak angle with its max F, and whether it refines the optimum.
 
 :func:`pure_state_value_cap` / :func:`max_value_cap` give the closed-form
 analytic caps the search results are checked against.
@@ -128,6 +133,11 @@ _SLOPE_FLOOR = 2e-15
 # the optimum's needed at most 6.
 _AIM_FLOORS = 8.0
 _CLOSE_STEPS = 20
+# The numeric upper bound refines the optimum only where the coarse scan's
+# peak rates at most this (from about tilt 1.496, where the peak lies in the
+# grid's first cell).  Above it the optimum's s_q, within 1e-12 of a max F
+# that refinement only raises above the peak's, exceeds VIOLATION_THRESHOLD.
+_REFINE_BELOW = 1e-9
 
 logger = logging.getLogger("bellbound")
 
@@ -274,10 +284,15 @@ def global_max_violation(tau: float) -> OptimumPoint:
     77 Newton steps.
     """
     coefficients(tau)
-    t = float(tau)
-    rate = _Rater(t)
-    grid = _COARSE_GRID
-    caps = _coarse_caps(t)
+    rate = _Rater(float(tau))
+    return _refined_optimum(rate, *_coarse_scan(rate))
+
+
+def _coarse_scan(rate: _Rater):
+    # The coarse grid rated by ``rate`` in decreasing order of the cap, with
+    # the angles the cap rules out left at -inf: max F and the maximizer at
+    # each grid angle, and the index of the grid's peak.
+    caps = _coarse_caps(rate.tau)
     values = np.full(COARSE_GAMMA_POINTS, -np.inf)
     thetas = [None] * COARSE_GAMMA_POINTS
     order = np.argsort(-caps, kind="stable")
@@ -286,10 +301,16 @@ def global_max_violation(tau: float) -> OptimumPoint:
         chunk = chunk[caps[chunk] + _CAP_TOLERANCE >= values.max()]
         if chunk.size == 0:  # caps only fall from here, so no later angle passes
             break
-        values[chunk], chunk_thetas = rate(grid[chunk], _SCAN_STARTS)
+        values[chunk], chunk_thetas = rate(_COARSE_GRID[chunk], _SCAN_STARTS)
         for i, theta in zip(chunk, chunk_thetas):
             thetas[i] = theta
-    peak = int(np.argmax(values))
+    return values, thetas, int(np.argmax(values))
+
+
+def _refined_optimum(rate: _Rater, values, thetas, peak: int) -> OptimumPoint:
+    # The optimum inside the coarse scan's best cell, from the scan's ratings
+    # and maximizers, with its measurements; logs the search's line.
+    t, grid = rate.tau, _COARSE_GRID
     gamma_star, ends = float(grid[peak]), "none"
 
     def slope_at(gamma, theta=None):
@@ -425,7 +446,8 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     steps, and the bracket is about 1e-13 wide.  It widens as max F flattens
     toward 3/2 (its slope at the crossing is 8.7e-6 at 1.4988, 1.2e-6 at
     1.4995 and 6.7e-7 at 1.49966), to about 2e-9, 1e-8 and 3e-8 there.  The
-    violating angles above the optimum are assumed to form one interval.
+    violating angles above the crossing's lower end, here the optimum, are
+    assumed to form one interval.
 
     Raises ``ValueError`` for a tilt outside [1, 3/2), and
     :class:`~bellbound.errors.NumericFailure` when the closer stops on its
@@ -437,12 +459,21 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     t = optimum.tau
     if t < TAU_MAXENT_CUTOFF:
         return CriticalCurvePoint(tau=t, gamma_c=math.pi / 4, c_cr=1.0, optimum=optimum)
-    if optimum.s_q <= VIOLATION_THRESHOLD:
+    gamma_c = _crossing(t, optimum.gamma_star, optimum.s_q)
+    c_cr = None if gamma_c is None else math.sin(2.0 * gamma_c)
+    return CriticalCurvePoint(tau=t, gamma_c=gamma_c, c_cr=c_cr, optimum=optimum)
+
+
+def _crossing(t: float, a: float, f_a: float) -> float | None:
+    # critical_gamma's angle at a tilt from the cutoff on, bracketed from an
+    # angle a below the crossing that rates f_a, the peak's value: None where
+    # that is at most VIOLATION_THRESHOLD.  Logs the search's line.
+    if f_a <= VIOLATION_THRESHOLD:
         logger.debug(
             "critical angle at tau %.10g: no violating Schmidt angle, peak value %.3e at gamma %.6f",
-            t, optimum.s_q, optimum.gamma_star,
+            t, f_a, a,
         )
-        return CriticalCurvePoint(tau=t, gamma_c=None, c_cr=None, optimum=optimum)
+        return None
     rate = _Rater(t)
 
     def max_f(x):
@@ -454,13 +485,11 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
             value, theta = float(values[0]), thetas[0]
         return value, _envelope_slope(x, t, *theta)
 
-    # The crossing lies in [gamma_star, pi/4], and pi/4 (C = 1) is always a
-    # sound answer, so it enters unrated.  Newton starts where the cap falls
-    # to 1e-10, not at the cap's zero, which at the cutoff is pi/4 itself,
-    # where max F has a kink.
-    a, f_a, b, f_b, closed = _close_bracket(
-        max_f, optimum.gamma_star, optimum.s_q, math.pi / 4, None, _MAX_F_ROUNDING, _cap_root(t)
-    )
+    # The crossing lies in [a, pi/4], and pi/4 (C = 1) is always a sound
+    # answer, so it enters unrated.  Newton starts where the cap falls to
+    # 1e-10, not at the cap's zero, which at the cutoff is pi/4 itself, where
+    # max F has a kink.
+    a, f_a, b, f_b, closed = _close_bracket(max_f, a, f_a, math.pi / 4, None, _MAX_F_ROUNDING, _cap_root(t))
     if not closed:
         raise NumericFailure(f"crossing bracket [{a!r}, {b!r}] at tilt {t!r} open after {_CLOSE_STEPS} ratings")
     # A warm rating, or a cold one from one start, may under-rate max F,
@@ -486,7 +515,35 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
         "bracket [%.17g, %.17g] with max F %.6e and %s",
         t, rate.cold, rate.warmed, rate.steps, a, b, f_a, "none" if f_b is None else "%.6e" % f_b,
     )
-    return CriticalCurvePoint(tau=t, gamma_c=b, c_cr=math.sin(2.0 * b), optimum=optimum)
+    return b
+
+
+def _critical_concurrence(tau: float) -> float | None:
+    # critical_gamma's c_cr from the coarse scan and the crossing alone.  Any
+    # violating angle below the crossing is a sound lower end for it, so the
+    # crossing starts from the scan's peak and its cold rating, and the
+    # measurements are read back there.  The optimum is refined only where
+    # the peak rates at most _REFINE_BELOW, so that the answer is None
+    # exactly where critical_gamma's is.
+    coefficients(tau)
+    t = float(tau)
+    if t < TAU_MAXENT_CUTOFF:
+        return 1.0
+    rate = _Rater(t)
+    values, thetas, peak = _coarse_scan(rate)
+    gamma, value = float(_COARSE_GRID[peak]), float(values[peak])
+    refine = value <= _REFINE_BELOW
+    logger.debug(
+        "Schmidt scan at tau %.10g: %d angles rated cold, %d Newton steps, peak at gamma %.17g with max F %.6e, %s",
+        t, rate.cold, rate.steps, gamma, value, "refining the optimum" if refine else "optimum not refined",
+    )
+    if refine:
+        optimum = _refined_optimum(rate, values, thetas, peak)
+        gamma, value = optimum.gamma_star, optimum.s_q
+    else:
+        _measured_maximum(schmidt_state(gamma), t, gamma, value, thetas[peak])
+    gamma_c = _crossing(t, gamma, value)
+    return None if gamma_c is None else math.sin(2.0 * gamma_c)
 
 
 def pure_state_value_cap(gamma: float, tau: float) -> float:

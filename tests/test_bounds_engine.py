@@ -1,5 +1,7 @@
 import json
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from bellbound import (
     assemble_report,
     ch_slice,
     ch_value,
+    critical_gamma,
     evaluate_classical,
     lower_bound_concurrence,
     max_value_cap,
@@ -29,7 +32,7 @@ from bellbound import (
     upper_bound_numeric,
     validate,
 )
-from bellbound import bounds_engine
+from bellbound import bounds_engine, optimizer, schmidt
 from bellbound.bounds_engine import (
     NOTE_BELOW_CUTOFF,
     NOTE_NO_VIOLATION,
@@ -130,6 +133,85 @@ class TestUpperBoundNumeric:
 
     def test_strong_tilt(self):
         assert upper_bound_numeric(1.49) < 0.3
+
+    def test_equals_critical_gamma(self):
+        # A linspace from the cutoff, and seeded tilts from 1.495 on: there
+        # the scan's peak lies in the grid's first cell and rates at most 1e-9
+        # from 1.4958, so the bound refines the optimum, and from 1.49966 no
+        # angle violates.  Two tilts below the cutoff answer 1 unsearched.
+        taus = [1.0, 1.1, *np.linspace(TAU_MAXENT_CUTOFF, 1.4999999, 300).tolist()]
+        taus += np.random.default_rng(29).uniform(1.495, 1.4999999, 100).tolist()
+        bounds = [upper_bound_numeric(tau) for tau in taus]
+        assert bounds == [critical_gamma(tau).c_cr for tau in taus]
+        assert sum(tau >= 1.4958 and bound is not None for tau, bound in zip(taus, bounds)) >= 60
+        assert sum(bound is None for bound in bounds) >= 5
+
+    def test_answers_without_refining_the_optimum(self, monkeypatch):
+        expected = {tau: critical_gamma(tau).c_cr for tau in (1.2102, 1.3, 1.427, 1.49)}
+
+        def refused(*args):
+            raise AssertionError("the optimum was refined")
+
+        monkeypatch.setattr(optimizer, "_refined_optimum", refused)
+        assert {tau: upper_bound_numeric(tau) for tau in expected} == expected
+
+    @staticmethod
+    def cold_ratings(monkeypatch, search, tau):
+        """The angle and start counts of each cold rating ``search`` makes at ``tau``."""
+        schmidt_maxima, calls = schmidt._schmidt_maxima, []
+
+        def recording(gammas, t, starts=schmidt._NEWTON_STARTS):
+            calls.append((len(gammas), starts))
+            return schmidt_maxima(gammas, t, starts)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(optimizer, "_schmidt_maxima", recording)
+            search(tau)
+        return calls
+
+    def test_rates_cold_all_but_the_optimum(self, monkeypatch):
+        # At 1.3 the bound makes every cold rating of critical_gamma but the
+        # optimum's 4-start one.  At 1.497, where it refines, it scans the
+        # whole grid once and rates the optimum once, as critical_gamma does.
+        searched = self.cold_ratings(monkeypatch, critical_gamma, 1.3)
+        bounded = self.cold_ratings(monkeypatch, upper_bound_numeric, 1.3)
+        assert searched.count((1, schmidt._NEWTON_STARTS)) == 2
+        searched.remove((1, schmidt._NEWTON_STARTS))
+        assert bounded == searched
+        scan, optimum = [(8, optimizer._SCAN_STARTS)] * 8, [(1, schmidt._NEWTON_STARTS)]
+        crossing = [(1, optimizer._SCAN_STARTS), (1, schmidt._NEWTON_STARTS)]
+        for search in (upper_bound_numeric, critical_gamma):
+            assert self.cold_ratings(monkeypatch, search, 1.497) == scan + optimum + crossing
+
+    @pytest.mark.parametrize("tau", [1.3, 1.497])
+    def test_measurements_missing_max_f_raise(self, quantum_value_off_by_1e9, tau):
+        with pytest.raises(NumericFailure, match="differs from max F"):
+            upper_bound_numeric(tau)
+
+    def test_logs_its_scan_before_the_crossing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="bellbound"):
+            upper_bound_numeric(1.3)
+            upper_bound_numeric(1.497)
+        messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
+        assert len(messages) == 5
+        assert re.fullmatch(
+            r"Schmidt scan at tau 1\.3: 18 angles rated cold, 58 Newton steps, "
+            r"peak at gamma 0\.3615\d+ with max F 1\.834928e-02, optimum not refined",
+            messages[0],
+        )
+        assert messages[1].startswith("critical angle at tau 1.3: 2 angles rated cold and 5 warm, 21 Newton steps")
+        assert re.fullmatch(
+            r"Schmidt scan at tau 1\.497: 64 angles rated cold, \d+ Newton steps, "
+            r"peak at gamma 0 with max F 0\.000000e\+00, refining the optimum",
+            messages[2],
+        )
+        assert messages[3].startswith("Schmidt optimum at tau 1.497: 65 angles rated cold and 5 warm")
+        assert messages[4].startswith("critical angle at tau 1.497: 2 angles rated cold")
+
+    def test_domain(self):
+        for tau in (1.5, math.nextafter(1.0, 0.0), math.nan):
+            with pytest.raises(ValueError, match=r"\[1, 3/2\)"):
+                upper_bound_numeric(tau)
 
 
 class TestUpperBoundMarginal:
