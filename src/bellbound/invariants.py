@@ -2,12 +2,14 @@
 
 :data:`INVARIANTS` lists ``(name, check)`` pairs; ``check(seed, tol)`` returns
 ``(ok, detail)``.  Random draws come from ``default_rng([seed, k])``, a stream
-``k`` per check, or from ``SeesawConfig(rng_seed=seed)``; ``tol`` is the
-validation tolerance of the demo-slice report.  ``verify`` prints one line per
-entry in order, and the acceptance suite runs each entry as a test named after
-it.  The module also holds the oracles the checks use: the kron/trace Born
-rule, which shares no code with the library's Bloch-form table, and the
-cutoff check of the maximally entangled state.  Only ``verify`` imports it.
+``k`` per check, or ``[seed, index]`` per tilt in :func:`maxent_cutoff`; the
+see-saw checks run on pure states, which take the Schmidt route and draw
+nothing.  ``tol`` is the validation tolerance of the demo-slice report.
+``verify`` prints one line per entry in order, and the acceptance suite runs
+each entry as a test named after it.  The module also holds the oracles the
+checks use: the kron/trace Born rule, which shares no code with the
+library's Bloch-form table, and the cutoff check of the maximally entangled
+state.  Only ``verify`` imports it.
 """
 
 from __future__ import annotations
@@ -50,13 +52,13 @@ def random_single_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def maxent_cutoff(taus, measurement_sets_per_tau: int, cfg=seesaw.DEFAULT_CONFIG):
+def maxent_cutoff(taus, measurement_sets_per_tau: int, seed: int = seesaw.DEFAULT_CONFIG.rng_seed):
     """``(violation, residual)`` of the maximally entangled state at each tilt in [cutoff, 3/2).
 
-    ``violation`` is the see-saw's maximal value.  The state's marginals are
-    exactly 1/2, so its tilted value is its untilted value minus (tau - 1);
-    ``residual`` is the largest miss of that identity over measurement sets
-    drawn from ``default_rng([cfg.rng_seed, index])``.
+    ``violation`` is the maximal value, by the Schmidt route (the state is
+    pure).  Its marginals are exactly 1/2, so its tilted value is its
+    untilted value minus (tau - 1); ``residual`` is the largest miss of that
+    identity over measurement sets drawn from ``default_rng([seed, index])``.
     """
     rho = quantum_core.maximally_entangled_state()
     rows = []
@@ -64,8 +66,8 @@ def maxent_cutoff(taus, measurement_sets_per_tau: int, cfg=seesaw.DEFAULT_CONFIG
         t = float(tau)
         if not (bell_model.TAU_MAXENT_CUTOFF - 1e-12 <= t < bell_model.TAU_TRIVIAL):
             raise ValueError(f"grid tilt {t!r} outside [{bell_model.TAU_MAXENT_CUTOFF:.10f}, 1.5)")
-        violation = seesaw.seesaw_max_violation(rho, t, cfg).value.value
-        rng = np.random.default_rng([cfg.rng_seed, index])
+        violation = seesaw.seesaw_max_violation(rho, t).value.value
+        rng = np.random.default_rng([seed, index])
         residual = 0.0
         for _ in range(measurement_sets_per_tau):
             m = quantum_core.random_measurement_set(rng)
@@ -216,14 +218,13 @@ def projective_marginal_law(seed, tol):
 
 
 def tsirelson_point(seed, tol):
-    cfg = seesaw.SeesawConfig(rng_seed=seed)
-    value = seesaw.seesaw_max_violation(quantum_core.maximally_entangled_state(), 1.0, cfg).value.value
+    value = seesaw.seesaw_max_violation(quantum_core.maximally_entangled_state(), 1.0).value.value
     residual = abs(value - (1.0 / math.sqrt(2.0) - 0.5))
     return residual <= 1e-6, f"value {value:.9f}, residual {residual:.3e}"
 
 
 def maxent_silence(seed, tol):
-    rows = maxent_cutoff([1.2072, 1.3, 1.4, 1.49], 25, seesaw.SeesawConfig(rng_seed=seed))
+    rows = maxent_cutoff([1.2072, 1.3, 1.4, 1.49], 25, seed)
     worst_violation = max(violation for violation, _ in rows)
     worst_identity = max(residual for _, residual in rows)
     ok = worst_violation <= 1e-9 and worst_identity <= 1e-12
@@ -231,11 +232,10 @@ def maxent_silence(seed, tol):
 
 
 def cap_dominance(seed, tol):
-    cfg = seesaw.SeesawConfig(rng_seed=seed)
     worst = -math.inf
     for gamma in (0.2, 0.45, 0.7, math.pi / 4):
         for t in (1.0, 1.1, 1.25, 1.4):
-            value = seesaw.seesaw_max_violation(quantum_core.schmidt_state(gamma), t, cfg).value.value
+            value = seesaw.seesaw_max_violation(quantum_core.schmidt_state(gamma), t).value.value
             worst = max(worst, value - optimizer.pure_state_value_cap(gamma, t))
     return worst <= 1e-9, f"max excess over the analytic cap {worst:.3e}"
 

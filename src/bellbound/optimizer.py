@@ -75,10 +75,8 @@ from .bell_model import TAU_MAXENT_CUTOFF, coefficients
 from .errors import NumericFailure
 from .quantum_core import MeasurementSet, schmidt_state
 from .schmidt import _NEWTON_STARTS, _finish, _newton_max, _polish, _schmidt_maxima
-from .seesaw import (  # noqa: F401  (the see-saw's public names stay importable from here)
+from .seesaw import (  # noqa: F401  (DEFAULT_CONFIG and seesaw_max_violation: benchmarks/ reads them here)
     DEFAULT_CONFIG,
-    SeesawConfig,
-    SeesawResult,
     _measured_maximum,
     seesaw_max_violation,
 )
@@ -171,12 +169,14 @@ class CriticalCurvePoint:
 
 
 class _Rater:
-    # max F for one search at one tilt.  Calling the rater rates angles cold,
-    # by _schmidt_maxima from ``starts`` grid starts each; warm() rates one
-    # angle by a single Newton run from the maximizer of the nearest angle
-    # (in gamma) this rater has rated.  A warm rating may stop on a lower
-    # local maximum, so it can only under-rate max F.  Counts the cold and
-    # warm ratings and the Newton steps for the search's log line.
+    # max F for one search at one tilt, and the search's one record: the
+    # maximizer of every angle it has rated, in ``maximizers``, and the cold
+    # and warm ratings and Newton steps for the search's log line.  Calling
+    # the rater rates angles cold, by _schmidt_maxima from ``starts`` grid
+    # starts each; warm() rates one angle by a single Newton run from the
+    # maximizer of the nearest angle (in gamma) this rater has rated.  A warm
+    # rating may stop on a lower local maximum, so it can only under-rate
+    # max F.
     def __init__(self, tau: float):
         self.tau, self.cold, self.warmed, self.steps = tau, 0, 0, 0
         self.maximizers = {}
@@ -237,11 +237,11 @@ def _close_bracket(h, a, h_a, b, h_b, floor: float, x: float = math.nan):
     return a, h_a, b, h_b, False
 
 
-def _optimum_point(gamma: float, tau: float, rate: _Rater) -> OptimumPoint:
+def _optimum_point(gamma: float, rate: _Rater) -> OptimumPoint:
     # The measurements at max F and their quantum value, which must reproduce it.
     values, thetas = rate([gamma])
-    measurements, s_q = _measured_maximum(schmidt_state(gamma), tau, gamma, values[0], thetas[0])
-    return OptimumPoint(tau=tau, gamma_star=gamma, s_q=s_q, measurements=measurements)
+    measurements, s_q = _measured_maximum(schmidt_state(gamma), rate.tau, gamma, values[0], thetas[0])
+    return OptimumPoint(tau=rate.tau, gamma_star=gamma, s_q=s_q, measurements=measurements)
 
 
 def global_max_violation(tau: float) -> OptimumPoint:
@@ -283,33 +283,29 @@ def global_max_violation(tau: float) -> OptimumPoint:
     one Newton start each, 1 for the measurements from four) and 5 warm, in
     77 Newton steps.
     """
-    coefficients(tau)
-    rate = _Rater(float(tau))
-    return _refined_optimum(rate, *_coarse_scan(rate))
+    rate = _Rater(coefficients(tau).tau)
+    return _refined_optimum(rate, _coarse_scan(rate)[1])
 
 
 def _coarse_scan(rate: _Rater):
     # The coarse grid rated by ``rate`` in decreasing order of the cap, with
-    # the angles the cap rules out left at -inf: max F and the maximizer at
-    # each grid angle, and the index of the grid's peak.
+    # the angles the cap rules out left at -inf: max F at each grid angle and
+    # the index of the grid's peak.  The maximizers stay in the rater.
     caps = _coarse_caps(rate.tau)
     values = np.full(COARSE_GAMMA_POINTS, -np.inf)
-    thetas = [None] * COARSE_GAMMA_POINTS
     order = np.argsort(-caps, kind="stable")
     for start in range(0, COARSE_GAMMA_POINTS, _ANGLE_CHUNK):
         chunk = order[start : start + _ANGLE_CHUNK]
         chunk = chunk[caps[chunk] + _CAP_TOLERANCE >= values.max()]
         if chunk.size == 0:  # caps only fall from here, so no later angle passes
             break
-        values[chunk], chunk_thetas = rate(_COARSE_GRID[chunk], _SCAN_STARTS)
-        for i, theta in zip(chunk, chunk_thetas):
-            thetas[i] = theta
-    return values, thetas, int(np.argmax(values))
+        values[chunk] = rate(_COARSE_GRID[chunk], _SCAN_STARTS)[0]
+    return values, int(np.argmax(values))
 
 
-def _refined_optimum(rate: _Rater, values, thetas, peak: int) -> OptimumPoint:
-    # The optimum inside the coarse scan's best cell, from the scan's ratings
-    # and maximizers, with its measurements; logs the search's line.
+def _refined_optimum(rate: _Rater, peak: int) -> OptimumPoint:
+    # The optimum inside the coarse scan's best cell, from the maximizers the
+    # scan left in ``rate``, with its measurements; logs the search's line.
     t, grid = rate.tau, _COARSE_GRID
     gamma_star, ends = float(grid[peak]), "none"
 
@@ -324,7 +320,7 @@ def _refined_optimum(rate: _Rater, values, thetas, peak: int) -> OptimumPoint:
         # from the left is the falling one.
         if i == 0:
             return None
-        slope = slope_at(float(grid[i]), thetas[i])
+        slope = slope_at(float(grid[i]), rate.maximizers.get(float(grid[i])))
         return -abs(slope) if i == COARSE_GAMMA_POINTS - 1 else slope
 
     cell = [(float(grid[i]), cell_slope(i)) for i in range(max(peak - 1, 0), min(peak + 2, COARSE_GAMMA_POINTS))]
@@ -340,7 +336,7 @@ def _refined_optimum(rate: _Rater, values, thetas, peak: int) -> OptimumPoint:
         if not a < gamma_star < b:
             gamma_star = 0.5 * (a + b)
         ends = "[%.17g, %.17g] with slopes %s and %.6e" % (a, b, "unknown" if g_a is None else "%.6e" % g_a, g_b)
-    optimum = _optimum_point(gamma_star, t, rate)
+    optimum = _optimum_point(gamma_star, rate)
     logger.debug(
         "Schmidt optimum at tau %.10g: %d angles rated cold and %d warm, %d Newton steps, peak bracket %s",
         t, rate.cold, rate.warmed, rate.steps, ends,
@@ -457,9 +453,7 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
     """
     optimum = global_max_violation(tau)
     t = optimum.tau
-    if t < TAU_MAXENT_CUTOFF:
-        return CriticalCurvePoint(tau=t, gamma_c=math.pi / 4, c_cr=1.0, optimum=optimum)
-    gamma_c = _crossing(t, optimum.gamma_star, optimum.s_q)
+    gamma_c = math.pi / 4 if t < TAU_MAXENT_CUTOFF else _crossing(t, optimum.gamma_star, optimum.s_q)
     c_cr = None if gamma_c is None else math.sin(2.0 * gamma_c)
     return CriticalCurvePoint(tau=t, gamma_c=gamma_c, c_cr=c_cr, optimum=optimum)
 
@@ -525,12 +519,11 @@ def _critical_concurrence(tau: float) -> float | None:
     # measurements are read back there.  The optimum is refined only where
     # the peak rates at most _REFINE_BELOW, so that the answer is None
     # exactly where critical_gamma's is.
-    coefficients(tau)
-    t = float(tau)
+    t = coefficients(tau).tau
     if t < TAU_MAXENT_CUTOFF:
         return 1.0
     rate = _Rater(t)
-    values, thetas, peak = _coarse_scan(rate)
+    values, peak = _coarse_scan(rate)
     gamma, value = float(_COARSE_GRID[peak]), float(values[peak])
     refine = value <= _REFINE_BELOW
     logger.debug(
@@ -538,10 +531,10 @@ def _critical_concurrence(tau: float) -> float | None:
         t, rate.cold, rate.steps, gamma, value, "refining the optimum" if refine else "optimum not refined",
     )
     if refine:
-        optimum = _refined_optimum(rate, values, thetas, peak)
+        optimum = _refined_optimum(rate, peak)
         gamma, value = optimum.gamma_star, optimum.s_q
     else:
-        _measured_maximum(schmidt_state(gamma), t, gamma, value, thetas[peak])
+        _measured_maximum(schmidt_state(gamma), t, gamma, value, rate.maximizers[gamma])
     gamma_c = _crossing(t, gamma, value)
     return None if gamma_c is None else math.sin(2.0 * gamma_c)
 

@@ -252,16 +252,16 @@ def _mat_vec(t, b):
     return _dot(t[0], b), _dot(t[1], b), _dot(t[2], b)
 
 
-def _bloch_v(b0, b1, t, pull, lin, derivatives=False):
+def _bloch_v(b0, b1, t, pull, lin):
     # V - (1/2 - tau) at Bob's Bloch vectors b0 and b1 (unit 3-tuples of
     # floats), for the correlation matrix t (a tuple of rows),
     # pull = 2 (1 - tau) r_A and lin = (1 - tau) r_B / 2:
     #
     #     lin.b0 + |u| / 4 + |v| / 4,  u = T (b0 + b1) + pull,  v = T (b0 - b1).
     #
-    # With ``derivatives`` the Riemannian gradient (4 floats) and Hessian (4x4
-    # lists) on (S^2)^2 come too, in the tangent bases of _tangent_basis at b0
-    # and b1 (four vectors e_i, b0's first), with the bases.  Moving b0 along
+    # Returns it with the Riemannian gradient (4 floats) and Hessian (4x4
+    # lists) on (S^2)^2, in the tangent bases of _tangent_basis at b0 and b1
+    # (four vectors e_i, b0's first), and the bases.  Moving b0 along
     # e_i moves u and v by T e_i; moving b1 moves u by T e_i and v by -T e_i.
     # For a norm |x| with such columns J_i, the gradient is x.J_i / |x| and the
     # Euclidean Hessian (J_i.J_j - (x.J_i)(x.J_j) / |x|^2) / |x|; the sphere
@@ -272,8 +272,6 @@ def _bloch_v(b0, b1, t, pull, lin, derivatives=False):
     v = (tb0[0] - tb1[0], tb0[1] - tb1[1], tb0[2] - tb1[2])
     ru, rv = _dot(u, u) ** 0.5, _dot(v, v) ** 0.5
     value = _dot(lin, b0) + 0.25 * (ru + rv)
-    if not derivatives:
-        return value
     iu, iv = (1.0 / r if r > 0.0 else 0.0 for r in (ru, rv))
     bases = _tangent_basis(b0) + _tangent_basis(b1)
     te = [_mat_vec(t, e) for e in bases]
@@ -353,7 +351,7 @@ def _bloch_newton(b0, b1, t, pull, lin):
     # the predicted rise is below 1e-17, or after _FINISH_MAX_STEPS steps.
     # Returns V - (1/2 - tau), the vectors, whether the predicted rise fell
     # below 1e-17, and the number of steps tried.
-    current = _bloch_v(b0, b1, t, pull, lin, True)
+    current = _bloch_v(b0, b1, t, pull, lin)
     shift, steps = 0.0, 0
     while steps < _FINISH_MAX_STEPS:
         value, grad, hess, bases = current
@@ -362,7 +360,7 @@ def _bloch_newton(b0, b1, t, pull, lin):
             return value, b0, b1, True, steps
         steps += 1
         n0, n1 = _retract(b0, bases[:2], *step[:2]), _retract(b1, bases[2:], *step[2:])
-        trial = _bloch_v(n0, n1, t, pull, lin, True)
+        trial = _bloch_v(n0, n1, t, pull, lin)
         if trial[0] > value:
             b0, b1, current, shift = n0, n1, trial, 0.1 * shift
         else:
@@ -462,8 +460,7 @@ def seesaw_max_violation(rho: TwoQubitState, tau: float, cfg: SeesawConfig = DEF
     until its predicted rise is below 1e-17 (or after 200 steps).  The best
     finish is returned, with Alice's best response to its vectors.
     """
-    coefficients(tau)  # validates the tilt range
-    tau = float(tau)
+    tau = coefficients(tau).tau  # validates the tilt range
     r_alice, r_bob, corr = rho.bloch
     if 1.0 - 0.25 * (1.0 + r_alice @ r_alice + r_bob @ r_bob + np.vdot(corr, corr)) <= _PURITY_TOL:
         return _schmidt_route(rho, tau)

@@ -169,6 +169,11 @@ class TestUpperBoundNumeric:
             search(tau)
         return calls
 
+    @pytest.mark.parametrize("tau", [1.0, 1.1])
+    def test_rates_no_angle_below_the_cutoff(self, monkeypatch, tau):
+        assert self.cold_ratings(monkeypatch, upper_bound_numeric, tau) == []
+        assert upper_bound_numeric(tau) == 1.0
+
     def test_rates_cold_all_but_the_optimum(self, monkeypatch):
         # At 1.3 the bound makes every cold rating of critical_gamma but the
         # optimum's 4-start one.  At 1.497, where it refines, it scans the

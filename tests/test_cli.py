@@ -54,7 +54,7 @@ def edge_of_violation_experiment(tau):
     for _ in range(45):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if rate([mid])[0][0] > 1e-13 else (lo, mid)
-    measurements = optimizer._optimum_point(lo, tau, rate).measurements
+    measurements = optimizer._optimum_point(lo, rate).measurements
     return simulate(schmidt_state(lo), measurements), math.sin(2.0 * lo)
 
 

@@ -564,10 +564,10 @@ class TestNewtonFinish:
         for rho, tau in seeded_states(4242, 40):
             terms = finish_terms(rho, tau)
             b0, b1 = (tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(2, 3)))
-            _, grad, hess, bases = seesaw_module._bloch_v(b0, b1, *terms, derivatives=True)
+            _, grad, hess, bases = seesaw_module._bloch_v(b0, b1, *terms)
 
             def pulled(d):
-                return seesaw_module._bloch_v(moved(b0, *bases[:2], *d[:2]), moved(b1, *bases[2:], *d[2:]), *terms)
+                return seesaw_module._bloch_v(moved(b0, *bases[:2], *d[:2]), moved(b1, *bases[2:], *d[2:]), *terms)[0]
 
             unit = np.eye(4)
             h = 1e-6
@@ -606,7 +606,7 @@ class TestNewtonFinish:
             b0 = (math.sin(t0), 0.0, math.cos(t0))
             b1 = (math.sin(t1), 0.0, math.cos(t1))
             in_plane = schmidt_module._in_plane_f(*b0[::2], *b1[::2], s, (1.0 - tau) * c)[0]
-            assert seesaw_module._bloch_v(b0, b1, *terms) == pytest.approx(in_plane, abs=1e-15)
+            assert seesaw_module._bloch_v(b0, b1, *terms)[0] == pytest.approx(in_plane, abs=1e-15)
 
     @pytest.fixture(scope="class")
     def runs(self):
@@ -1142,9 +1142,9 @@ class TestScanStarts:
             calls.append((starts, list(zip((float(g) for g in gammas), found[0].tolist()))))
             return found
 
-        def marking(gamma, t, rate):
+        def marking(gamma, rate):
             calls.append(None)
-            return optimum_point(gamma, t, rate)
+            return optimum_point(gamma, rate)
 
         with monkeypatch.context() as patched:
             patched.setattr(opt_module, "_schmidt_maxima", recording)
