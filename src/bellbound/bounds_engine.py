@@ -131,6 +131,16 @@ def upper_bound_numeric(tau: float) -> float | None:
     # critical angle, the end of the crossing's bracket above any violating
     # lower end, so C(rho) <= c_cr at every such tilt, and at tau_obs by the
     # continuity of c_cr in the tilt.  Neither step reads the optimum.
+    #
+    # The search also runs over rank-1 projective measurements only, yet the
+    # bound holds for any measurement.  A two-outcome qubit effect 0 <= E <= I
+    # is a mixture of rank-1 projectors, 0 and I, and the functional is linear
+    # in each party's effects, so its maximum over effects is reached at those
+    # extreme points.  A setting at 0 or I leaves that party one nontrivial
+    # measurement; its correlations are then local, so the tilted value is at
+    # most 0.  So no general measurement violates at (gamma, tau) unless
+    # max F(gamma, tau) > 0 (Masanes, PRL 97, 050503 (2006), for the whole
+    # scenario).  tests/test_povm.py checks this with a see-saw over effects.
     return _critical_concurrence(tau)
 
 

@@ -125,18 +125,17 @@ def _cmd_curves(args) -> int:
         critical = math.nan if point.c_cr is None else point.c_cr  # nan: no angle violates
         violation_rows.append((t, optimum.s_q, optimizer.max_value_cap(t)))
         concurrence_rows.append((t, math.sin(2.0 * optimum.gamma_star), critical))
-    violation_path = out_dir / CSV_VIOLATION
-    concurrence_path = out_dir / CSV_CONCURRENCE
-    with open(violation_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tau,s_q,analytic_cap\n")
-        for row in violation_rows:
-            fh.write(",".join(_g9(v) for v in row) + "\n")
-    with open(concurrence_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tau,c_optimal,c_critical\n")
-        for row in concurrence_rows:
-            fh.write(",".join(_g9(v) for v in row) + "\n")
-    print(f"curve written to {violation_path}")
-    print(f"curve written to {concurrence_path}")
+    csvs = (
+        (out_dir / CSV_VIOLATION, "tau,s_q,analytic_cap", violation_rows),
+        (out_dir / CSV_CONCURRENCE, "tau,c_optimal,c_critical", concurrence_rows),
+    )
+    for path, header, rows in csvs:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(_g9(v) for v in row) + "\n")
+    for path, _, _ in csvs:  # both files are written before either path is printed
+        print(f"curve written to {path}")
     return EXIT_OK
 
 
@@ -174,9 +173,11 @@ def _add_log_level(parser, default) -> None:
                         default=default, help="print bellbound log records from this level up to stderr")
 
 
-def _add_common(parser, *, tol=True, output=False):
-    # The option is accepted after the command too; SUPPRESS keeps a command
-    # without it from resetting the value given before the command.
+def _add_common(parser, handler, *, tol=True, output=False):
+    # The command's handler travels in its parsed arguments.  --log-level is
+    # accepted after the command too; SUPPRESS keeps a command without it from
+    # resetting the value given before the command.
+    parser.set_defaults(handler=handler)
     _add_log_level(parser, argparse.SUPPRESS)
     if tol:
         parser.add_argument("--tol", type=float, default=statistics_io.HARD_VALIDATION_TOL,
@@ -201,46 +202,36 @@ def build_parser() -> argparse.ArgumentParser:
                          help="assert projective measurements (enables the marginal bound)")
     p_bound.add_argument("--numeric-ub", action="store_true", dest="numeric_ub",
                          help="also run the numeric critical-curve upper bound")
-    _add_common(p_bound, output=True)
+    _add_common(p_bound, _cmd_bound, output=True)
 
     p_demo = sub.add_parser("demo", help="run `bound --projective` on the bundled demo slice")
     p_demo.add_argument("--numeric-ub", action="store_true", dest="numeric_ub")
     p_demo.set_defaults(input=None, projective=True)
-    _add_common(p_demo, output=True)
+    _add_common(p_demo, _cmd_bound, output=True)
 
     p_sim = sub.add_parser("simulate", help="write the Born-rule table of a Schmidt-angle state")
     p_sim.add_argument("--gamma", type=float, required=True, help="Schmidt angle in [0, pi/4]")
     p_sim.add_argument("--angles", type=str, default="0,0,0,0",
                        help="four in-plane polar angles a0,a1,b0,b1 (radians)")
     p_sim.add_argument("--output", type=str, required=True, help="table file to write")
-    _add_common(p_sim, tol=False)
+    _add_common(p_sim, _cmd_simulate, tol=False)
 
     p_opt = sub.add_parser("optimize", help="maximal violation over states at a given tilt")
     p_opt.add_argument("--tau", type=float, required=True, help="tilt parameter in [1, 1.5)")
-    _add_common(p_opt, tol=False, output=True)
+    _add_common(p_opt, _cmd_optimize, tol=False, output=True)
 
     p_curves = sub.add_parser("curves", help="emit the violation and concurrence curve CSVs")
     p_curves.add_argument("--tau-min", type=float, default=1.0, dest="tau_min")
     p_curves.add_argument("--tau-max", type=float, default=1.49, dest="tau_max")
     p_curves.add_argument("--grid", type=int, default=25, help="number of tilt grid points")
     p_curves.add_argument("--output", type=str, default=".", help="output directory")
-    _add_common(p_curves, tol=False)
+    _add_common(p_curves, _cmd_curves, tol=False)
 
     p_verify = sub.add_parser("verify", help="run the invariant verification suite")
     p_verify.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="RNG seed (non-negative)")
-    _add_common(p_verify)
+    _add_common(p_verify, _cmd_verify)
 
     return parser
-
-
-_HANDLERS = {
-    "bound": _cmd_bound,
-    "demo": _cmd_bound,
-    "simulate": _cmd_simulate,
-    "optimize": _cmd_optimize,
-    "curves": _cmd_curves,
-    "verify": _cmd_verify,
-}
 
 
 @contextlib.contextmanager
@@ -266,10 +257,9 @@ def _log_to_stderr(level):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
         with _log_to_stderr(args.log_level):
-            return handler(args)
+            return args.handler(args)
     except ValidationFailure as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

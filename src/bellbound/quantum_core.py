@@ -128,23 +128,19 @@ class BlochVector:
             raise ValueError(f"Bloch vector must have unit norm, got |n| = {norm!r}")
 
     @classmethod
-    def from_array(cls, values) -> "BlochVector":
-        v = np.asarray(values, dtype=float).reshape(3)
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
-    @classmethod
     def normalized(cls, values) -> "BlochVector":
+        """The direction of ``values``, divided by its norm.
+
+        The norm of a unit row rounds to 1 +/- 1 ulp, so a component may move
+        by one ulp (up to 2.2e-16).  The constructor is the spelling that
+        keeps the bits.
+        """
         v = np.asarray(values, dtype=float).reshape(3)
         norm = float(np.linalg.norm(v))
         if norm == 0.0 or not math.isfinite(norm):
             raise ValueError("cannot normalize a zero or non-finite vector")
         v = v / norm
         return cls(float(v[0]), float(v[1]), float(v[2]))
-
-    @classmethod
-    def from_polar_angle(cls, theta: float) -> "BlochVector":
-        """In-plane (x-z) direction at polar angle theta from the z axis."""
-        return cls(math.sin(theta), 0.0, math.cos(theta))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -175,15 +171,19 @@ class MeasurementSet:
 
     @classmethod
     def from_polar_angles(cls, a0: float, a1: float, b0: float, b1: float) -> "MeasurementSet":
-        """In-plane measurement set from four polar angles (radians)."""
-        return cls(
-            alice=(BlochVector.from_polar_angle(a0), BlochVector.from_polar_angle(a1)),
-            bob=(BlochVector.from_polar_angle(b0), BlochVector.from_polar_angle(b1)),
-        )
+        """In-plane measurement set from four polar angles (radians), each from the z axis toward x."""
+        a0, a1, b0, b1 = (BlochVector(math.sin(t), 0.0, math.cos(t)) for t in (a0, a1, b0, b1))
+        return cls(alice=(a0, a1), bob=(b0, b1))
 
     @classmethod
     def normalized(cls, rows) -> "MeasurementSet":
-        """The set whose vectors a0, a1, b0, b1 are the four rows, each scaled to unit norm."""
+        """The set whose vectors a0, a1, b0, b1 are the four rows, each scaled to unit norm.
+
+        Each row goes through :meth:`BlochVector.normalized`, so a row already
+        of unit norm may move by one ulp, and the result need not compare
+        equal to the set the rows came from.  ``seesaw._best_response``
+        passes each set it forms through here once.
+        """
         a0, a1, b0, b1 = (BlochVector.normalized(row) for row in rows)
         return cls(alice=(a0, a1), bob=(b0, b1))
 

@@ -109,19 +109,9 @@ class ProbabilityTable:
             mB1=min(1.0, max(0.0, v[4] + v[6])),
         )
 
-    def prob(self, a: int, b: int, x: int, y: int) -> float:
-        return float(self.p[x, y, a, b])
-
     def flat(self) -> list[float]:
         """The 16 entries ordered lexicographically by (x, y, a, b)."""
         return self.p.reshape(-1).tolist()
-
-    @classmethod
-    def from_flat(cls, values) -> "ProbabilityTable":
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (16,):
-            raise SchemaError(f"full format needs exactly 16 probabilities, got {arr.size}")
-        return cls(arr.reshape(2, 2, 2, 2))
 
 
 @dataclass(frozen=True)
@@ -145,9 +135,6 @@ class ChSlice:
     def __post_init__(self):
         for name in _SLICE_FIELDS:
             object.__setattr__(self, name, _check_probability(getattr(self, name), name))
-
-    def joints(self) -> tuple[float, float, float, float]:
-        return (self.j00, self.j01, self.j10, self.j11)
 
     def marginals(self) -> tuple[float, float, float, float]:
         return (self.mA0, self.mA1, self.mB0, self.mB1)
@@ -325,7 +312,7 @@ def _load_full(payload: dict) -> ProbabilityTable:
     if not all(type(v) is float and 0.0 <= v <= 1.0 for v in values):
         # Entry by entry: integers load as floats, and the first bad entry is refused by name.
         values = [_check_probability(v, f"p[{i}]") for i, v in enumerate(values)]
-    return ProbabilityTable.from_flat(values)
+    return ProbabilityTable(np.reshape(values, (2, 2, 2, 2)))
 
 
 def _load_slice(payload: dict) -> ChSlice:

@@ -242,7 +242,7 @@ class TestSimulateCommand:
         )
         assert code == EXIT_OK
         table = load(out)
-        assert table.prob(0, 0, 0, 0) == pytest.approx(0.5, abs=1e-12)
+        assert table.p[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-12)
         assert "p(0,0|0,0) = 0.5" in text
 
     def test_bad_gamma_exits_parse(self, capsys, tmp_path):

@@ -219,7 +219,7 @@ class TestMeasurementSet:
 
     def test_non_unit_direction_raises(self):
         with pytest.raises(ValueError, match="unit norm"):
-            BlochVector.from_array([0.0, 0.0, 2.0])
+            BlochVector(0.0, 0.0, 2.0)
 
     def test_normalized_rebuilds_a_set_from_its_rows(self, rng):
         # The rows are the vectors a0, a1, b0, b1 exactly.  Normalizing them

@@ -50,19 +50,19 @@ class TestSimulate:
         table = simulate(schmidt_state(0.0), m)
         for x in range(2):
             for y in range(2):
-                assert table.prob(0, 0, x, y) == pytest.approx(1.0, abs=1e-15)
+                assert table.p[x, y, 0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_entangled_perfect_correlations(self):
         m = MeasurementSet.from_polar_angles(0.0, 0.0, 0.0, 0.0)
         table = simulate(maximally_entangled_state(), m)
-        assert table.prob(0, 0, 0, 0) == pytest.approx(0.5, abs=1e-15)
-        assert table.prob(1, 1, 0, 0) == pytest.approx(0.5, abs=1e-15)
-        assert table.prob(0, 1, 0, 0) == pytest.approx(0.0, abs=1e-15)
+        assert table.p[0, 0, 0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert table.p[0, 0, 1, 1] == pytest.approx(0.5, abs=1e-15)
+        assert table.p[0, 0, 0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_partially_entangled_z_correlation(self):
         m = MeasurementSet.from_polar_angles(0.0, 0.0, 0.0, 0.0)
         table = simulate(schmidt_state(math.pi / 8), m)
-        assert table.prob(0, 0, 0, 0) == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-15)
+        assert table.p[0, 0, 0, 0] == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-15)
 
     def test_output_always_validates(self, rng):
         for i in range(20):
@@ -163,7 +163,7 @@ class TestChSlice:
 
     def test_uniform_table_slice(self):
         slc = ch_slice(uniform_table())
-        assert slc.joints() == pytest.approx((0.25,) * 4, abs=1e-15)
+        assert (slc.j00, slc.j01, slc.j10, slc.j11) == pytest.approx((0.25,) * 4, abs=1e-15)
         assert slc.marginals() == pytest.approx((0.5,) * 4, abs=1e-15)
 
     def test_out_of_range_field_rejected(self):
@@ -184,8 +184,8 @@ class TestProbabilityTable:
             ProbabilityTable(p)
 
     def test_fifteen_numbers_rejected(self):
-        with pytest.raises(SchemaError, match="exactly 16"):
-            ProbabilityTable.from_flat([0.25] * 15)
+        with pytest.raises(SchemaError, match="shape"):
+            ProbabilityTable(np.full(15, 0.25))
 
 
 class TestRandomTables:
@@ -411,7 +411,7 @@ class TestLoadSave:
         path = tmp_path / "order.json"
         path.write_text(json.dumps({"format": "full", "p": values}), encoding="utf-8")
         table = load(path)
-        assert table.prob(0, 1, 1, 0) == 0.75
+        assert table.p[1, 0, 0, 1] == 0.75
 
     @pytest.mark.parametrize("index", [0, 15])
     @BAD_LITERALS
