@@ -114,13 +114,16 @@ def upper_bound_numeric(tau: float) -> float | None:
     stays at or below 1e-10 at ``tau``, as happens just below 3/2: there is
     then no crossing to locate, and the analytic bound is the one that holds.
 
-    The bound needs the crossing, not the optimum, so it runs the optimum
-    search's coarse scan and brackets the crossing from the scan's peak, a
-    violating angle below it, where the measurements are read back as for
-    the optimum (:class:`~bellbound.errors.NumericFailure` if they miss
-    max F by more than 1e-12).  Only where that peak rates at most 1e-9,
-    from about tilt 1.496 on, is the optimum refined first, so that the
-    None decision is the one ``critical_gamma`` makes.
+    The bound needs the crossing, not the optimum, so it brackets the
+    crossing from a violating angle below it, where the measurements are
+    read back as for the optimum (:class:`~bellbound.errors.NumericFailure`
+    if they miss max F by more than 1e-12).  That angle is the critical
+    angle of a tilt two nodes above ``tau`` in a table of 33 tilts from the
+    cutoff to 1.4996, where its cold rating exceeds 1e-10.  Elsewhere, as
+    near 3/2, it is the peak of the optimum search's coarse scan.  Only
+    where that peak rates at most 1e-9, from about tilt 1.496 on, is the
+    optimum refined first, so that the None decision is the one
+    ``critical_gamma`` makes.
     """
     # The search runs over pure Schmidt states, yet the bound holds for mixed
     # states too.  Wootters' decomposition writes rho as a mixture of pure
@@ -130,7 +133,9 @@ def upper_bound_numeric(tau: float) -> float | None:
     # pure states violates too.  Its Schmidt angle then lies at or below the
     # critical angle, the end of the crossing's bracket above any violating
     # lower end, so C(rho) <= c_cr at every such tilt, and at tau_obs by the
-    # continuity of c_cr in the tilt.  Neither step reads the optimum.
+    # continuity of c_cr in the tilt.  Neither step reads the optimum, nor
+    # where the table entry came from: the entry's own cold rating shows that
+    # it violates, and it serves only as that lower end.
     #
     # The search also runs over rank-1 projective measurements only, yet the
     # bound holds for any measurement.  A two-outcome qubit effect 0 <= E <= I

@@ -19,8 +19,12 @@ Three layers:
   angle violates above 1e-10.  Its concurrence is the numeric upper bound on
   the concurrence of any violating state, which
   :func:`~bellbound.bounds_engine.upper_bound_numeric` finds by the same
-  crossing from the coarse scan's peak, refining the optimum only where
-  that peak rates at most 1e-9, so that its None decision is the same.
+  crossing from a table of critical angles at 33 tilts.  The critical angle
+  falls as the tilt rises, so the entry two nodes above a tilt lies below
+  its crossing; the bound starts there where the entry's cold rating
+  violates.  Elsewhere, as near 3/2, it starts from the coarse scan's peak,
+  refining the optimum only where that peak rates at most 1e-9, so that its
+  None decision is the same.
 
 Each search reports the bracket it closes.  A safeguarded root finder closes
 a bracket on the root of a falling function of the angle from its value and
@@ -36,16 +40,16 @@ max F, the exact maximum over measurements of the Schmidt-angle state (see
 :mod:`bellbound.schmidt`), not by the see-saw's lower bound.  A cold rating
 finds max F to rounding by damped Newton from the best starts of a coarse
 grid of (t0, t1), Bob's polar angles: the best 4 where its numbers are
-reported or certify the critical angle, the best 1 in the coarse scan and at
-the crossing's first angle, which only rank angles or open a bracket.  A
-warm rating runs Newton once, from the maximizer of the nearest angle the
-search has already rated.  Where a run that decides the rating stops on its
-step cap, as it does at some angles for tilts just above 1, its end is
-polished by Newton steps on the gradient of the in-plane form.
+reported or certify the critical angle, the best 1 in the coarse scan, at
+the table entry and at the crossing's first angle, which only rank angles or
+open a bracket.  A warm rating runs Newton once, from the maximizer of the
+nearest angle the search has already rated.  Where a run that decides the
+rating stops on its step cap, as it does at some angles for tilts just above
+1, its end is polished by Newton steps on the gradient of the in-plane form.
 A warm rating can only under-rate max F, so what a search returns rests on
-cold ratings: the coarse scan, the optimum's measurements and ``s_q``, and
-the critical angle; warm ratings only give the optimum's slopes and the
-crossing's steps after its first angle.  The slope of max F in the angle
+cold ratings: the coarse scan, the table entry, the optimum's measurements
+and ``s_q``, and the critical angle; warm ratings only give the optimum's
+slopes and the crossing's steps after its first angle.  The slope of max F in the angle
 comes from the envelope theorem at the maximizer a rating returns, polished
 the same way, at no extra rating.  Each search logs its tilt, the angles it
 rated cold and warm and the Newton steps of their maximizations at DEBUG
@@ -55,9 +59,12 @@ peak bracket with the slopes at both ends ("unknown" for 0, unrated, or
 "none" for the bracket, where the grid's peak is taken), the critical-angle
 search its bracket with max F at both ends, the upper end's from its cold
 rating (or "none" for pi/4, unrated), or the optimum's peak value and angle
-where no angle violates.  The numeric upper bound logs its coarse scan
-before its crossing: the tilt, the angles rated cold, the Newton steps, the
-peak angle with its max F, and whether it refines the optimum.
+where no angle violates.  The numeric upper bound logs its table entry
+before its crossing: the tilt, the entry's angle and the node tilt it came
+from, its max F and Newton steps, and whether it brackets from it.  Where it
+does not, the coarse scan's line follows: the tilt, the angles rated cold,
+the Newton steps, the peak angle with its max F, and whether it refines the
+optimum.
 
 :func:`pure_state_value_cap` / :func:`max_value_cap` give the closed-form
 analytic caps the search results are checked against.
@@ -65,6 +72,7 @@ analytic caps the search results are checked against.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -136,6 +144,24 @@ _CLOSE_STEPS = 20
 # grid's first cell).  Above it the optimum's s_q, within 1e-12 of a max F
 # that refinement only raises above the peak's, exceeds VIOLATION_THRESHOLD.
 _REFINE_BELOW = 1e-9
+# critical_gamma's gamma_c at the tilts _TABLE_TAUS, evenly spaced from the
+# cutoff to 1.4996.  The numeric upper bound starts its crossing from an
+# entry where one rates as violating (see _table_start); a test rebuilds
+# them, in about 70 ms.
+_TABLE_TAUS = np.linspace(TAU_MAXENT_CUTOFF, 1.4996, 33).tolist()
+_CRITICAL_TABLE = (
+    0.7853981633974483, 0.7615303792889422, 0.7376876884189986,
+    0.7138579205986867, 0.6900312869363432, 0.6662000575708285,
+    0.6423582542191867, 0.6185013538753796, 0.5946260012644853,
+    0.5707297284956232, 0.5468106808788148, 0.5228673481563048,
+    0.49889830050372935, 0.47490192861933067, 0.45087618706470123,
+    0.4268183397625788, 0.4027247062016616, 0.3785904064434902,
+    0.35440910246309587, 0.3301727326660705, 0.30587123558234036,
+    0.2814922577004184, 0.25702083911582735, 0.23243906903869327,
+    0.20772570111604508, 0.18285571579926713, 0.1577998133719381,
+    0.13252381637779104, 0.10698795350178057, 0.08114598763296155,
+    0.054944137609012136, 0.02831972402882917, 0.0011994495229992273,
+)
 
 logger = logging.getLogger("bellbound")
 
@@ -460,8 +486,9 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
 
 def _crossing(t: float, a: float, f_a: float) -> float | None:
     # critical_gamma's angle at a tilt from the cutoff on, bracketed from an
-    # angle a below the crossing that rates f_a, the peak's value: None where
-    # that is at most VIOLATION_THRESHOLD.  Logs the search's line.
+    # angle a below the crossing that rates f_a (the optimum's, a table
+    # entry's or the coarse scan's peak): None where that is at most
+    # VIOLATION_THRESHOLD.  Logs the search's line.
     if f_a <= VIOLATION_THRESHOLD:
         logger.debug(
             "critical angle at tau %.10g: no violating Schmidt angle, peak value %.3e at gamma %.6f",
@@ -513,15 +540,51 @@ def _crossing(t: float, a: float, f_a: float) -> float | None:
 
 
 def _critical_concurrence(tau: float) -> float | None:
-    # critical_gamma's c_cr from the coarse scan and the crossing alone.  Any
-    # violating angle below the crossing is a sound lower end for it, so the
-    # crossing starts from the scan's peak and its cold rating, and the
-    # measurements are read back there.  The optimum is refined only where
-    # the peak rates at most _REFINE_BELOW, so that the answer is None
-    # exactly where critical_gamma's is.
+    # critical_gamma's c_cr from a violating angle below the crossing and the
+    # crossing alone.  Any violating angle is a sound lower end for it: the
+    # table entry two nodes above the tilt, where its cold rating violates,
+    # and otherwise the coarse scan's peak.  The violating angles above that
+    # end are assumed to form one interval, which from the entry spans far
+    # less than from the peak.  The closer starts at _cap_root and reads its
+    # lower end only in its regula-falsi and midpoint fallbacks, so from
+    # either end it found, bit for bit, the crossing critical_gamma finds from
+    # the optimum, on every tilt tested (tests/test_bounds_engine.py).
     t = coefficients(tau).tau
     if t < TAU_MAXENT_CUTOFF:
         return 1.0
+    gamma_c = _crossing(t, *(_table_start(t) or _scan_start(t)))
+    return None if gamma_c is None else math.sin(2.0 * gamma_c)
+
+
+def _table_start(t: float) -> tuple[float, float] | None:
+    # The entry of _CRITICAL_TABLE two nodes above the tilt, and its max F,
+    # rated cold from one start with the measurements read back there; None
+    # where that rates at most VIOLATION_THRESHOLD.  The critical angle falls
+    # as the tilt rises, so the entry should lie below the tilt's crossing,
+    # but it is only a hint: its own rating certifies that it violates.
+    # One node up, an entry barely violates at a node tilt, and near 3/2 none
+    # violates above the threshold.  Logs the route's line.
+    node = min(bisect.bisect_right(_TABLE_TAUS, t) + 1, len(_TABLE_TAUS) - 1)
+    gamma, rate = _CRITICAL_TABLE[node], _Rater(t)
+    values, thetas = rate([gamma], _SCAN_STARTS)
+    value = float(values[0])
+    violates = value > VIOLATION_THRESHOLD
+    logger.debug(
+        "Schmidt table at tau %.10g: entry gamma %.17g from node tau %.10g rated max F %.6e cold, %d Newton steps, %s",
+        t, gamma, _TABLE_TAUS[node], value, rate.steps,
+        "bracketing from it" if violates else "not violating, scanning instead",
+    )
+    if not violates:
+        return None
+    _measured_maximum(schmidt_state(gamma), t, gamma, value, thetas[0])
+    return gamma, value
+
+
+def _scan_start(t: float) -> tuple[float, float]:
+    # The coarse scan's peak and its cold rating, with the measurements read
+    # back there.  The optimum is refined only where the peak rates at most
+    # _REFINE_BELOW, so that the answer is None exactly where
+    # critical_gamma's is.  Logs the scan's line.
     rate = _Rater(t)
     values, peak = _coarse_scan(rate)
     gamma, value = float(_COARSE_GRID[peak]), float(values[peak])
@@ -532,11 +595,9 @@ def _critical_concurrence(tau: float) -> float | None:
     )
     if refine:
         optimum = _refined_optimum(rate, peak)
-        gamma, value = optimum.gamma_star, optimum.s_q
-    else:
-        _measured_maximum(schmidt_state(gamma), t, gamma, value, rate.maximizers[gamma])
-    gamma_c = _crossing(t, gamma, value)
-    return None if gamma_c is None else math.sin(2.0 * gamma_c)
+        return optimum.gamma_star, optimum.s_q
+    _measured_maximum(schmidt_state(gamma), t, gamma, value, rate.maximizers[gamma])
+    return gamma, value
 
 
 def pure_state_value_cap(gamma: float, tau: float) -> float:

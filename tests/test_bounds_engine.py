@@ -175,43 +175,114 @@ class TestUpperBoundNumeric:
         assert upper_bound_numeric(tau) == 1.0
 
     def test_rates_cold_all_but_the_optimum(self, monkeypatch):
-        # At 1.3 the bound makes every cold rating of critical_gamma but the
-        # optimum's 4-start one.  At 1.497, where it refines, it scans the
-        # whole grid once and rates the optimum once, as critical_gamma does.
+        # At 1.3 and 1.497 the bound rates its table entry, and then makes the
+        # crossing's cold ratings, which are critical_gamma's last two.
+        entry = [(1, optimizer._SCAN_STARTS)]
+        crossing = [(1, optimizer._SCAN_STARTS), (1, schmidt._NEWTON_STARTS)]
+        for tau in (1.3, 1.497):
+            assert self.cold_ratings(monkeypatch, upper_bound_numeric, tau) == entry + crossing
+            assert self.cold_ratings(monkeypatch, critical_gamma, tau)[-2:] == crossing
+        # With every entry at pi/4, which violates at no tilt from the cutoff
+        # on, the bound falls back to the scan.  At 1.3 it then makes every
+        # cold rating of critical_gamma but the optimum's 4-start one.  At
+        # 1.497, where it refines, it scans the whole grid once and rates the
+        # optimum once, as critical_gamma does.
+        monkeypatch.setattr(optimizer, "_CRITICAL_TABLE", (math.pi / 4,) * len(optimizer._CRITICAL_TABLE))
         searched = self.cold_ratings(monkeypatch, critical_gamma, 1.3)
         bounded = self.cold_ratings(monkeypatch, upper_bound_numeric, 1.3)
         assert searched.count((1, schmidt._NEWTON_STARTS)) == 2
         searched.remove((1, schmidt._NEWTON_STARTS))
-        assert bounded == searched
+        assert bounded == entry + searched
         scan, optimum = [(8, optimizer._SCAN_STARTS)] * 8, [(1, schmidt._NEWTON_STARTS)]
-        crossing = [(1, optimizer._SCAN_STARTS), (1, schmidt._NEWTON_STARTS)]
-        for search in (upper_bound_numeric, critical_gamma):
-            assert self.cold_ratings(monkeypatch, search, 1.497) == scan + optimum + crossing
+        assert self.cold_ratings(monkeypatch, critical_gamma, 1.497) == scan + optimum + crossing
+        assert self.cold_ratings(monkeypatch, upper_bound_numeric, 1.497) == entry + scan + optimum + crossing
+
+    def test_answers_by_the_table(self, monkeypatch):
+        # Seeded tilts from the cutoff to the last node, and the tilts at, an
+        # ulp below and 1e-12 below each node from the cutoff on: the bound
+        # brackets from its table entry, two nodes up, and scans only at the
+        # last node's three, where the last entry, the critical angle of that
+        # node itself, rates about -7.9e-15.
+        nodes = optimizer._TABLE_TAUS
+        taus = np.random.default_rng(32).uniform(TAU_MAXENT_CUTOFF, nodes[-1], 100).tolist()
+        taus += [x for node in nodes for x in (node, math.nextafter(node, 0.0), node - 1e-12) if x >= TAU_MAXENT_CUTOFF]
+        scanned = [
+            tau for tau in taus if (8, optimizer._SCAN_STARTS) in self.cold_ratings(monkeypatch, upper_bound_numeric, tau)
+        ]
+        assert len(taus) == 197
+        assert scanned == [nodes[-1], math.nextafter(nodes[-1], 0.0), nodes[-1] - 1e-12]
+
+    def test_table_is_only_a_hint(self, monkeypatch):
+        # With every entry at pi/4, and again at 0, angles that violate at no
+        # tilt from the cutoff on, the bound still equals critical_gamma's
+        # c_cr bit for bit over test_equals_critical_gamma's tilts.
+        taus = [1.0, 1.1, *np.linspace(TAU_MAXENT_CUTOFF, 1.4999999, 300).tolist()]
+        taus += np.random.default_rng(29).uniform(1.495, 1.4999999, 100).tolist()
+        expected = [critical_gamma(tau).c_cr for tau in taus]
+        for entry in (math.pi / 4, 0.0):
+            monkeypatch.setattr(optimizer, "_CRITICAL_TABLE", (entry,) * len(optimizer._CRITICAL_TABLE))
+            assert [upper_bound_numeric(tau) for tau in taus] == expected, entry
+
+    def test_table_holds_the_critical_angles(self):
+        # Each entry is critical_gamma's angle at its node, to 1e-9: the last
+        # bits may differ across platforms.  The angles fall as the tilt rises.
+        table = optimizer._CRITICAL_TABLE
+        fresh = tuple(critical_gamma(tau).gamma_c for tau in optimizer._TABLE_TAUS)
+        assert len(fresh) == len(table) == 33
+        assert all(abs(a - b) <= 1e-9 for a, b in zip(fresh, table)), f"rebuilt table: {fresh!r}"
+        assert all(a > b for a, b in zip(table, table[1:]))
 
     @pytest.mark.parametrize("tau", [1.3, 1.497])
     def test_measurements_missing_max_f_raise(self, quantum_value_off_by_1e9, tau):
         with pytest.raises(NumericFailure, match="differs from max F"):
             upper_bound_numeric(tau)
 
-    def test_logs_its_scan_before_the_crossing(self, caplog):
+    def test_logs_its_scan_before_the_crossing(self, monkeypatch, caplog):
         with caplog.at_level(logging.DEBUG, logger="bellbound"):
             upper_bound_numeric(1.3)
             upper_bound_numeric(1.497)
         messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
-        assert len(messages) == 5
+        assert len(messages) == 4
         assert re.fullmatch(
-            r"Schmidt scan at tau 1\.3: 18 angles rated cold, 58 Newton steps, "
-            r"peak at gamma 0\.3615\d+ with max F 1\.834928e-02, optimum not refined",
+            r"Schmidt table at tau 1\.3: entry gamma 0\.49889830\d+ from node tau 1\.316791738 "
+            r"rated max F 8\.054221e-03 cold, 3 Newton steps, bracketing from it",
             messages[0],
         )
         assert messages[1].startswith("critical angle at tau 1.3: 2 angles rated cold and 5 warm, 21 Newton steps")
         assert re.fullmatch(
-            r"Schmidt scan at tau 1\.497: 64 angles rated cold, \d+ Newton steps, "
-            r"peak at gamma 0 with max F 0\.000000e\+00, refining the optimum",
+            r"Schmidt table at tau 1\.497: entry gamma 0\.00119944\d+ from node tau 1\.4996 "
+            r"rated max F 7\.485106e-09 cold, 16 Newton steps, bracketing from it",
             messages[2],
         )
-        assert messages[3].startswith("Schmidt optimum at tau 1.497: 65 angles rated cold and 5 warm")
-        assert messages[4].startswith("critical angle at tau 1.497: 2 angles rated cold")
+        assert messages[3].startswith("critical angle at tau 1.497: 2 angles rated cold")
+        # With every entry at pi/4 the bound says why it scans, then logs the
+        # scan before the crossing.
+        monkeypatch.setattr(optimizer, "_CRITICAL_TABLE", (math.pi / 4,) * len(optimizer._CRITICAL_TABLE))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="bellbound"):
+            upper_bound_numeric(1.3)
+            upper_bound_numeric(1.497)
+        messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
+        assert len(messages) == 7
+        for i, tau in ((0, r"1\.3"), (3, r"1\.497")):
+            assert re.fullmatch(
+                rf"Schmidt table at tau {tau}: entry gamma 0\.78539816339744828 from node tau 1\.\d+ "
+                r"rated max F -\d\.\d{6}e-\d\d cold, \d+ Newton steps, not violating, scanning instead",
+                messages[i],
+            )
+        assert re.fullmatch(
+            r"Schmidt scan at tau 1\.3: 18 angles rated cold, 58 Newton steps, "
+            r"peak at gamma 0\.3615\d+ with max F 1\.834928e-02, optimum not refined",
+            messages[1],
+        )
+        assert messages[2].startswith("critical angle at tau 1.3: 2 angles rated cold and 5 warm, 21 Newton steps")
+        assert re.fullmatch(
+            r"Schmidt scan at tau 1\.497: 64 angles rated cold, \d+ Newton steps, "
+            r"peak at gamma 0 with max F 0\.000000e\+00, refining the optimum",
+            messages[4],
+        )
+        assert messages[5].startswith("Schmidt optimum at tau 1.497: 65 angles rated cold and 5 warm")
+        assert messages[6].startswith("critical angle at tau 1.497: 2 angles rated cold")
 
     def test_domain(self):
         for tau in (1.5, math.nextafter(1.0, 0.0), math.nan):
