@@ -22,9 +22,8 @@ Three layers:
   crossing from a table of critical angles at 33 tilts.  The critical angle
   falls as the tilt rises, so the entry two nodes above a tilt lies below
   its crossing; the bound starts there where the entry's cold rating
-  violates.  Elsewhere, as near 3/2, it starts from the coarse scan's peak,
-  refining the optimum only where that peak rates at most 1e-9, so that its
-  None decision is the same.
+  violates.  Elsewhere, as near 3/2 and from the table's last node on, it
+  is critical_gamma's own ``c_cr``.
 
 Each search reports the bracket it closes.  A safeguarded root finder closes
 a bracket on the root of a falling function of the angle from its value and
@@ -62,9 +61,8 @@ rating (or "none" for pi/4, unrated), or the optimum's peak value and angle
 where no angle violates.  The numeric upper bound logs its table entry
 before its crossing: the tilt, the entry's angle and the node tilt it came
 from, its max F and Newton steps, and whether it brackets from it.  Where it
-does not, the coarse scan's line follows: the tilt, the angles rated cold,
-the Newton steps, the peak angle with its max F, and whether it refines the
-optimum.
+does not, the lines of :func:`critical_gamma` follow, which from the table's
+last node on, where no entry is rated, are its only ones.
 
 :func:`pure_state_value_cap` / :func:`max_value_cap` give the closed-form
 analytic caps the search results are checked against.
@@ -139,11 +137,6 @@ _SLOPE_FLOOR = 2e-15
 # the optimum's needed at most 6.
 _AIM_FLOORS = 8.0
 _CLOSE_STEPS = 20
-# The numeric upper bound refines the optimum only where the coarse scan's
-# peak rates at most this (from about tilt 1.496, where the peak lies in the
-# grid's first cell).  Above it the optimum's s_q, within 1e-12 of a max F
-# that refinement only raises above the peak's, exceeds VIOLATION_THRESHOLD.
-_REFINE_BELOW = 1e-9
 # critical_gamma's gamma_c at the tilts _TABLE_TAUS, evenly spaced from the
 # cutoff to 1.4996.  The numeric upper bound starts its crossing from an
 # entry where one rates as violating (see _table_start); a test rebuilds
@@ -310,13 +303,13 @@ def global_max_violation(tau: float) -> OptimumPoint:
     77 Newton steps.
     """
     rate = _Rater(coefficients(tau).tau)
-    return _refined_optimum(rate, _coarse_scan(rate)[1])
+    return _refined_optimum(rate, _coarse_scan(rate))
 
 
 def _coarse_scan(rate: _Rater):
-    # The coarse grid rated by ``rate`` in decreasing order of the cap, with
-    # the angles the cap rules out left at -inf: max F at each grid angle and
-    # the index of the grid's peak.  The maximizers stay in the rater.
+    # The index of the coarse grid's peak, rated by ``rate`` in decreasing
+    # order of the cap, with the angles the cap rules out left at -inf.  The
+    # maximizers stay in the rater.
     caps = _coarse_caps(rate.tau)
     values = np.full(COARSE_GAMMA_POINTS, -np.inf)
     order = np.argsort(-caps, kind="stable")
@@ -326,7 +319,7 @@ def _coarse_scan(rate: _Rater):
         if chunk.size == 0:  # caps only fall from here, so no later angle passes
             break
         values[chunk] = rate(_COARSE_GRID[chunk], _SCAN_STARTS)[0]
-    return values, int(np.argmax(values))
+    return int(np.argmax(values))
 
 
 def _refined_optimum(rate: _Rater, peak: int) -> OptimumPoint:
@@ -486,9 +479,10 @@ def critical_gamma(tau: float) -> CriticalCurvePoint:
 
 def _crossing(t: float, a: float, f_a: float) -> float | None:
     # critical_gamma's angle at a tilt from the cutoff on, bracketed from an
-    # angle a below the crossing that rates f_a (the optimum's, a table
-    # entry's or the coarse scan's peak): None where that is at most
-    # VIOLATION_THRESHOLD.  Logs the search's line.
+    # angle a below the crossing that rates f_a (the optimum's or a table
+    # entry's): None where that is at most VIOLATION_THRESHOLD, which only
+    # the optimum can rate, since a table entry is used only where it
+    # violates above that.  Logs the search's line.
     if f_a <= VIOLATION_THRESHOLD:
         logger.debug(
             "critical angle at tau %.10g: no violating Schmidt angle, peak value %.3e at gamma %.6f",
@@ -540,20 +534,22 @@ def _crossing(t: float, a: float, f_a: float) -> float | None:
 
 
 def _critical_concurrence(tau: float) -> float | None:
-    # critical_gamma's c_cr from a violating angle below the crossing and the
-    # crossing alone.  Any violating angle is a sound lower end for it: the
-    # table entry two nodes above the tilt, where its cold rating violates,
-    # and otherwise the coarse scan's peak.  The violating angles above that
-    # end are assumed to form one interval, which from the entry spans far
-    # less than from the peak.  The closer starts at _cap_root and reads its
-    # lower end only in its regula-falsi and midpoint fallbacks, so from
-    # either end it found, bit for bit, the crossing critical_gamma finds from
-    # the optimum, on every tilt tested (tests/test_bounds_engine.py).
+    # critical_gamma's c_cr.  Where the table entry two nodes above the tilt
+    # rates as violating, from the crossing alone, bracketed from that entry:
+    # any violating angle is a sound lower end for it.  The violating angles
+    # above the entry are assumed to form one interval, which spans far less
+    # than from the optimum.  The closer starts at _cap_root and reads its
+    # lower end only in its regula-falsi and midpoint fallbacks, so from the
+    # entry it found, bit for bit, the crossing critical_gamma finds from the
+    # optimum, on every tilt tested (tests/test_bounds_engine.py).  Elsewhere,
+    # as near 3/2, critical_gamma itself answers.  From the last node on, the
+    # last entry, that node's own critical angle, cannot violate, so it is
+    # not rated.
     t = coefficients(tau).tau
     if t < TAU_MAXENT_CUTOFF:
         return 1.0
-    gamma_c = _crossing(t, *(_table_start(t) or _scan_start(t)))
-    return None if gamma_c is None else math.sin(2.0 * gamma_c)
+    start = _table_start(t) if t < _TABLE_TAUS[-1] else None
+    return critical_gamma(t).c_cr if start is None else math.sin(2.0 * _crossing(t, *start))
 
 
 def _table_start(t: float) -> tuple[float, float] | None:
@@ -572,31 +568,11 @@ def _table_start(t: float) -> tuple[float, float] | None:
     logger.debug(
         "Schmidt table at tau %.10g: entry gamma %.17g from node tau %.10g rated max F %.6e cold, %d Newton steps, %s",
         t, gamma, _TABLE_TAUS[node], value, rate.steps,
-        "bracketing from it" if violates else "not violating, scanning instead",
+        "bracketing from it" if violates else "not violating, searching from the optimum instead",
     )
     if not violates:
         return None
     _measured_maximum(schmidt_state(gamma), t, gamma, value, thetas[0])
-    return gamma, value
-
-
-def _scan_start(t: float) -> tuple[float, float]:
-    # The coarse scan's peak and its cold rating, with the measurements read
-    # back there.  The optimum is refined only where the peak rates at most
-    # _REFINE_BELOW, so that the answer is None exactly where
-    # critical_gamma's is.  Logs the scan's line.
-    rate = _Rater(t)
-    values, peak = _coarse_scan(rate)
-    gamma, value = float(_COARSE_GRID[peak]), float(values[peak])
-    refine = value <= _REFINE_BELOW
-    logger.debug(
-        "Schmidt scan at tau %.10g: %d angles rated cold, %d Newton steps, peak at gamma %.17g with max F %.6e, %s",
-        t, rate.cold, rate.steps, gamma, value, "refining the optimum" if refine else "optimum not refined",
-    )
-    if refine:
-        optimum = _refined_optimum(rate, peak)
-        return optimum.gamma_star, optimum.s_q
-    _measured_maximum(schmidt_state(gamma), t, gamma, value, rate.maximizers[gamma])
     return gamma, value
 
 

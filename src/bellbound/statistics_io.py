@@ -169,10 +169,6 @@ class ValidationReport:
     verdict: str
 
     @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-    @property
     def failed(self) -> bool:
         return self.verdict == "fail"
 

@@ -136,9 +136,9 @@ class TestUpperBoundNumeric:
 
     def test_equals_critical_gamma(self):
         # A linspace from the cutoff, and seeded tilts from 1.495 on: there
-        # the scan's peak lies in the grid's first cell and rates at most 1e-9
-        # from 1.4958, so the bound refines the optimum, and from 1.49966 no
-        # angle violates.  Two tilts below the cutoff answer 1 unsearched.
+        # the bound brackets from its table entry up to about 1.49958 and
+        # falls back to critical_gamma above, and from 1.49966 no angle
+        # violates.  Two tilts below the cutoff answer 1 unsearched.
         taus = [1.0, 1.1, *np.linspace(TAU_MAXENT_CUTOFF, 1.4999999, 300).tolist()]
         taus += np.random.default_rng(29).uniform(1.495, 1.4999999, 100).tolist()
         bounds = [upper_bound_numeric(tau) for tau in taus]
@@ -182,27 +182,31 @@ class TestUpperBoundNumeric:
         for tau in (1.3, 1.497):
             assert self.cold_ratings(monkeypatch, upper_bound_numeric, tau) == entry + crossing
             assert self.cold_ratings(monkeypatch, critical_gamma, tau)[-2:] == crossing
+        # From the last node on, where the last entry, that node's critical
+        # angle, cannot violate, the bound rates no entry: its cold ratings
+        # are critical_gamma's, the full grid's first.
+        for tau in (optimizer._TABLE_TAUS[-1], 1.4998):
+            searched = self.cold_ratings(monkeypatch, critical_gamma, tau)
+            assert searched[0] == (8, optimizer._SCAN_STARTS)
+            assert self.cold_ratings(monkeypatch, upper_bound_numeric, tau) == searched
         # With every entry at pi/4, which violates at no tilt from the cutoff
-        # on, the bound falls back to the scan.  At 1.3 it then makes every
-        # cold rating of critical_gamma but the optimum's 4-start one.  At
-        # 1.497, where it refines, it scans the whole grid once and rates the
-        # optimum once, as critical_gamma does.
+        # on, the bound rates its entry and then makes every cold rating of
+        # critical_gamma.  At 1.497 that is the whole grid once, the optimum
+        # once and the crossing.
         monkeypatch.setattr(optimizer, "_CRITICAL_TABLE", (math.pi / 4,) * len(optimizer._CRITICAL_TABLE))
-        searched = self.cold_ratings(monkeypatch, critical_gamma, 1.3)
-        bounded = self.cold_ratings(monkeypatch, upper_bound_numeric, 1.3)
-        assert searched.count((1, schmidt._NEWTON_STARTS)) == 2
-        searched.remove((1, schmidt._NEWTON_STARTS))
-        assert bounded == entry + searched
+        for tau in (1.3, 1.497):
+            searched = self.cold_ratings(monkeypatch, critical_gamma, tau)
+            assert self.cold_ratings(monkeypatch, upper_bound_numeric, tau) == entry + searched
         scan, optimum = [(8, optimizer._SCAN_STARTS)] * 8, [(1, schmidt._NEWTON_STARTS)]
         assert self.cold_ratings(monkeypatch, critical_gamma, 1.497) == scan + optimum + crossing
-        assert self.cold_ratings(monkeypatch, upper_bound_numeric, 1.497) == entry + scan + optimum + crossing
 
     def test_answers_by_the_table(self, monkeypatch):
         # Seeded tilts from the cutoff to the last node, and the tilts at, an
         # ulp below and 1e-12 below each node from the cutoff on: the bound
-        # brackets from its table entry, two nodes up, and scans only at the
-        # last node's three, where the last entry, the critical angle of that
-        # node itself, rates about -7.9e-15.
+        # brackets from its table entry, two nodes up, and falls back to
+        # critical_gamma, whose coarse scan is counted here, only at the last
+        # node's three, where the last entry, the critical angle of that node
+        # itself, does not violate.
         nodes = optimizer._TABLE_TAUS
         taus = np.random.default_rng(32).uniform(TAU_MAXENT_CUTOFF, nodes[-1], 100).tolist()
         taus += [x for node in nodes for x in (node, math.nextafter(node, 0.0), node - 1e-12) if x >= TAU_MAXENT_CUTOFF]
@@ -255,34 +259,25 @@ class TestUpperBoundNumeric:
             messages[2],
         )
         assert messages[3].startswith("critical angle at tau 1.497: 2 angles rated cold")
-        # With every entry at pi/4 the bound says why it scans, then logs the
-        # scan before the crossing.
+        # With every entry at pi/4 the bound says why it falls back, then
+        # critical_gamma logs the optimum and the crossing.
         monkeypatch.setattr(optimizer, "_CRITICAL_TABLE", (math.pi / 4,) * len(optimizer._CRITICAL_TABLE))
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="bellbound"):
             upper_bound_numeric(1.3)
             upper_bound_numeric(1.497)
         messages = [r.getMessage() for r in caplog.records if r.name == "bellbound"]
-        assert len(messages) == 7
+        assert len(messages) == 6
         for i, tau in ((0, r"1\.3"), (3, r"1\.497")):
             assert re.fullmatch(
                 rf"Schmidt table at tau {tau}: entry gamma 0\.78539816339744828 from node tau 1\.\d+ "
-                r"rated max F -\d\.\d{6}e-\d\d cold, \d+ Newton steps, not violating, scanning instead",
+                r"rated max F -\d\.\d{6}e-\d\d cold, \d+ Newton steps, not violating, searching from the optimum instead",
                 messages[i],
             )
-        assert re.fullmatch(
-            r"Schmidt scan at tau 1\.3: 18 angles rated cold, 58 Newton steps, "
-            r"peak at gamma 0\.3615\d+ with max F 1\.834928e-02, optimum not refined",
-            messages[1],
-        )
+        assert messages[1].startswith("Schmidt optimum at tau 1.3: 19 angles rated cold and 5 warm, 77 Newton steps")
         assert messages[2].startswith("critical angle at tau 1.3: 2 angles rated cold and 5 warm, 21 Newton steps")
-        assert re.fullmatch(
-            r"Schmidt scan at tau 1\.497: 64 angles rated cold, \d+ Newton steps, "
-            r"peak at gamma 0 with max F 0\.000000e\+00, refining the optimum",
-            messages[4],
-        )
-        assert messages[5].startswith("Schmidt optimum at tau 1.497: 65 angles rated cold and 5 warm")
-        assert messages[6].startswith("critical angle at tau 1.497: 2 angles rated cold")
+        assert messages[4].startswith("Schmidt optimum at tau 1.497: 65 angles rated cold and 5 warm")
+        assert messages[5].startswith("critical angle at tau 1.497: 2 angles rated cold")
 
     def test_domain(self):
         for tau in (1.5, math.nextafter(1.0, 0.0), math.nan):
